@@ -201,13 +201,6 @@ class Morphism:
         blk = self.blocks.get(0)
         return complex(blk[0, 0]) if blk is not None else 0j
 
-    def conj_blocks(self) -> "Morphism":
-        """Entrywise complex conjugate (a basis-level, not categorical, op)."""
-        return Morphism(
-            self.cat, self.src, self.tgt,
-            {k: np.conj(blk) for k, blk in self.blocks.items()},
-        )
-
 
 def identity(C: MtcData, S: SumObject) -> Morphism:
     return Morphism(
@@ -217,10 +210,6 @@ def identity(C: MtcData, S: SumObject) -> Morphism:
 
 def zero(C: MtcData, S: SumObject, T: SumObject) -> Morphism:
     return Morphism(C, S, T, {})
-
-
-def scalar_morphism(C: MtcData, z) -> Morphism:
-    return Morphism(C, UNIT, UNIT, {0: np.array([[z]], dtype=complex)})
 
 
 def inject(C: MtcData, S: SumObject, i: int) -> Morphism:

@@ -10,12 +10,17 @@ Two independent routes to the same structure constants:
   fusion ring into a sum of full matrix blocks, one block per label
   pair (i, j) with a nonzero commutation-matrix entry.
 
+Each matrix element of D_X is the categorical trace of an endomorphism
+of X, the X-loop closed as a trace (``defect_matrices``); ``D_map`` is
+the full-morphism form, with the loop opened by a cup and closed by a cap̃.
+
 Both routes must produce the same non-negative integer table; checking
 that (plus the dimension bookkeeping against the z-matrix) is what
 ``verify_theorem_o`` reports.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,13 +35,6 @@ from .errors import (
 )
 from .frobenius import AlgebraSpec
 from .mtc import MtcData, s_matrix
-
-
-def _tensor(C: MtcData, *factors: E.Morphism) -> E.Morphism:
-    out = factors[0]
-    for f in factors[1:]:
-        out = E.tensor(C, out, f)
-    return out
 
 
 def _as_int(x, tol: float, err, what: str) -> int:
@@ -80,15 +78,24 @@ def _unit_index(C: MtcData, A: AlgebraSpec, simples: list) -> int:
     raise SingularD("the regular bimodule does not appear among the simples")
 
 
-def fusion_table_direct(C: MtcData, A: AlgebraSpec, simples: list) -> FusionTable:
-    """table[a, b, c] = dim Hom(X_a ⊗_A X_b, X_c), counted one pair at a time."""
+def _relative_products(C: MtcData, simples: list):
+    """(a, b) -> X_a ⊗_A X_b, each product computed once, on first use."""
+    return functools.cache(lambda a, b: B.tensor_over_A(C, simples[a], simples[b])[0])
+
+
+def fusion_table_direct(C: MtcData, A: AlgebraSpec, simples: list, *,
+                        _products=None) -> FusionTable:
+    """table[a, b, c] = dim Hom(X_a ⊗_A X_b, X_c), counted one pair at a time.
+
+    ``_products`` shares the relative products with the homomorphism residual.
+    """
+    products = _products or _relative_products(C, simples)
     k = len(simples)
     table = np.zeros((k, k, k), dtype=np.int64)
     for a in range(k):
         for b in range(k):
-            T, _ = B.tensor_over_A(C, simples[a], simples[b])
             for c in range(k):
-                sols, gap = B.hom_bimodule(C, T, simples[c], with_gap=True)
+                sols, gap = B.hom_bimodule(C, products(a, b), simples[c], with_gap=True)
                 if gap < B._GAP_FLOOR:
                     raise NonIntegerDim(
                         f"table[{a},{b},{c}]: singular-value gap {gap:.3g} "
@@ -102,6 +109,29 @@ def fusion_table_direct(C: MtcData, A: AlgebraSpec, simples: list) -> FusionTabl
 # the defect operator D_X
 # ---------------------------------------------------------------------------
 
+def _open_strand(C: MtcData, A: AlgebraSpec, X: B.Bimodule):
+    """The open X-strand of D_X(φ) is Φ_φ = (emit ⊗ ε∘φ) ∘ pre(i, j), a map
+    U_i⊗A⊗U_j⊗X -> A⊗X.  Returns its φ-independent parts (pre, emit).
+
+    pre(i, j) : U_i⊗A⊗U_j⊗X -> X⊗U_i⊗A⊗U_j slides X under U_j, multiplies
+    A into X from both sides (emitting a fresh A) and passes U_i over X.
+    emit : X -> A⊗X inserts Δ∘η and absorbs one leg into X.
+    """
+    id_a, id_x, sep = E.identity(C, A.obj), E.identity(C, X.obj), A.delta @ A.eta
+    both = X.rho_r @ E.tensor(C, X.rho_l, id_a)
+    id_ax = E.identity(C, E.tensor_obj(A.obj, X.obj))
+    multiply = E.tensor(C, both, id_a) @ E.tensor(C, id_ax, sep)
+    emit = E.tensor(C, id_a, X.rho_l) @ E.tensor(C, sep, id_x)
+
+    def pre(i: int, j: int) -> E.Morphism:
+        U, V = E.obj(i), E.obj(j)
+        inner = (E.tensor(C, multiply, E.identity(C, V))
+                 @ E.tensor(C, id_a, E.braid(C, V, X.obj, inverse=True)))
+        cross = E.tensor(C, E.braid(C, U, X.obj), E.identity(C, E.tensor_obj(A.obj, V)))
+        return cross @ E.tensor(C, E.identity(C, U), inner)
+    return pre, emit
+
+
 def D_map(C: MtcData, A: AlgebraSpec, X: B.Bimodule, i: int, j: int,
           phi: E.Morphism, check: bool = True) -> E.Morphism:
     """Drag a closed X-loop through the defect phi: U_i ⊗ A ⊗ U_j -> A.
@@ -110,48 +140,48 @@ def D_map(C: MtcData, A: AlgebraSpec, X: B.Bimodule, i: int, j: int,
     U_i ⊗⁺ A ⊗⁻ U_j; the output is again such an intertwiner, and as an
     operator on that Hom space this action depends only on the
     isomorphism class of X.
+
+    Full-morphism form D_X(φ) = (id_A ⊗ d̃_X)∘(Φ_φ ⊗ id_X∨)∘(id ⊗ b_X),
+    the loop opened by a cup and closed by a cap̃; :func:`defect_matrices`
+    closes the same open strand Φ_φ as a trace to get D_X's matrix.
     """
-    reg = B.regular_bimodule(C, A)
-    W = B.sandwich(C, i, reg, j)
-    tol = max(C.tol * 1e3, 1e-9)
     if check:
+        reg = B.regular_bimodule(C, A)
+        W = B.sandwich(C, i, reg, j)
         if phi.src != W.obj or phi.tgt != A.obj:
             raise NotIntertwiner(
                 f"phi must map U_{i}⊗A⊗U_{j} to A, got {phi.src} -> {phi.tgt}"
             )
         worst = max(c(phi).norm() for c in B._hom_constraints(C, W, reg))
+        tol = max(C.tol * 1e3, 1e-9)
         if worst > tol:
             raise NotIntertwiner(
                 f"phi fails the bimodule-intertwiner check by {worst:.3g}"
             )
-    U, V = E.obj(i), E.obj(j)
-    Ao, Xo = A.obj, X.obj
-    Xd = E.dual_obj(C, Xo)
-    sep = A.delta @ A.eta
-    id_u = E.identity(C, U)
-    id_v = E.identity(C, V)
-    id_a = E.identity(C, Ao)
-    id_x = E.identity(C, Xo)
-    id_xd = E.identity(C, Xd)
+    pre, emit = _open_strand(C, A, X)
+    strand = E.tensor(C, emit, A.eps @ phi) @ pre(i, j)
+    return (E.tensor(C, E.identity(C, A.obj), E.cap_tilde_obj(C, X.obj))
+            @ E.tensor(C, strand, E.identity(C, E.dual_obj(C, X.obj)))
+            @ E.tensor(C, E.identity(C, phi.src), E.cup_obj(C, X.obj)))
 
-    # create the X-loop to the right of V and slide its left end under V
-    inner3 = (E.tensor(C, E.braid(C, V, Xo, inverse=True), id_xd)
-              @ E.tensor(C, id_v, E.cup_obj(C, Xo)))
-    L3 = _tensor(C, id_u, id_a, inner3)
 
-    # multiply the A-line into the loop from both sides and emit a fresh A
-    both = X.rho_r @ E.tensor(C, X.rho_l, id_a)
-    inner2 = E.tensor(C, both, id_a) @ _tensor(C, id_a, id_x, sep)
-    L2 = _tensor(C, id_u, inner2, E.identity(C, E.tensor_obj(V, Xd)))
-
-    # pass U over the loop, feed U⊗A⊗V into phi, absorb into a new A-line
-    low = _tensor(C, sep, E.braid(C, U, Xo), id_a, id_v)
-    top = _tensor(C, id_a, X.rho_l, A.eps @ phi)
-    L1 = E.tensor(C, top @ low, id_xd)
-
-    # close the loop
-    L0 = E.tensor(C, id_a, E.cap_tilde_obj(C, Xo))
-    return L0 @ L1 @ L2 @ L3
+def defect_matrices(C: MtcData, A: AlgebraSpec, X: B.Bimodule,
+                    h: dict, hbar: dict) -> dict:
+    """The matrix of D_X on each Hom block, {(i, j): M}, in the dual bases
+    h, hbar of DMatrix: M[α, β] = ε ∘ D_X(h_β) ∘ h̄_α ∘ η.  Each element is
+    the categorical trace of an endomorphism of X (see _open_strand),
+    tr((absorb ⊗ ε∘h_β) ∘ pre(i, j) ∘ (h̄_α∘η ⊗ id_X)), absorb = (ε ⊗ id_X) ∘ emit.
+    """
+    pre, emit = _open_strand(C, A, X)
+    id_x = E.identity(C, X.obj)
+    absorb = E.tensor(C, A.eps, id_x) @ emit
+    out = {}
+    for key, hs in h.items():
+        strand = pre(*key)
+        opened = [strand @ E.tensor(C, hb @ A.eta, id_x) for hb in hbar[key]]
+        closes = [E.tensor(C, absorb, A.eps @ hb) for hb in hs]
+        out[key] = np.array([[E.trace(C, c @ o) for c in closes] for o in opened])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -210,33 +240,22 @@ def _hom_block_bases(C: MtcData, A: AlgebraSpec, i: int, j: int):
 
 
 def d_matrix(C: MtcData, A: AlgebraSpec, simples: list) -> DMatrix:
-    """Matrix elements ε ∘ D_X(h_β) ∘ h̄_α ∘ η of every defect operator."""
+    """Matrix elements ε ∘ D_X(h_β) ∘ h̄_α ∘ η of every defect operator
+    (see :func:`defect_matrices`)."""
     k = len(simples)
     hs: dict = {}
     hbars: dict = {}
-    blocks: dict = {}
-    col_index: list = []
-    cols: list = []
     for i in range(C.rank):
         for j in range(C.rank):
             h, hbar = _hom_block_bases(C, A, i, j)
-            n = len(h)
-            if n == 0:
-                continue
-            hs[(i, j)] = h
-            hbars[(i, j)] = hbar
-            blk = np.zeros((k, n, n), dtype=complex)
-            for t, X in enumerate(simples):
-                for beta in range(n):
-                    dphi = D_map(C, A, X, i, j, h[beta], check=False)
-                    for alpha in range(n):
-                        blk[t, alpha, beta] = \
-                            (A.eps @ dphi @ hbar[alpha] @ A.eta).scalar()
-            blocks[(i, j)] = blk
-            for alpha in range(n):
-                for beta in range(n):
-                    col_index.append((i, j, alpha, beta))
-            cols.append(blk.reshape(k, n * n))
+            if h:
+                hs[(i, j)], hbars[(i, j)] = h, hbar
+    mats = [defect_matrices(C, A, X, hs, hbars) for X in simples]
+    blocks = {key: np.array([m[key] for m in mats], dtype=complex).reshape(k, len(h), len(h))
+              for key, h in hs.items()}
+    col_index = [(i, j, alpha, beta) for (i, j), h in hs.items()
+                 for alpha in range(len(h)) for beta in range(len(h))]
+    cols = [blk.reshape(k, -1) for blk in blocks.values()]
     matrix = np.concatenate(cols, axis=1) if cols else np.zeros((k, 0))
     if matrix.shape[1] != k:
         raise SingularD(
@@ -313,8 +332,9 @@ class TheoremOReport:
 
 
 def _lemma2_residual(C: MtcData, A: AlgebraSpec, simples: list, d: DMatrix,
-                     seed: int) -> float:
+                     seed: int, products=None) -> float:
     """Worst deviation of D_X ∘ D_Y from D_{X⊗_A Y} over sampled pairs."""
+    products = products or _relative_products(C, simples)
     k = len(simples)
     pairs = [(a, b) for a in range(k) for b in range(k)]
     if k > 12:
@@ -323,17 +343,10 @@ def _lemma2_residual(C: MtcData, A: AlgebraSpec, simples: list, d: DMatrix,
         pairs = [pairs[t] for t in idx]
     worst = 0.0
     for a, b in pairs:
-        T, _ = B.tensor_over_A(C, simples[a], simples[b])
-        for (i, j), blk in d.blocks.items():
-            n = blk.shape[1]
-            mat_t = np.zeros((n, n), dtype=complex)
-            for beta in range(n):
-                dphi = D_map(C, A, T, i, j, d.h[(i, j)][beta], check=False)
-                for alpha in range(n):
-                    mat_t[alpha, beta] = \
-                        (A.eps @ dphi @ d.hbar[(i, j)][alpha] @ A.eta).scalar()
-            diff = blk[a] @ blk[b] - mat_t
-            worst = max(worst, float(np.max(np.abs(diff))) if diff.size else 0.0)
+        mats = defect_matrices(C, A, products(a, b), d.h, d.hbar)
+        for key, blk in d.blocks.items():
+            diff = blk[a] @ blk[b] - mats[key]
+            worst = max(worst, float(np.max(np.abs(diff))))
     return worst
 
 
@@ -344,18 +357,15 @@ def verify_theorem_o(C: MtcData, A: AlgebraSpec, seed: int = 0) -> TheoremORepor
     k = len(simples)
     left = B.simple_left_modules(C, A, seed=seed)
     d = d_matrix(C, A, simples)
-    direct = fusion_table_direct(C, A, simples)
+    products = _relative_products(C, simples)
+    direct = fusion_table_direct(C, A, simples, _products=products)
     blockdiag = fusion_table_blockdiag(C, d)
 
     reg = B.regular_bimodule(C, A)
-    unit_res = 0.0
-    for (i, j), h in d.h.items():
-        for phi in h:
-            unit_res = max(
-                unit_res, (D_map(C, A, reg, i, j, phi, check=False) - phi).norm()
-            )
+    unit_res = max((D_map(C, A, reg, i, j, phi, check=False) - phi).norm()
+                   for (i, j), h in d.h.items() for phi in h)
 
-    lemma2 = _lemma2_residual(C, A, simples, d, seed)
+    lemma2 = _lemma2_residual(C, A, simples, d, seed, products)
 
     s = s_matrix(C).entries
     zc = z.entries.astype(complex)

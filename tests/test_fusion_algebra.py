@@ -242,6 +242,42 @@ def test_defect_matrix_depends_only_on_iso_class(toric, ze, ze_simples, ze_d):
         assert np.max(np.abs(got - blk[t])) < 1e-9
 
 
+def _assert_loop_closures_agree(C, A, X, d):
+    """The trace-closed matrices of D_X equal ε ∘ D_map(h_β) ∘ h̄_α ∘ η,
+    where D_map closes the X-loop with a cup and a cap̃."""
+    got = FA.defect_matrices(C, A, X, d.h, d.hbar)
+    assert set(got) == set(d.h)
+    for (i, j), hs in d.h.items():
+        want = np.array([[(A.eps @ FA.D_map(C, A, X, i, j, hb, check=False)
+                           @ g @ A.eta).scalar() for hb in hs]
+                         for g in d.hbar[(i, j)]])
+        assert np.max(np.abs(got[(i, j)] - want)) < 1e-10, (i, j)
+
+
+def test_trace_closed_defect_matrices_match_cup_cap_loop(
+        toric, ze, ze_simples, ze_d, su24, deven, deven_simples, deven_d,
+        deven_table):
+    for C, A, simples, d in [(toric, ze, ze_simples, ze_d),
+                             (su24, deven, deven_simples, deven_d)]:
+        for X in simples:
+            _assert_loop_closures_agree(C, A, X, d)
+    # relative products that are not simple and sit on several words
+    k = len(deven_simples)
+    pairs = [(a, b) for a in range(k) for b in range(k)
+             if deven_table.table[a, b].sum() >= 2][:3]
+    assert len(pairs) == 3
+    for a, b in pairs:
+        T, _ = B.tensor_over_A(su24, deven_simples[a], deven_simples[b])
+        assert len(T.obj) > 1
+        _assert_loop_closures_agree(su24, deven, T, deven_d)
+    # A = 1 on a rank-5 category
+    A1 = F.normalize_counit(su24, F.trivial_algebra(su24))
+    simples = B.simple_bimodules(su24, A1, seed=0)
+    d = FA.d_matrix(su24, A1, simples)
+    for X in simples:
+        _assert_loop_closures_agree(su24, A1, X, d)
+
+
 # -- rejected inputs ----------------------------------------------------------
 
 def test_defect_map_rejects_wrong_signature(toric, ze, ze_simples):
