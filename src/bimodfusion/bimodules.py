@@ -25,10 +25,6 @@ from .errors import (
 from .frobenius import AlgebraSpec
 from .mtc import MtcData
 
-#: ratio between kept and discarded singular values below which a hom
-#: dimension is considered numerically ambiguous.
-_GAP_FLOOR = 10.0
-
 
 @dataclass(frozen=True)
 class Bimodule:
@@ -162,7 +158,7 @@ def z_matrix(C: MtcData, A: AlgebraSpec) -> ZMatrix:
     for i in range(n):
         for j in range(n):
             sols, gap = hom_bimodule(C, plus[i], minus[j], with_gap=True)
-            if gap < _GAP_FLOOR:
+            if gap < C.thresholds.hom_gap:
                 raise NonIntegerDim(
                     f"z[{i},{j}]: singular-value gap {gap:.3g} leaves the "
                     f"hom dimension ambiguous"
@@ -171,8 +167,7 @@ def z_matrix(C: MtcData, A: AlgebraSpec) -> ZMatrix:
     return ZMatrix(z)
 
 
-def split_idempotent(C: MtcData, X: Bimodule, P: E.Morphism,
-                     tol: float | None = None) -> RetractPair:
+def split_idempotent(C: MtcData, X: Bimodule, P: E.Morphism) -> RetractPair:
     """Split a bimodule idempotent P on X into embed/restrict maps.
 
     P must commute with the actions (callers produce it as a polynomial
@@ -181,9 +176,7 @@ def split_idempotent(C: MtcData, X: Bimodule, P: E.Morphism,
     eigenvalue stuck in between means P was not actually idempotent to
     working precision.
     """
-    if tol is None:
-        tol = max(C.tol * 1e3, 1e-9)
-    band = max(tol, 1e-6)
+    band = C.thresholds.residual
     idem = (P @ P - P).norm()
     if idem > band:
         raise IdempotentSplitFailure(f"not idempotent: ||P∘P - P|| = {idem:.3g}")
@@ -201,7 +194,7 @@ def split_idempotent(C: MtcData, X: Bimodule, P: E.Morphism,
             raise IdempotentSplitFailure(
                 f"sector {k}: idempotent eigenvalue {bad:.6g} is neither 0 nor 1"
             )
-        sel = np.abs(w - 1.0) < 0.5
+        sel = np.abs(w - 1.0) < C.thresholds.image
         if not np.any(sel):
             continue
         emb_blocks[k] = V[:, sel]
@@ -219,8 +212,7 @@ def split_idempotent(C: MtcData, X: Bimodule, P: E.Morphism,
     return RetractPair(embed=embed, restrict=restrict, target=target)
 
 
-def tensor_over_A(C: MtcData, X: Bimodule, Y: Bimodule,
-                  tol: float | None = None) -> tuple:
+def tensor_over_A(C: MtcData, X: Bimodule, Y: Bimodule) -> tuple:
     """Relative tensor product X ⊗_A Y as a split idempotent on X⊗Y.
 
     The idempotent inserts the separability element Δ∘η between the two
@@ -230,13 +222,11 @@ def tensor_over_A(C: MtcData, X: Bimodule, Y: Bimodule,
     Returns ``(X ⊗_A Y, RetractPair)``.
     """
     A = X.alg
-    if tol is None:
-        tol = max(C.tol * 1e3, 1e-9)
     if A.delta is None:
         raise NotSpecial("tensor_over_A needs an algebra with a coproduct "
                          "(normalize the counit first)")
     special = (A.m @ A.delta - E.identity(C, A.obj)).norm()
-    if special > tol:
+    if special > C.thresholds.identity:
         raise NotSpecial(f"m∘Δ deviates from id by {special:.3g}; "
                          "normalize the counit first")
     sep = A.delta @ A.eta            # 1 -> A⊗A
@@ -249,7 +239,7 @@ def tensor_over_A(C: MtcData, X: Bimodule, Y: Bimodule,
         E.tensor(C, X.rho_l, id_y),
         E.tensor(C, id_x, Y.rho_r),
     )
-    pair = split_idempotent(C, outer, P, tol=tol)
+    pair = split_idempotent(C, outer, P)
     return pair.target, pair
 
 
@@ -268,7 +258,7 @@ def is_isomorphic(C: MtcData, X: Bimodule, Y: Bimodule) -> bool:
     f = fwd[0]
     for k in E.obj_sectors(C, X.obj):
         blk = f.blocks.get(k)
-        if blk is None or np.linalg.matrix_rank(blk) < blk.shape[0]:
+        if blk is None or np.linalg.matrix_rank(blk, tol=C.thresholds.iso_rank) < blk.shape[0]:
             return False
     return True
 
@@ -280,14 +270,14 @@ def _random_endomorphism(C: MtcData, ends: list, rng) -> E.Morphism:
     return f
 
 
-def _eigenvalue_clusters(T: E.Morphism, radius: float = 1e-6) -> list:
+def _eigenvalue_clusters(T: E.Morphism) -> list:
     vals = np.concatenate(
         [np.linalg.eigvals(blk) for blk in T.blocks.values()]
     )
     vals = vals[np.lexsort((vals.imag, vals.real))]
     centers: list = []
     for v in vals:
-        if centers and abs(v - centers[-1][-1]) < radius:
+        if centers and abs(v - centers[-1][-1]) < T.cat.thresholds.cluster:
             centers[-1].append(v)
         else:
             centers.append([v])
@@ -363,18 +353,20 @@ def _collect_simples(C: MtcData, generators, rng) -> list:
     return [reps[t] for t in order]
 
 
-def simple_bimodules(C: MtcData, A: AlgebraSpec, seed: int = 0) -> list:
+def simple_bimodules(C: MtcData, A: AlgebraSpec, seed: int = 0, *,
+                     _z: ZMatrix | None = None) -> list:
     """All simple A-A bimodules, canonically ordered.
 
     Every simple occurs inside some sandwich U_i ⊗ A ⊗ U_j, so we
     decompose those.  The total count must come out equal to tr(zᵗz);
     anything else means the decomposition silently missed a summand.
+    ``_z`` passes in a z-matrix the caller has already computed.
     """
     rng = np.random.default_rng(seed)
     reg = regular_bimodule(C, A)
     gens = [sandwich(C, i, reg, j) for i in range(C.rank) for j in range(C.rank)]
     reps = _collect_simples(C, gens, rng)
-    expected = z_matrix(C, A).pair_count
+    expected = (z_matrix(C, A) if _z is None else _z).pair_count
     if len(reps) != expected:
         raise DecompositionIncomplete(
             f"found {len(reps)} simple bimodules but tr(zᵗz) = {expected}"

@@ -14,7 +14,7 @@ import itertools
 import math
 
 from .errors import UnknownCatalogName
-from .mtc import CatalogEntry, MtcData, load_mtc
+from .mtc import DEFAULT_TOL, CatalogEntry, MtcData, load_mtc
 
 __all__ = ["CATALOG_NAMES", "catalog", "catalog_document"]
 
@@ -357,7 +357,7 @@ def catalog_document(name: str) -> dict:
     return _BUILDERS[name][0]()
 
 
-def catalog(name: str, tol: float = 1e-9) -> CatalogEntry:
+def catalog(name: str, tol: float = DEFAULT_TOL) -> CatalogEntry:
     """Load, validate, and wrap a built-in category."""
     doc = catalog_document(name)
     data: MtcData = load_mtc(doc, tol=tol)

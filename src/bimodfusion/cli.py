@@ -21,6 +21,7 @@ from .errors import (
     AxiomViolation,
     BimodfusionError,
     DiagramSyntaxError,
+    InvalidTolerance,
     MissingSymbol,
     ParseError,
     ShapeError,
@@ -28,6 +29,7 @@ from .errors import (
 )
 
 _DOCUMENT_ERRORS = (
+    InvalidTolerance,
     ParseError,
     ShapeError,
     MissingSymbol,
@@ -181,7 +183,7 @@ def _cmd_defect_check(args):
     rows = [
         FA.defect_identity(C, A, a, b, j, simples, table) for a, b, j in triples
     ]
-    tol = max(C.tol * 1e3, 1e-6)
+    tol = C.thresholds.residual
     worst = max(row["residual"] for row in rows)
     rep = {
         "kind": "defect-check",
@@ -214,8 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "defect fusion rules.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-9,
-                        help="numerical tolerance (default 1e-9)")
+    common.add_argument("--tol", type=float, default=mtc.DEFAULT_TOL,
+                        help="numerical tolerance, finite and positive (default 1e-9)")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for all randomized steps (default 0)")
     common.add_argument("--format", choices=("table", "json"), default="table",
@@ -290,9 +292,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if args.tol <= 0:
-        sys.stderr.write("error: --tol must be positive\n")
-        return 2
     try:
         status, rep = args.func(args)
     except _DOCUMENT_ERRORS as exc:

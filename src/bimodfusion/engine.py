@@ -568,7 +568,7 @@ def _letter_duality(C: MtcData, a: int):
     if out is None:
         abar = int(C.dual[a])
         Fa = C.f(a, abar, a, a, 0, 0)
-        if abs(Fa) < 1e-30:
+        if abs(Fa) < C.thresholds.unit_channel:
             raise NonSovereignGauge(
                 f"F[{C.labels[a]},{C.labels[abar]},{C.labels[a]}] unit channel vanishes"
             )
@@ -584,138 +584,97 @@ def dim(C: MtcData, a: int) -> complex:
     return complex(dt)
 
 
-def cup(C: MtcData, w: Word) -> Morphism:
-    """b_w : 1 -> w ⊗ w∨."""
-    key = ("cup", w)
+#: kind (also the cache key) -> (index into _letter_duality, dual word on
+#: the left, last letter peeled); a cup nests the word's map inside the
+#: peeled letter's, a cap the letter's inside the word's
+_DUALITY_KINDS = {
+    "cup": (0, False, False),
+    "cap": (1, True, False),
+    "cupt": (2, True, True),
+    "capt": (3, False, True),
+}
+
+
+def _word_duality(C: MtcData, kind: str, w: Word) -> Morphism:
+    """The duality map of ``kind`` on a word, built one letter at a time."""
+    key = (kind, w)
     out = C._cache.get(key)
     if out is not None:
         return out
+    index, dual_left, peel_last = _DUALITY_KINDS[kind]
+    is_cup = kind.startswith("cup")
+
+    def pair(x: Word) -> tuple:
+        xd = dual_word(C, x)
+        return (xd, x) if dual_left else (x, xd)
+
     if len(w) == 0:
         out = identity(C, UNIT)
     elif len(w) == 1:
-        a = w[0]
-        coeff, _, _, _ = _letter_duality(C, a)
-        col = np.array([[coeff]], dtype=complex)
-        out = Morphism(C, UNIT, obj(a, int(C.dual[a])), {0: col})
+        word = sum(pair(w), ())
+        blocks = {0: np.array([[_letter_duality(C, w[0])[index]]], dtype=complex)}
+        out = Morphism(C, UNIT, (word,), blocks) if is_cup else Morphism(C, (word,), UNIT, blocks)
     else:
-        a, u = w[0], w[1:]
-        abar = (int(C.dual[a]),)
-        step = tensor(
-            C, identity(C, obj(a)), tensor(C, cup(C, u), identity(C, (abar,)))
-        )
-        out = step @ cup(C, (a,))
+        letter, rest = (w[-1:], w[:-1]) if peel_last else (w[:1], w[1:])
+        inner, outer = (rest, letter) if is_cup else (letter, rest)
+        left, right = pair(outer)
+        step = tensor(C, identity(C, (left,)),
+                      tensor(C, _word_duality(C, kind, inner), identity(C, (right,))))
+        outer_map = _word_duality(C, kind, outer)
+        out = step @ outer_map if is_cup else outer_map @ step
     C._cache[key] = out
     return out
+
+
+def cup(C: MtcData, w: Word) -> Morphism:
+    """b_w : 1 -> w ⊗ w∨."""
+    return _word_duality(C, "cup", w)
 
 
 def cap(C: MtcData, w: Word) -> Morphism:
     """d_w : w∨ ⊗ w -> 1."""
-    key = ("cap", w)
-    out = C._cache.get(key)
-    if out is not None:
-        return out
-    if len(w) == 0:
-        out = identity(C, UNIT)
-    elif len(w) == 1:
-        a = w[0]
-        _, coeff, _, _ = _letter_duality(C, a)
-        out = Morphism(
-            C, obj(int(C.dual[a]), a), UNIT, {0: np.array([[coeff]], dtype=complex)}
-        )
-    else:
-        a, u = w[0], w[1:]
-        udual = dual_word(C, u)
-        step = tensor(
-            C, identity(C, (udual,)), tensor(C, cap(C, (a,)), identity(C, (u,)))
-        )
-        out = cap(C, u) @ step
-    C._cache[key] = out
-    return out
+    return _word_duality(C, "cap", w)
 
 
 def cup_tilde(C: MtcData, w: Word) -> Morphism:
     """b~_w : 1 -> w∨ ⊗ w."""
-    key = ("cupt", w)
-    out = C._cache.get(key)
-    if out is not None:
-        return out
-    if len(w) == 0:
-        out = identity(C, UNIT)
-    elif len(w) == 1:
-        a = w[0]
-        _, _, coeff, _ = _letter_duality(C, a)
-        out = Morphism(
-            C, UNIT, obj(int(C.dual[a]), a), {0: np.array([[coeff]], dtype=complex)}
-        )
-    else:
-        u, a = w[:-1], w[-1]
-        abar = (int(C.dual[a]),)
-        step = tensor(
-            C, identity(C, (abar,)), tensor(C, cup_tilde(C, u), identity(C, obj(a)))
-        )
-        out = step @ cup_tilde(C, (a,))
-    C._cache[key] = out
-    return out
+    return _word_duality(C, "cupt", w)
 
 
 def cap_tilde(C: MtcData, w: Word) -> Morphism:
     """d~_w : w ⊗ w∨ -> 1."""
-    key = ("capt", w)
-    out = C._cache.get(key)
-    if out is not None:
-        return out
-    if len(w) == 0:
-        out = identity(C, UNIT)
-    elif len(w) == 1:
-        a = w[0]
-        _, _, _, coeff = _letter_duality(C, a)
-        out = Morphism(
-            C, obj(a, int(C.dual[a])), UNIT, {0: np.array([[coeff]], dtype=complex)}
-        )
-    else:
-        u, a = w[:-1], w[-1]
-        udual = dual_word(C, u)
-        step = tensor(
-            C, identity(C, (u,)), tensor(C, cap_tilde(C, (a,)), identity(C, (udual,)))
-        )
-        out = cap_tilde(C, u) @ step
-    C._cache[key] = out
-    return out
+    return _word_duality(C, "capt", w)
 
 
-def _sum_duality(C: MtcData, S: SumObject, factory, flip: bool):
+def _sum_duality(C: MtcData, S: SumObject, kind: str) -> Morphism:
     """Assemble a summand-diagonal cup/cap over a sum object."""
+    _, dual_left, _ = _DUALITY_KINDS[kind]
     Sd = dual_obj(C, S)
-    left, right = (Sd, S) if flip else (S, Sd)
-    pair_obj = tensor_obj(left, right)
+    pair_obj = tensor_obj(Sd, S) if dual_left else tensor_obj(S, Sd)
+    is_cup = kind.startswith("cup")
+    out = zero(C, UNIT, pair_obj) if is_cup else zero(C, pair_obj, UNIT)
     n = len(S)
-    if factory in (cup, cup_tilde):
-        out = zero(C, UNIT, pair_obj)
-        for i in range(n):
-            pair = i * n + i
-            out = out + inject(C, pair_obj, pair) @ factory(C, S[i])
-    else:
-        out = zero(C, pair_obj, UNIT)
-        for i in range(n):
-            pair = i * n + i
-            out = out + factory(C, S[i]) @ project(C, pair_obj, pair)
+    for i in range(n):
+        f = _word_duality(C, kind, S[i])
+        pair = i * n + i
+        out = out + (inject(C, pair_obj, pair) @ f if is_cup else f @ project(C, pair_obj, pair))
     return out
 
 
 def cup_obj(C: MtcData, S: SumObject) -> Morphism:
-    return _sum_duality(C, S, cup, flip=False)
+    return _sum_duality(C, S, "cup")
 
 
 def cap_obj(C: MtcData, S: SumObject) -> Morphism:
-    return _sum_duality(C, S, cap, flip=True)
+    return _sum_duality(C, S, "cap")
 
 
 def cup_tilde_obj(C: MtcData, S: SumObject) -> Morphism:
-    return _sum_duality(C, S, cup_tilde, flip=True)
+    return _sum_duality(C, S, "cupt")
 
 
 def cap_tilde_obj(C: MtcData, S: SumObject) -> Morphism:
-    return _sum_duality(C, S, cap_tilde, flip=False)
+    return _sum_duality(C, S, "capt")
 
 
 def trace(C: MtcData, f: Morphism) -> complex:
@@ -772,7 +731,7 @@ def duality(C: MtcData) -> DualityData:
         zig = max(zig, (z1 - ida).norm(), (z2 - idabar).norm(),
                   (z3 - ida).norm(), (z4 - idabar).norm())
         sov = max(sov, abs(trace_left(C, ida) - trace_right(C, ida)))
-    if max(zig, sov) > max(C.tol * 1e3, 1e-6):
+    if max(zig, sov) > C.thresholds.residual:
         raise NonSovereignGauge(
             f"duality data inconsistent: zig-zag residual {zig:.3e}, "
             f"left/right trace residual {sov:.3e}"
@@ -839,20 +798,20 @@ def from_vec(C: MtcData, S: SumObject, T: SumObject, v: np.ndarray) -> Morphism:
 
 
 def nullspace_morphisms(C: MtcData, S: SumObject, T: SumObject, constraints,
-                        rtol: float = None, with_gap: bool = False):
+                        with_gap: bool = False):
     """Basis of {f in Hom(S,T) : L(f) = 0 for all linear maps L}.
 
     ``constraints`` is an iterable of callables Morphism -> Morphism; each
     must be linear in its argument.  Returns orthonormal coefficient combos
-    of the matrix-unit basis as morphisms.
+    of the matrix-unit basis as morphisms; singular values of the stacked
+    constraints at or below the null-space cutoff of ``C.thresholds`` count
+    as zero.
 
     With ``with_gap`` the return value is ``(basis, gap)`` where gap is the
     ratio between the smallest retained and largest discarded singular value
     (inf when one of the two sides is empty) — a small gap means the
     dimension of the space is numerically ambiguous.
     """
-    if rtol is None:
-        rtol = max(C.tol, 1e-12)
     basis = hom_space(C, S, T)
     gap = np.inf
     if basis.dim == 0:
@@ -866,7 +825,8 @@ def nullspace_morphisms(C: MtcData, S: SumObject, T: SumObject, constraints,
         combos = np.eye(basis.dim, dtype=complex)
     else:
         _, sv, vh = np.linalg.svd(A)
-        cutoff = max(1e-10, rtol * (sv[0] if sv.size else 0.0))
+        th = C.thresholds
+        cutoff = max(th.null_atol, th.null_rtol * (sv[0] if sv.size else 0.0))
         rank = int(np.sum(sv > cutoff))
         kept = sv[:rank]
         dropped = sv[rank:]

@@ -15,6 +15,10 @@ class ParseError(BimodfusionError):
     """A document (category, algebra, ...) is malformed."""
 
 
+class InvalidTolerance(BimodfusionError):
+    """The numerical tolerance is not a finite positive number."""
+
+
 class ShapeError(BimodfusionError):
     """Component data has the wrong shape for the declared objects."""
 

@@ -10,6 +10,7 @@ is the coefficient of the channel-mu fusion U_i ⊗ U_j -> U_k from copies
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field, replace
 
@@ -202,7 +203,8 @@ def _pairing_flipped(C: MtcData, A: AlgebraSpec, eps: E.Morphism) -> E.Morphism:
 
 
 def _blockwise_inv(f: E.Morphism, pinv: bool = True) -> E.Morphism:
-    inv = np.linalg.pinv if pinv else np.linalg.inv
+    rcond = f.cat.thresholds.pinv_rcond
+    inv = functools.partial(np.linalg.pinv, rcond=rcond) if pinv else np.linalg.inv
     return E.Morphism(
         f.cat, f.tgt, f.src, {k: inv(blk) for k, blk in f.blocks.items()}
     )
@@ -233,14 +235,12 @@ def with_costructure(C: MtcData, A: AlgebraSpec) -> AlgebraSpec:
 # axiom checks
 # ---------------------------------------------------------------------------
 
-def validate_algebra(C: MtcData, A: AlgebraSpec, tol: float | None = None) -> dict:
+def validate_algebra(C: MtcData, A: AlgebraSpec) -> dict:
     """Residuals of the algebra axioms; overall pass flag.
 
     Keys: associativity, unit, frobenius, symmetric, special, simple (the
     last is |dim End - 1|), plus 'simple_dim' and 'pass'.
     """
-    if tol is None:
-        tol = C.tol * 1e3
     A = with_costructure(C, A)
     idA = E.identity(C, A.obj)
     m, eta, delta, eps = A.m, A.eta, A.delta, A.eps
@@ -260,7 +260,7 @@ def validate_algebra(C: MtcData, A: AlgebraSpec, tol: float | None = None) -> di
     total_dim = sum(blk.shape[0] for blk in md.blocks.values())
     lam = sum(np.trace(blk) for blk in md.blocks.values()) / total_dim
     special = (md - complex(lam) * idA).norm()
-    if abs(lam) < 1e-12:
+    if abs(lam) < C.thresholds.special_scale:
         special = max(special, 1.0)
 
     sols = E.nullspace_morphisms(
@@ -283,14 +283,13 @@ def validate_algebra(C: MtcData, A: AlgebraSpec, tol: float | None = None) -> di
     return {
         "residuals": residuals,
         "simple_dim": simple_dim,
-        "pass": bool(max(residuals.values()) <= tol),
+        "pass": bool(max(residuals.values()) <= C.thresholds.algebra),
     }
 
 
-def normalize_counit(C: MtcData, A: AlgebraSpec, tol: float | None = None) -> AlgebraSpec:
+def normalize_counit(C: MtcData, A: AlgebraSpec) -> AlgebraSpec:
     """Rescale (ε, Δ) so that m∘Δ = id and ε∘η = dim(A)."""
-    if tol is None:
-        tol = max(C.tol * 1e3, 1e-9)
+    tol = C.thresholds.identity
     A = with_costructure(C, A)
     idA = E.identity(C, A.obj)
     md = A.m @ A.delta
@@ -313,10 +312,9 @@ def normalize_counit(C: MtcData, A: AlgebraSpec, tol: float | None = None) -> Al
     return out
 
 
-def nondegeneracy(C: MtcData, A: AlgebraSpec, tol: float | None = None) -> NondegReport:
+def nondegeneracy(C: MtcData, A: AlgebraSpec) -> NondegReport:
     """Invertibility of the duality pairing A -> A∨, with explicit inverse."""
-    if tol is None:
-        tol = max(C.tol * 1e3, 1e-9)
+    th = C.thresholds
     A = with_costructure(C, A)
     Ad = E.dual_obj(C, A.obj)
     phi = _pairing(C, A, A.eps)
@@ -329,10 +327,10 @@ def nondegeneracy(C: MtcData, A: AlgebraSpec, tol: float | None = None) -> Nonde
         ((phi @ psi) - E.identity(C, Ad)).norm(),
     )
     rank = sum(
-        int(np.linalg.matrix_rank(blk, tol=1e-9)) for blk in phi.blocks.values()
+        int(np.linalg.matrix_rank(blk, tol=th.pairing_rank)) for blk in phi.blocks.values()
     )
     full = E.hom_dim(C, A.obj, Ad)
-    return NondegReport(iso_residual=res, rank=rank, passed=bool(res < tol and rank == full))
+    return NondegReport(iso_residual=res, rank=rank, passed=bool(res < th.identity and rank == full))
 
 
 # ---------------------------------------------------------------------------

@@ -37,13 +37,6 @@ from .frobenius import AlgebraSpec
 from .mtc import MtcData, s_matrix
 
 
-def _as_int(x, tol: float, err, what: str) -> int:
-    n = int(round(float(np.real(x))))
-    if abs(x - n) > 100.0 * tol:
-        raise err(f"{what} = {x:.8g} is not an integer within {100.0 * tol:.3g}")
-    return n
-
-
 # ---------------------------------------------------------------------------
 # fusion tables
 # ---------------------------------------------------------------------------
@@ -84,10 +77,11 @@ def _relative_products(C: MtcData, simples: list):
 
 
 def fusion_table_direct(C: MtcData, A: AlgebraSpec, simples: list, *,
-                        _products=None) -> FusionTable:
+                        _products=None, _unit: int | None = None) -> FusionTable:
     """table[a, b, c] = dim Hom(X_a ⊗_A X_b, X_c), counted one pair at a time.
 
-    ``_products`` shares the relative products with the homomorphism residual.
+    ``_products`` shares the relative products with the homomorphism
+    residual; ``_unit`` passes in the unit index the d-matrix already found.
     """
     products = _products or _relative_products(C, simples)
     k = len(simples)
@@ -96,13 +90,13 @@ def fusion_table_direct(C: MtcData, A: AlgebraSpec, simples: list, *,
         for b in range(k):
             for c in range(k):
                 sols, gap = B.hom_bimodule(C, products(a, b), simples[c], with_gap=True)
-                if gap < B._GAP_FLOOR:
+                if gap < C.thresholds.hom_gap:
                     raise NonIntegerDim(
                         f"table[{a},{b},{c}]: singular-value gap {gap:.3g} "
                         f"leaves the hom dimension ambiguous"
                     )
                 table[a, b, c] = len(sols)
-    return FusionTable(table, _unit_index(C, A, simples))
+    return FusionTable(table, _unit_index(C, A, simples) if _unit is None else _unit)
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +147,7 @@ def D_map(C: MtcData, A: AlgebraSpec, X: B.Bimodule, i: int, j: int,
                 f"phi must map U_{i}⊗A⊗U_{j} to A, got {phi.src} -> {phi.tgt}"
             )
         worst = max(c(phi).norm() for c in B._hom_constraints(C, W, reg))
-        tol = max(C.tol * 1e3, 1e-9)
-        if worst > tol:
+        if worst > C.thresholds.identity:
             raise NotIntertwiner(
                 f"phi fails the bimodule-intertwiner check by {worst:.3g}"
             )
@@ -264,7 +257,7 @@ def d_matrix(C: MtcData, A: AlgebraSpec, simples: list) -> DMatrix:
         )
     sv = np.linalg.svd(matrix, compute_uv=False)
     sigma_min = float(sv[-1]) if sv.size else 0.0
-    if sigma_min <= max(C.tol * 1e2, 1e-10) * (float(sv[0]) if sv.size else 1.0):
+    if sigma_min <= C.thresholds.d_rtol * (float(sv[0]) if sv.size else 1.0):
         raise SingularD(f"d has smallest singular value {sigma_min:.3g}")
     return DMatrix(
         blocks=blocks, col_index=col_index, matrix=matrix,
@@ -289,10 +282,14 @@ def fusion_table_blockdiag(C: MtcData, d: DMatrix) -> FusionTable:
         out += np.einsum("xyag,agz->xyz", prod, dinv_blk)
         row += n * n
     table = np.zeros((k, k, k), dtype=np.int64)
+    window = C.thresholds.integer
     for idx in np.ndindex(k, k, k):
         val = out[idx]
-        n = _as_int(val, C.tol, NonIntegerStructureConstant,
-                    f"structure constant {idx}")
+        n = int(round(float(np.real(val))))
+        if abs(val - n) > window:
+            raise NonIntegerStructureConstant(
+                f"structure constant {idx} = {val:.8g} is not an integer within {window:.3g}"
+            )
         if n < 0:
             raise NonIntegerStructureConstant(
                 f"structure constant {idx} = {n} is negative"
@@ -353,12 +350,12 @@ def _lemma2_residual(C: MtcData, A: AlgebraSpec, simples: list, d: DMatrix,
 def verify_theorem_o(C: MtcData, A: AlgebraSpec, seed: int = 0) -> TheoremOReport:
     """Run every check of the ring isomorphism and collect the residuals."""
     z = B.z_matrix(C, A)
-    simples = B.simple_bimodules(C, A, seed=seed)
+    simples = B.simple_bimodules(C, A, seed=seed, _z=z)
     k = len(simples)
     left = B.simple_left_modules(C, A, seed=seed)
     d = d_matrix(C, A, simples)
     products = _relative_products(C, simples)
-    direct = fusion_table_direct(C, A, simples, _products=products)
+    direct = fusion_table_direct(C, A, simples, _products=products, _unit=d.unit)
     blockdiag = fusion_table_blockdiag(C, d)
 
     reg = B.regular_bimodule(C, A)
@@ -383,17 +380,17 @@ def verify_theorem_o(C: MtcData, A: AlgebraSpec, seed: int = 0) -> TheoremORepor
         "z_s_commutator": float(np.max(np.abs(s @ zc - zc @ s))) / scale,
         "z_t_commutator": float(np.max(np.abs(t @ zc - zc @ t))),
     }
-    tol = max(C.tol * 1e3, 1e-6)
+    th = C.thresholds
     passed = (
         residuals["K_vs_tr_ztz"] == 0.0
         and residuals["left_modules_vs_tr_z"] == 0.0
-        and residuals["unit_map"] < 1e-9
-        and residuals["homomorphism"] < tol
-        and residuals["sigma_min"] > 1e-6
+        and residuals["unit_map"] < th.unit_map
+        and residuals["homomorphism"] < th.residual
+        and residuals["sigma_min"] > th.sigma_min
         and residuals["table_mismatch"] == 0.0
         and residuals["table_axioms"] == 0.0
-        and residuals["z_s_commutator"] < tol
-        and residuals["z_t_commutator"] < tol
+        and residuals["z_s_commutator"] < th.residual
+        and residuals["z_t_commutator"] < th.residual
     )
     pset = [(i, j) for i in range(C.rank) for j in range(C.rank)
             if z.entries[i, j] != 0]

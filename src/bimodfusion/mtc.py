@@ -20,14 +20,16 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AxiomViolation, MissingSymbol, ParseError
+from .errors import AxiomViolation, InvalidTolerance, MissingSymbol, ParseError
 
 __all__ = [
     "MtcData",
+    "Thresholds",
     "SMatrix",
     "CatalogEntry",
     "load_mtc",
@@ -40,6 +42,41 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
+
+
+class Thresholds:
+    """Every numerical threshold of the package, derived from one tolerance.
+
+    Each integer the package reports (a Hom dimension, an entry of z, a
+    structure constant, a pass flag) comes from comparing a float with one
+    of these; ``MtcData.thresholds`` holds the set for the category's
+    ``tol``.  The floors keep a threshold meaningful at a tiny ``tol``, so
+    formulas that agree at the default are kept apart.  The "Tolerances"
+    section of docs/reports.md says what each one decides.
+    """
+
+    def __init__(self, tol: float):
+        if not (math.isfinite(tol) and tol > 0):
+            raise InvalidTolerance(f"tolerance must be finite and positive, got {tol!r}")
+        self.coherence = tol                  # category axioms; S invertible (modular)
+        self.integer = 100.0 * tol            # structure constant vs its nearest integer
+        self.algebra = tol * 1e3              # algebra-check residuals
+        self.identity = max(tol * 1e3, 1e-9)  # m∘Δ = id, ε∘η = dim A, pairing inverse, D_map input
+        self.residual = max(tol * 1e3, 1e-6)  # report gates, zig-zags, idempotent eigenvalues
+        self.null_rtol = max(tol, 1e-12)      # Hom solve: σ ≤ max(null_atol, null_rtol·σ_max) is 0
+        self.null_atol = 1e-10
+        self.d_rtol = max(tol * 1e2, 1e-10)   # d singular: σ_min ≤ d_rtol·σ_max
+        # fixed, the same at every tol
+        self.hom_gap = 10.0         # kept/dropped σ ratio below it: Hom dimension ambiguous
+        self.unit_map = 1e-9        # verify-o: ‖D_A − id‖ below it
+        self.sigma_min = 1e-6       # verify-o: σ_min(d) above it
+        self.cluster = 1e-6         # eigenvalues closer than it form one cluster
+        self.image = 0.5            # idempotent eigenvalue this close to 1: in the image
+        self.special_scale = 1e-12  # |scale of m∘Δ| below it: not special
+        self.unit_channel = 1e-30   # |F^{aāa}_a unit entry| below it: no duality maps
+        self.pairing_rank = 1e-9    # rank cutoff of the duality pairing (nondegeneracy)
+        self.iso_rank = None        # rank cutoff of an intertwiner: numpy's σ_max·max(M,N)·eps
+        self.pinv_rcond = 1e-15     # numpy's pinv cutoff, relative to σ_max (derived Δ)
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +101,10 @@ class MtcData:
     _fmats: dict = field(repr=False)
     _rmats: dict = field(repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
+    thresholds: Thresholds = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "thresholds", Thresholds(self.tol))
 
     # -- bookkeeping -----------------------------------------------------
     @property
@@ -236,7 +277,8 @@ def load_mtc(doc: dict, tol: float = DEFAULT_TOL) -> MtcData:
 
     Raises ParseError for structural problems, MissingSymbol when an F/R
     entry required by a nonzero fusion channel is absent, and AxiomViolation
-    (with all residuals attached) when a coherence identity fails ``tol``.
+    (with all residuals attached) when a coherence identity fails ``tol``,
+    and InvalidTolerance unless ``tol`` is finite and positive.
     """
     if not isinstance(doc, dict):
         raise ParseError("category document must be a JSON object")
@@ -295,7 +337,7 @@ def load_mtc(doc: dict, tol: float = DEFAULT_TOL) -> MtcData:
     residuals["fusion-duality"] = float(np.max(np.abs(N[:, :, 0] - want_dual)))
     assoc = np.einsum("abe,ecd->abcd", N, N) - np.einsum("bcf,afd->abcd", N, N)
     residuals["fusion-associativity"] = float(np.max(np.abs(assoc)))
-    if max(residuals.values()) > tol:
+    if max(residuals.values()) > data.thresholds.coherence:
         worst = max(residuals, key=residuals.get)
         raise AxiomViolation(worst, residuals[worst], residuals)
 
@@ -388,7 +430,7 @@ def load_mtc(doc: dict, tol: float = DEFAULT_TOL) -> MtcData:
 
     residuals["unit-gauge"] = unit_gauge_res
     residuals["twist-modulus"] = float(np.max(np.abs(np.abs(twist) - 1.0)))
-    if residuals["twist-modulus"] > tol:
+    if residuals["twist-modulus"] > data.thresholds.coherence:
         # a non-unimodular twist is structurally broken; report it directly
         # rather than whichever downstream identity it wrecks hardest
         raise AxiomViolation("twist-modulus", residuals["twist-modulus"], dict(residuals))
@@ -397,7 +439,7 @@ def load_mtc(doc: dict, tol: float = DEFAULT_TOL) -> MtcData:
     residuals["hexagon-inverse"] = _hexagon_residual(data, inverse=True)
     residuals["ribbon"] = _ribbon_residual(data)
 
-    if max(residuals.values()) > tol:
+    if max(residuals.values()) > data.thresholds.coherence:
         worst = max(residuals, key=residuals.get)
         raise AxiomViolation(worst, residuals[worst], residuals)
 
@@ -689,5 +731,5 @@ def verify_modular(C: MtcData) -> dict:
         "dim_residuals": dim_res,
         "max_dim_residual": max(dim_res),
         "sigma_min": sigma_min,
-        "modular": bool(sigma_min > C.tol),
+        "modular": bool(sigma_min > C.thresholds.coherence),
     }

@@ -8,7 +8,7 @@ from bimodfusion import bimodules as B
 from bimodfusion import engine as E
 from bimodfusion import frobenius as F
 from bimodfusion import mtc
-from bimodfusion.errors import IdempotentSplitFailure, NotSpecial
+from bimodfusion.errors import DecompositionIncomplete, IdempotentSplitFailure, NotSpecial
 
 from conftest import get_catalog, load_fixture, load_golden
 
@@ -189,6 +189,12 @@ def test_simples_toric(toric, ze):
     for a in range(len(simples)):
         for b in range(a + 1, len(simples)):
             assert not B.is_isomorphic(toric, simples[a], simples[b])
+
+
+def test_simples_count_checked_against_z(toric, ze, monkeypatch):
+    monkeypatch.setattr(B, "z_matrix", lambda C, A: B.ZMatrix(np.array([[3]])))
+    with pytest.raises(DecompositionIncomplete):
+        B.simple_bimodules(toric, ze, seed=0)
 
 
 def test_simples_su24(su24, deven):

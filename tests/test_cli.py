@@ -172,6 +172,8 @@ def test_algebra_check_detects_injected_frobenius_violation(capsys):
     ["validate", "--cat", "catalog:ising", "--tol", "-1"],     # bad tolerance
     ["defect-check", "--cat", "catalog:fibonacci", "--alg", "trivial",
      "--triples", "sometimes"],                                # bad sample spec
+    ["validate", fixture_path("broken_pentagon.cat.json"), "--tol", "nan"],
+    ["validate", fixture_path("broken_pentagon.cat.json"), "--tol", "inf"],
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -5,11 +5,17 @@ import numpy as np
 import pytest
 
 from bimodfusion import engine as E
+from bimodfusion import frobenius as F
 from bimodfusion.errors import TypeMismatch
 
-from conftest import get_catalog
+from conftest import get_catalog, load_fixture
 
 CATS = ["vec_z3", "fibonacci", "ising", "toric_code", "su2_2"]
+
+#: multi-word sum objects: the objects of the algebras 1 ⊕ e (toric code)
+#: and D-even (su2_4)
+ALGEBRA_OBJECTS = {"toric_code-ze": ("toric_code", "ze.alg.json"),
+                   "su2_4-deven": ("su2_4", "su2_4_deven.alg.json")}
 
 
 def rand_morph(C, S, T, rng):
@@ -20,6 +26,18 @@ def rand_morph(C, S, T, rng):
             ds = E.obj_dim(C, S, k)
             blocks[k] = rng.standard_normal((dt, ds)) + 1j * rng.standard_normal((dt, ds))
     return E.Morphism(C, S, T, blocks)
+
+
+def duality_objects(name):
+    """(C, objects): a letter, a word and a two-word sum of a catalog
+    category, or the object of an algebra in ALGEBRA_OBJECTS."""
+    if name in ALGEBRA_OBJECTS:
+        cat, alg = ALGEBRA_OBJECTS[name]
+        C = get_catalog(cat).data
+        return C, [F.parse_algebra(C, load_fixture(alg)).obj]
+    C = get_catalog(name).data
+    r = C.rank
+    return C, [((r - 1,),), ((r - 1, min(1, r - 1)),), ((0,), (r - 1,))]
 
 
 def top_words(C, n=2):
@@ -196,25 +214,27 @@ def test_duality_coherence(name):
     assert dd.sovereignty_residual < 1e-10
 
 
-@pytest.mark.parametrize("name", CATS)
+@pytest.mark.parametrize("name", CATS + list(ALGEBRA_OBJECTS))
 def test_word_zigzags(name):
-    C = get_catalog(name).data
-    r = C.rank
-    w = (r - 1, min(1, r - 1))
-    wd = E.dual_word(C, w)
-    idw = E.identity(C, (w,))
-    z1 = E.tensor(C, idw, E.cap(C, w)) @ E.tensor(C, E.cup(C, w), idw)
-    z2 = E.tensor(C, E.cap_tilde(C, w), idw) @ E.tensor(C, idw, E.cup_tilde(C, w))
-    assert (z1 - idw).norm() < 1e-10
-    assert (z2 - idw).norm() < 1e-10
+    C, objects = duality_objects(name)
+    for S in objects:
+        ids, idd = E.identity(C, S), E.identity(C, E.dual_obj(C, S))
+        b, d = E.cup_obj(C, S), E.cap_obj(C, S)
+        bt, dt = E.cup_tilde_obj(C, S), E.cap_tilde_obj(C, S)
+        for zigzag, want in [
+            (E.tensor(C, ids, d) @ E.tensor(C, b, ids), ids),
+            (E.tensor(C, d, idd) @ E.tensor(C, idd, b), idd),
+            (E.tensor(C, dt, ids) @ E.tensor(C, ids, bt), ids),
+            (E.tensor(C, idd, dt) @ E.tensor(C, bt, idd), idd),
+        ]:
+            assert (zigzag - want).norm() < 1e-10
 
 
-@pytest.mark.parametrize("name", CATS + ["su2_4"])
+@pytest.mark.parametrize("name", CATS + ["su2_4"] + list(ALGEBRA_OBJECTS))
 def test_traces_agree(name):
-    C = get_catalog(name).data
+    C, objects = duality_objects(name)
     rng = np.random.default_rng(5)
-    r = C.rank
-    for S in [((r - 1,),), ((r - 1, min(1, r - 1)),), ((0,), (r - 1,))]:
+    for S in objects:
         f = rand_morph(C, S, S, rng)
         tl = E.trace_left(C, f)
         tr = E.trace_right(C, f)

@@ -10,6 +10,7 @@ from bimodfusion import mtc
 from bimodfusion.catalog import CATALOG_NAMES, catalog, catalog_document
 from bimodfusion.errors import (
     AxiomViolation,
+    InvalidTolerance,
     MissingSymbol,
     ParseError,
     UnknownCatalogName,
@@ -112,6 +113,13 @@ def test_non_modulus_twist_rejected():
     with pytest.raises(AxiomViolation) as exc:
         mtc.load_mtc(doc)
     assert exc.value.identity == "twist-modulus"
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+def test_non_finite_tolerance_rejected(tol):
+    # every `residual > tol` comparison is False at these, so all data would pass
+    with pytest.raises(InvalidTolerance):
+        mtc.load_mtc(catalog_document("ising"), tol=tol)
 
 
 def test_missing_f_entry_raises():
