@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=mtc.DEFAULT_TOL,
-                        help="numerical tolerance, finite and positive (default 1e-9)")
+                        help="numerical tolerance, positive and at most 1e-4 (default 1e-9)")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for all randomized steps (default 0)")
     common.add_argument("--format", choices=("table", "json"), default="table",

@@ -13,6 +13,11 @@ morphisms, braidings, cups/caps) are expressed in these bases via the F and R
 tables of the category; the key internal object is the merge matrix
 :func:`merge_matrix`, which rewrites the "pair of trees plus joining vertex"
 basis of Hom(k, u ⊗ v) in the plain tree basis of the concatenated word.
+Its sum-object form :func:`sum_merge` does the same for Hom(k, S ⊗ T) of
+two sum objects, from a grouped basis with one kron block
+Hom(k1, S) ⊗ Hom(k2, T) per joining vertex (k1, k2, mu); it is assembled
+from the word-level blocks and cached per (S, T, k), so :func:`tensor`
+multiplies whole sector blocks and never loops over word pairs.
 """
 from __future__ import annotations
 
@@ -93,8 +98,18 @@ def word_dim(C: MtcData, w: Word, k: int) -> int:
     return len(trees(C, w, k))
 
 
+def obj_dims(C: MtcData, S: SumObject) -> tuple:
+    """Dimension of every sector of S: (dim Hom(U_k, S) for k in 0..rank-1)."""
+    key = ("dims", S)
+    out = C._cache.get(key)
+    if out is None:
+        out = tuple(sum(word_dim(C, w, k) for w in S) for k in range(C.rank))
+        C._cache[key] = out
+    return out
+
+
 def obj_dim(C: MtcData, S: SumObject, k: int) -> int:
-    return sum(word_dim(C, w, k) for w in S)
+    return obj_dims(C, S)[k]
 
 
 def obj_offsets(C: MtcData, S: SumObject, k: int) -> list:
@@ -113,7 +128,7 @@ def obj_offsets(C: MtcData, S: SumObject, k: int) -> list:
 
 
 def obj_sectors(C: MtcData, S: SumObject) -> list:
-    return [k for k in range(C.rank) if obj_dim(C, S, k) > 0]
+    return [k for k, d in enumerate(obj_dims(C, S)) if d > 0]
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +149,8 @@ class Morphism:
     blocks: dict
 
     def __post_init__(self):
-        for k in range(self.cat.rank):
-            ds = obj_dim(self.cat, self.src, k)
-            dt = obj_dim(self.cat, self.tgt, k)
+        dims = zip(obj_dims(self.cat, self.src), obj_dims(self.cat, self.tgt))
+        for k, (ds, dt) in enumerate(dims):
             if ds == 0 or dt == 0:
                 self.blocks.pop(k, None)
                 continue
@@ -369,82 +383,120 @@ def merge_inv(C: MtcData, u: Word, v: Word, k: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# merge matrices of sum objects: grouped basis -> tree basis of S ⊗ T
+# ---------------------------------------------------------------------------
+
+def sum_groups(C: MtcData, S: SumObject, T: SumObject, k: int) -> tuple:
+    """Layout of the grouped basis of Hom(k, S ⊗ T).
+
+    For each (k1, k2, mu) with both sectors present, in canonical order, the
+    group is the kron basis of Hom(k1, S) ⊗ Hom(k2, T) joined by vertex mu.
+    Returns ``(groups, pos)``: groups maps (k1, k2, mu) to the group's first
+    column, and pos[r] is the grouped column of the pair-basis vector that
+    merge_matrix of r's word pair sends to tree-basis row r of S ⊗ T.
+    """
+    key = ("sumgroups", S, T, k)
+    out = C._cache.get(key)
+    if out is not None:
+        return out
+    dS, dT = obj_dims(C, S), obj_dims(C, T)
+    groups = {}
+    acc = 0
+    for k1 in range(C.rank):
+        for k2 in range(C.rank):
+            n = dS[k1] * dT[k2]
+            if n == 0:
+                continue
+            for mu in range(C.N[k1, k2, k]):
+                groups[(k1, k2, mu)] = acc
+                acc += n
+    pos = []
+    off = obj_offsets(C, tensor_obj(S, T), k)
+    for p, ((i, wi), (j, wj)) in enumerate(itertools.product(enumerate(S), enumerate(T))):
+        if off[p] == off[p + 1]:
+            continue
+        # split_pos iterates in pair-basis column order
+        for k1, i1, k2, i2, mu in split_pos(C, wi, wj, k):
+            a = obj_offsets(C, S, k1)[i] + i1
+            b = obj_offsets(C, T, k2)[j] + i2
+            pos.append(groups[(k1, k2, mu)] + a * dT[k2] + b)
+    out = (groups, np.array(pos, dtype=np.intp))
+    C._cache[key] = out
+    return out
+
+
+def sum_merge(C: MtcData, S: SumObject, T: SumObject, k: int,
+              inverse: bool = False) -> np.ndarray:
+    """Matrix taking grouped coordinates (:func:`sum_groups`) to tree-basis
+    coordinates of S ⊗ T in sector k, or its inverse.
+
+    Up to the column order of pos it is block diagonal over the word pairs,
+    one merge_matrix block each, so the inverse is assembled from the
+    merge_inv blocks.
+    """
+    key = ("summergeinv" if inverse else "summerge", S, T, k)
+    M = C._cache.get(key)
+    if M is not None:
+        return M
+    _, pos = sum_groups(C, S, T, k)
+    off = obj_offsets(C, tensor_obj(S, T), k)
+    M = np.zeros((len(pos), len(pos)), dtype=complex)
+    for p, (wi, wj) in enumerate(itertools.product(S, T)):
+        lo, hi = off[p], off[p + 1]
+        if lo == hi:
+            continue
+        if inverse:
+            M[pos[lo:hi], lo:hi] = merge_inv(C, wi, wj, k)
+        else:
+            M[lo:hi, pos[lo:hi]] = merge_matrix(C, wi, wj, k)
+    M.setflags(write=False)
+    C._cache[key] = M
+    return M
+
+
+# ---------------------------------------------------------------------------
 # tensor product of morphisms
 # ---------------------------------------------------------------------------
 
-def _word_block(C, f: Morphism, S_idx: int, T_idx: int, k: int):
-    """Sub-block of f.blocks[k] for target word T_idx, source word S_idx."""
-    blk = f.blocks.get(k)
-    if blk is None:
-        return None
-    soff = obj_offsets(C, f.src, k)
-    toff = obj_offsets(C, f.tgt, k)
-    sub = blk[toff[T_idx]:toff[T_idx + 1], soff[S_idx]:soff[S_idx + 1]]
-    if sub.size == 0:
-        return None
-    return sub
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices, without its generic-rank overhead."""
+    out = a[:, None, :, None] * b[None, :, None, :]
+    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def tensor(C: MtcData, f: Morphism, g: Morphism) -> Morphism:
-    """Tensor product f ⊗ g on sum objects (summand pairs in row-major order)."""
+    """Tensor product f ⊗ g on sum objects (summand pairs in row-major order).
+
+    In sector k the block is M_tgt · middle · M_src⁻¹ with the sum merge
+    matrices of the targets and sources; middle pairs each target group
+    (k1, k2, mu) with the source group of the same key by kron(f_k1, g_k2).
+    """
     src = tensor_obj(f.src, g.src)
     tgt = tensor_obj(f.tgt, g.tgt)
+    ds_all, dt_all = obj_dims(C, src), obj_dims(C, tgt)
+    krons = {}
     blocks = {}
-    for k in obj_sectors(C, src):
-        if obj_dim(C, tgt, k) == 0:
+    for k in range(C.rank):
+        if ds_all[k] == 0 or dt_all[k] == 0:
             continue
-        B = np.zeros((obj_dim(C, tgt, k), obj_dim(C, src, k)), dtype=complex)
-        soff = obj_offsets(C, src, k)
-        toff = obj_offsets(C, tgt, k)
-        for (ip, wip), (jp, wjp) in itertools.product(
-            enumerate(f.tgt), enumerate(g.tgt)
-        ):
-            prow = ip * len(g.tgt) + jp
-            if word_dim(C, wip + wjp, k) == 0:
+        tgroups, _ = sum_groups(C, f.tgt, g.tgt, k)
+        sgroups, _ = sum_groups(C, f.src, g.src, k)
+        middle = None
+        for grp, col in sgroups.items():
+            row = tgroups.get(grp)
+            if row is None:
                 continue
-            for (i, wi), (j, wj) in itertools.product(
-                enumerate(f.src), enumerate(g.src)
-            ):
-                pcol = i * len(g.src) + j
-                if word_dim(C, wi + wj, k) == 0:
-                    continue
-                sub = _pair_tensor_block(C, f, g, i, j, ip, jp, k)
-                if sub is not None:
-                    B[toff[prow]:toff[prow + 1], soff[pcol]:soff[pcol + 1]] = sub
-        blocks[k] = B
+            k1, k2 = grp[:2]
+            kr = krons.get((k1, k2))
+            if kr is None:
+                kr = krons[(k1, k2)] = _kron(f.blocks[k1], g.blocks[k2])
+            if middle is None:
+                middle = np.zeros((dt_all[k], ds_all[k]), dtype=complex)
+            middle[row:row + kr.shape[0], col:col + kr.shape[1]] = kr
+        if middle is not None:
+            blocks[k] = (sum_merge(C, f.tgt, g.tgt, k) @ middle
+                         @ sum_merge(C, f.src, g.src, k, inverse=True))
     return Morphism(C, src, tgt, blocks)
-
-
-def _pair_tensor_block(C, f, g, i, j, ip, jp, k):
-    wi, wj = f.src[i], g.src[j]
-    wip, wjp = f.tgt[ip], g.tgt[jp]
-    src_groups = split_groups(C, wi, wj, k)
-    tgt_groups = split_groups(C, wip, wjp, k)
-    if not src_groups or not tgt_groups:
-        return None
-    ncol = sum(n1 * n2 for _, _, _, n1, n2 in src_groups)
-    nrow = sum(n1 * n2 for _, _, _, n1, n2 in tgt_groups)
-    middle = np.zeros((nrow, ncol), dtype=complex)
-    col_off = {}
-    acc = 0
-    for k1, k2, mu, n1, n2 in src_groups:
-        col_off[(k1, k2, mu)] = acc
-        acc += n1 * n2
-    acc = 0
-    wrote = False
-    for k1, k2, mu, n1, n2 in tgt_groups:
-        if (k1, k2, mu) in col_off:
-            fsub = _word_block(C, f, i, ip, k1)
-            gsub = _word_block(C, g, j, jp, k2)
-            if fsub is not None and gsub is not None:
-                co = col_off[(k1, k2, mu)]
-                ncells = fsub.shape[1] * gsub.shape[1]
-                middle[acc:acc + n1 * n2, co:co + ncells] = np.kron(fsub, gsub)
-                wrote = True
-        acc += n1 * n2
-    if not wrote:
-        return None
-    return merge_matrix(C, wip, wjp, k) @ middle @ merge_inv(C, wi, wj, k)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ class ParseError(BimodfusionError):
 
 
 class InvalidTolerance(BimodfusionError):
-    """The numerical tolerance is not a finite positive number."""
+    """The numerical tolerance is not a finite positive number at most
+    ``mtc.MAX_TOL``."""
 
 
 class ShapeError(BimodfusionError):

@@ -43,6 +43,11 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 
+#: largest accepted tolerance: it keeps ``residual`` (10³·tol, here 0.1)
+#: below ``image`` (0.5), so ½·id is not taken for an idempotent, and keeps
+#: axiom violations of order 0.1 failing
+MAX_TOL = 1e-4
+
 
 class Thresholds:
     """Every numerical threshold of the package, derived from one tolerance.
@@ -56,8 +61,9 @@ class Thresholds:
     """
 
     def __init__(self, tol: float):
-        if not (math.isfinite(tol) and tol > 0):
-            raise InvalidTolerance(f"tolerance must be finite and positive, got {tol!r}")
+        if not (math.isfinite(tol) and 0 < tol <= MAX_TOL):
+            raise InvalidTolerance(
+                f"tolerance must be finite, positive and at most {MAX_TOL:g}, got {tol!r}")
         self.coherence = tol                  # category axioms; S invertible (modular)
         self.integer = 100.0 * tol            # structure constant vs its nearest integer
         self.algebra = tol * 1e3              # algebra-check residuals
@@ -278,7 +284,8 @@ def load_mtc(doc: dict, tol: float = DEFAULT_TOL) -> MtcData:
     Raises ParseError for structural problems, MissingSymbol when an F/R
     entry required by a nonzero fusion channel is absent, and AxiomViolation
     (with all residuals attached) when a coherence identity fails ``tol``,
-    and InvalidTolerance unless ``tol`` is finite and positive.
+    and InvalidTolerance unless ``tol`` is finite, positive and at most
+    ``MAX_TOL``.
     """
     if not isinstance(doc, dict):
         raise ParseError("category document must be a JSON object")
@@ -703,9 +710,13 @@ def random_gauge(C: MtcData, rng: np.random.Generator, spread: float = 0.4) -> M
 # ---------------------------------------------------------------------------
 
 def s_matrix(C: MtcData) -> SMatrix:
-    """The unnormalized S-matrix, via the diagram-engine double-braiding trace."""
+    """The unnormalized S-matrix, via the diagram-engine double-braiding
+    trace; computed once per category and kept, read-only, in its cache."""
     from . import engine
 
+    out = C._cache.get(("smatrix",))
+    if out is not None:
+        return out
     n = C.rank
     s = np.zeros((n, n), dtype=complex)
     for i in range(n):
@@ -714,7 +725,8 @@ def s_matrix(C: MtcData) -> SMatrix:
             monodromy = engine.braid(C, wi, wj) @ engine.braid(C, wj, wi)
             s[j, i] = engine.trace(C, monodromy)
     s.setflags(write=False)
-    return SMatrix(entries=s)
+    out = C._cache[("smatrix",)] = SMatrix(entries=s)
+    return out
 
 
 def verify_modular(C: MtcData) -> dict:

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from bimodfusion import mtc
 from bimodfusion.catalog import CATALOG_NAMES
 from bimodfusion.cli import main
 
@@ -161,6 +162,20 @@ def test_algebra_check_detects_injected_frobenius_violation(capsys):
     assert doc["residuals"]["frobenius"] > 1e-3
 
 
+@pytest.mark.parametrize("argv, axiom", [
+    (["validate", fixture_path("broken_pentagon.cat.json")], "pentagon"),
+    (["algebra-check", "--cat", "catalog:toric_code",
+      "--alg", fixture_path("broken_assoc.alg.json")], "associativity"),
+    (["algebra-check", "--cat", "catalog:toric_code",
+      "--alg", fixture_path("broken_frobenius.alg.json")], "frobenius"),
+])
+def test_injected_violations_fail_at_the_largest_tolerance(capsys, argv, axiom):
+    code, doc = run_json(capsys, *argv, "--tol", str(mtc.MAX_TOL))
+    assert code == 1
+    assert doc["pass"] is False
+    assert doc["residuals"][axiom] > 1e-3
+
+
 # -- usage errors -----------------------------------------------------------------
 
 @pytest.mark.parametrize("argv", [
@@ -174,6 +189,7 @@ def test_algebra_check_detects_injected_frobenius_violation(capsys):
      "--triples", "sometimes"],                                # bad sample spec
     ["validate", fixture_path("broken_pentagon.cat.json"), "--tol", "nan"],
     ["validate", fixture_path("broken_pentagon.cat.json"), "--tol", "inf"],
+    ["validate", fixture_path("broken_pentagon.cat.json"), "--tol", "1e-3"],  # above MAX_TOL
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -59,13 +59,19 @@ def test_identity_tensor_identity(name):
         assert (t - E.identity(C, E.tensor_obj(S, T))).norm() < 1e-12
 
 
-@pytest.mark.parametrize("name", CATS)
+@pytest.mark.parametrize("name", CATS + list(ALGEBRA_OBJECTS))
 def test_interchange_law(name):
-    C = get_catalog(name).data
+    if name in ALGEBRA_OBJECTS:
+        C, (A,) = duality_objects(name)
+        r = C.rank
+        S0, S1, S2 = A, E.tensor_obj(A, ((r - 1,),)), A + ((),)
+        T0, T1 = ((min(1, r - 1),), ()), A
+    else:
+        C = get_catalog(name).data
+        r = C.rank
+        S0, S1, S2 = ((r - 1,),), ((r - 1, r - 1),), ((r - 1,), ())
+        T0, T1 = ((min(1, r - 1),),), ((r - 1,),)
     rng = np.random.default_rng(7)
-    r = C.rank
-    S0, S1, S2 = ((r - 1,),), ((r - 1, r - 1),), ((r - 1,), ())
-    T0, T1 = ((min(1, r - 1),),), ((r - 1,),)
     f1 = rand_morph(C, S0, S1, rng)
     f2 = rand_morph(C, S1, S2, rng)
     g1 = rand_morph(C, T0, T1, rng)
@@ -75,18 +81,44 @@ def test_interchange_law(name):
     assert (lhs - rhs).norm() < 1e-10
 
 
-@pytest.mark.parametrize("name", CATS)
+@pytest.mark.parametrize("name", CATS + list(ALGEBRA_OBJECTS))
 def test_tensor_associative(name):
-    C = get_catalog(name).data
+    if name in ALGEBRA_OBJECTS:
+        C, (A,) = duality_objects(name)
+        a, b = C.rank - 1, min(1, C.rank - 1)
+        signatures = [(A, A + ((),)), (((a, b), ()), A), (A, ((b,), (a, a)))]
+    else:
+        C = get_catalog(name).data
+        a, b = C.rank - 1, min(1, C.rank - 1)
+        signatures = [(((a,),), ((a,),)), (((a, b),), ((b,),)), (((b,),), ((a, a),))]
     rng = np.random.default_rng(11)
-    r = C.rank
-    a, b = r - 1, min(1, r - 1)
-    f = rand_morph(C, ((a,),), ((a,),), rng)
-    g = rand_morph(C, ((a, b),), ((b,),), rng)
-    h = rand_morph(C, ((b,),), ((a, a),), rng)
+    f, g, h = [rand_morph(C, S, T, rng) for S, T in signatures]
     lhs = E.tensor(C, E.tensor(C, f, g), h)
     rhs = E.tensor(C, f, E.tensor(C, g, h))
     assert (lhs - rhs).norm() < 1e-10
+
+
+@pytest.mark.parametrize("name", list(ALGEBRA_OBJECTS))
+def test_tensor_matches_word_pair_sum(name):
+    """f ⊗ g on sum objects is the sum over word pairs of the tensor
+    products of the single-word restrictions of f and g."""
+    C, (A,) = duality_objects(name)
+    rng = np.random.default_rng(13)
+    r = C.rank
+    f = rand_morph(C, A + ((),), E.tensor_obj(A, A), rng)
+    g = rand_morph(C, A + ((),), ((r - 1,), (min(1, r - 1), r - 1), ()), rng)
+    src, tgt = E.tensor_obj(f.src, g.src), E.tensor_obj(f.tgt, g.tgt)
+    want = E.zero(C, src, tgt)
+    for ip in range(len(f.tgt)):
+        for i in range(len(f.src)):
+            fw = E.project(C, f.tgt, ip) @ f @ E.inject(C, f.src, i)
+            for jp in range(len(g.tgt)):
+                for j in range(len(g.src)):
+                    gw = E.project(C, g.tgt, jp) @ g @ E.inject(C, g.src, j)
+                    want = want + (E.inject(C, tgt, ip * len(g.tgt) + jp)
+                                   @ E.tensor(C, fw, gw)
+                                   @ E.project(C, src, i * len(g.src) + j))
+    assert (E.tensor(C, f, g) - want).norm() < 1e-10
 
 
 def test_compose_type_mismatch():

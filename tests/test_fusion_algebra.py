@@ -13,7 +13,7 @@ from bimodfusion import engine as E
 from bimodfusion import frobenius as F
 from bimodfusion import fusion_algebra as FA
 from bimodfusion import mtc
-from bimodfusion.catalog import CATALOG_NAMES
+from bimodfusion.catalog import CATALOG_NAMES, catalog
 from bimodfusion.errors import (
     NonIntegerStructureConstant,
     NotIntertwiner,
@@ -418,6 +418,28 @@ def test_defect_identity_su24_sampled(su24, deven, deven_simples, deven_table):
         out = FA.defect_identity(
             su24, deven, int(kappa), int(kappa_p), j, deven_simples, deven_table)
         assert out["residual"] < 1e-9, out
+
+
+def test_defect_identity_builds_one_s_matrix(monkeypatch):
+    C = catalog("ising").data  # a fresh category: nothing cached yet
+    A = F.normalize_counit(C, F.trivial_algebra(C))
+    simples = B.simple_bimodules(C, A, seed=0)
+    table = FA.fusion_table_direct(C, A, simples)
+    monodromies = []
+    trace = E.trace
+
+    def counted(C, f):
+        if len(f.src) == 1 and len(f.src[0]) == 2:  # c_{U_j,U_i} ∘ c_{U_i,U_j}
+            monodromies.append(f.src)
+        return trace(C, f)
+
+    monkeypatch.setattr(E, "trace", counted)
+    triples = [(0, 0, 0), (1, 2, 1), (2, 1, 2), (1, 1, 1)]
+    for kappa, kappa_p, j in triples:
+        out = FA.defect_identity(C, A, kappa, kappa_p, j, simples, table)
+        assert out["residual"] < 1e-9, out
+    assert len(monodromies) == C.rank ** 2
+    assert FA.s_matrix(C) is FA.s_matrix(C)
 
 
 # -- basis independence --------------------------------------------------------

@@ -115,9 +115,10 @@ def test_non_modulus_twist_rejected():
     assert exc.value.identity == "twist-modulus"
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 1e-3])
 def test_non_finite_tolerance_rejected(tol):
-    # every `residual > tol` comparison is False at these, so all data would pass
+    # every `residual > tol` comparison is False at nan and inf, so all data
+    # would pass; above MAX_TOL the derived thresholds make checks vacuous
     with pytest.raises(InvalidTolerance):
         mtc.load_mtc(catalog_document("ising"), tol=tol)
 
