@@ -288,9 +288,9 @@ def evaluate(C: MtcData, expr, bindings: dict | None = None) -> engine.Morphism:
         if isinstance(node, Id):
             return engine.identity(C, (tuple(lab(x) for x in node.word),))
         if isinstance(node, Braid):
-            return engine.braid_words(C, (lab(node.i),), (lab(node.j),))
+            return engine.braid(C, ((lab(node.i),),), ((lab(node.j),),))
         if isinstance(node, BraidInv):
-            return engine.braid_words(C, (lab(node.i),), (lab(node.j),), inverse=True)
+            return engine.braid(C, ((lab(node.i),),), ((lab(node.j),),), inverse=True)
         if isinstance(node, Cup):
             return engine.cup(C, (lab(node.i),))
         if isinstance(node, Cap):

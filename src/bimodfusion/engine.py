@@ -16,8 +16,10 @@ basis of Hom(k, u ⊗ v) in the plain tree basis of the concatenated word.
 Its sum-object form :func:`sum_merge` does the same for Hom(k, S ⊗ T) of
 two sum objects, from a grouped basis with one kron block
 Hom(k1, S) ⊗ Hom(k2, T) per joining vertex (k1, k2, mu); it is assembled
-from the word-level blocks and cached per (S, T, k), so :func:`tensor`
-multiplies whole sector blocks and never loops over word pairs.
+from the word-level blocks and cached per (S, T, k).  :func:`tensor` and
+:func:`braid` both multiply whole sector blocks through it and never loop
+over word pairs: a braiding is read off by naturality from the R-matrices of
+the joining vertices, c_{S,T} ∘ (t1 ⊗ t2) ∘ y = (t2 ⊗ t1) ∘ c_{k1,k2} ∘ y.
 """
 from __future__ import annotations
 
@@ -464,149 +466,85 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
-def tensor(C: MtcData, f: Morphism, g: Morphism) -> Morphism:
-    """Tensor product f ⊗ g on sum objects (summand pairs in row-major order).
+def _through_merge(C: MtcData, S: SumObject, T: SumObject, Sp: SumObject,
+                   Tp: SumObject, pieces) -> Morphism:
+    """The morphism S ⊗ T -> Sp ⊗ Tp whose sector-k block is
+    M_tgt · middle · M_src⁻¹, with the sum merge matrices of Sp ⊗ Tp and S ⊗ T.
 
-    In sector k the block is M_tgt · middle · M_src⁻¹ with the sum merge
-    matrices of the targets and sources; middle pairs each target group
-    (k1, k2, mu) with the source group of the same key by kron(f_k1, g_k2).
+    ``pieces(k, grp)`` lists, for a source group grp = (k1, k2, mu) of
+    :func:`sum_groups`, the (target group, block) pairs that middle holds in
+    the source group's columns.
     """
-    src = tensor_obj(f.src, g.src)
-    tgt = tensor_obj(f.tgt, g.tgt)
+    src, tgt = tensor_obj(S, T), tensor_obj(Sp, Tp)
     ds_all, dt_all = obj_dims(C, src), obj_dims(C, tgt)
-    krons = {}
     blocks = {}
     for k in range(C.rank):
         if ds_all[k] == 0 or dt_all[k] == 0:
             continue
-        tgroups, _ = sum_groups(C, f.tgt, g.tgt, k)
-        sgroups, _ = sum_groups(C, f.src, g.src, k)
+        tgroups, _ = sum_groups(C, Sp, Tp, k)
+        sgroups, _ = sum_groups(C, S, T, k)
         middle = None
         for grp, col in sgroups.items():
-            row = tgroups.get(grp)
-            if row is None:
-                continue
-            k1, k2 = grp[:2]
-            kr = krons.get((k1, k2))
-            if kr is None:
-                kr = krons[(k1, k2)] = _kron(f.blocks[k1], g.blocks[k2])
-            if middle is None:
-                middle = np.zeros((dt_all[k], ds_all[k]), dtype=complex)
-            middle[row:row + kr.shape[0], col:col + kr.shape[1]] = kr
+            for tgrp, blk in pieces(k, grp):
+                row = tgroups[tgrp]
+                if middle is None:
+                    middle = np.zeros((dt_all[k], ds_all[k]), dtype=complex)
+                middle[row:row + blk.shape[0], col:col + blk.shape[1]] = blk
         if middle is not None:
-            blocks[k] = (sum_merge(C, f.tgt, g.tgt, k) @ middle
-                         @ sum_merge(C, f.src, g.src, k, inverse=True))
+            blocks[k] = (sum_merge(C, Sp, Tp, k) @ middle
+                         @ sum_merge(C, S, T, k, inverse=True))
     return Morphism(C, src, tgt, blocks)
+
+
+def tensor(C: MtcData, f: Morphism, g: Morphism) -> Morphism:
+    """Tensor product f ⊗ g on sum objects (summand pairs in row-major order).
+
+    In :func:`_through_merge`, middle pairs each source group (k1, k2, mu)
+    with the target group of the same key by kron(f_k1, g_k2), unless f or g
+    has no block there (then the target lacks the group).
+    """
+    krons = {}
+
+    def pieces(k, grp):
+        k1, k2 = grp[:2]
+        if k1 not in f.blocks or k2 not in g.blocks:
+            return ()
+        kr = krons.get((k1, k2))
+        if kr is None:
+            kr = krons[(k1, k2)] = _kron(f.blocks[k1], g.blocks[k2])
+        return ((grp, kr),)
+
+    return _through_merge(C, f.src, g.src, f.tgt, g.tgt, pieces)
 
 
 # ---------------------------------------------------------------------------
 # braiding
 # ---------------------------------------------------------------------------
 
-def braid_adjacent(C: MtcData, w: Word, p: int, inverse: bool = False) -> Morphism:
-    """Braid letters p and p+1 (1-based) of the word w.
-
-    Forward: the braiding c_{x_p, x_{p+1}}.  Inverse: (c_{x_{p+1}, x_p})^{-1}.
-    Both map w to the transposed word.
-    """
-    n = len(w)
-    if not 1 <= p <= n - 1:
-        raise TypeMismatch(f"braid position {p} out of range for a word of length {n}")
-    key = ("badj", w, p, inverse)
-    cached = C._cache.get(key)
-    if cached is not None:
-        return cached
-    a, b = w[p - 1], w[p]
-    w2 = w[:p - 1] + (b, a) + w[p + 1:]
-    blocks = {}
-    for k in obj_sectors(C, (w,)):
-        src_t = trees(C, w, k)
-        tpos = tree_pos(C, w2, k)
-        B = np.zeros((len(tpos), len(src_t)), dtype=complex)
-        for col, T in enumerate(src_t):
-            if p == 1:
-                k2, mu = T[0]
-                Rm = C.rinv(b, a, k2) if inverse else C.rmat(a, b, k2)
-                for mup in range(Rm.shape[0]):
-                    if Rm[mup, mu] != 0:
-                        T2 = ((k2, mup),) + T[1:]
-                        B[tpos[T2], col] += Rm[mup, mu]
-            else:
-                e = T[p - 3][0] if p >= 3 else w[0]
-                g, mup = T[p - 2]
-                d, nup = T[p - 1]
-                F = C.fmat(e, a, b, d)
-                lidx = C.left_channels(e, a, b, d).index((g, mup, nup))
-                rc = C.right_channels(e, a, b, d)
-                finv2 = C.finv(e, b, a, d)
-                rc2 = C.right_channels(e, b, a, d)
-                lc2 = C.left_channels(e, b, a, d)
-                for ridx, (f1, rho, sig) in enumerate(rc):
-                    fcoef = F[lidx, ridx]
-                    if fcoef == 0:
-                        continue
-                    Rm = C.rinv(b, a, f1) if inverse else C.rmat(a, b, f1)
-                    for rhop in range(Rm.shape[0]):
-                        rcoef = Rm[rhop, rho]
-                        if rcoef == 0:
-                            continue
-                        r2idx = rc2.index((f1, rhop, sig))
-                        for l2idx, (g2, mu2, nu2) in enumerate(lc2):
-                            coef = finv2[r2idx, l2idx] * rcoef * fcoef
-                            if coef == 0:
-                                continue
-                            T2 = T[:p - 2] + ((g2, mu2), (d, nu2)) + T[p:]
-                            B[tpos[T2], col] += coef
-        blocks[k] = B
-    out = Morphism(C, (w,), (w2,), blocks)
-    C._cache[key] = out
-    return out
-
-
-def _adjacent_schedule(u: Word, v: Word) -> list:
-    """Adjacent-transposition schedule realizing c_{u,v}: u+v -> v+u."""
-    word = list(u + v)
-    steps = []
-    for i in range(len(u), 0, -1):
-        for j in range(i, i + len(v)):
-            steps.append((tuple(word), j))
-            word[j - 1], word[j] = word[j], word[j - 1]
-    return steps
-
-
-def braid_words(C: MtcData, u: Word, v: Word, inverse: bool = False) -> Morphism:
-    """Braiding c_{u,v} (or (c_{v,u})^{-1} for inverse=True): u+v -> v+u."""
-    key = ("bword", u, v, inverse)
-    out = C._cache.get(key)
-    if out is not None:
-        return out
-    out = identity(C, (u + v,))
-    if not inverse:
-        for w, p in _adjacent_schedule(u, v):
-            out = braid_adjacent(C, w, p, False) @ out
-    else:
-        for w, p in reversed(_adjacent_schedule(v, u)):
-            w_after = w[:p - 1] + (w[p], w[p - 1]) + w[p + 1:]
-            out = braid_adjacent(C, w_after, p, True) @ out
-    C._cache[key] = out
-    return out
-
-
 def braid(C: MtcData, S: SumObject, T: SumObject, inverse: bool = False) -> Morphism:
-    """Sum-object braiding S⊗T -> T⊗S; inverse gives (c_{T,S})^{-1}."""
-    ST = tensor_obj(S, T)
-    TS = tensor_obj(T, S)
-    out = zero(C, ST, TS)
-    for i, wi in enumerate(S):
-        for j, wj in enumerate(T):
-            pair_in = i * len(T) + j
-            pair_out = j * len(S) + i
-            out = out + (
-                inject(C, TS, pair_out)
-                @ braid_words(C, wi, wj, inverse)
-                @ project(C, ST, pair_in)
-            )
-    return out
+    """Sum-object braiding c_{S,T}: S⊗T -> T⊗S; inverse gives (c_{T,S})^{-1}.
+
+    By naturality, c_{S,T} ∘ (t1 ⊗ t2) ∘ y^mu = (t2 ⊗ t1) ∘ c_{k1,k2} ∘ y^mu
+    for t1 in Hom(k1, S) and t2 in Hom(k2, T), so middle sends the group
+    (k1, k2, mu) of S ⊗ T to each group (k2, k1, nu) of T ⊗ S as
+    R^{k1 k2}_k[nu, mu] (Rinv^{k2 k1}_k for the inverse) times the swap of
+    the two kron factors.
+    """
+    dS, dT = obj_dims(C, S), obj_dims(C, T)
+    swaps = {}
+
+    def pieces(k, grp):
+        k1, k2, mu = grp
+        sw = swaps.get((k1, k2))
+        if sw is None:
+            n1, n2 = dS[k1], dT[k2]
+            # row b*n1 + a of T ⊗ S takes column a*n2 + b of S ⊗ T
+            cols = np.arange(n1 * n2).reshape(n1, n2).T.ravel()
+            sw = swaps[(k1, k2)] = np.eye(n1 * n2)[cols]
+        Rm = C.rinv(k2, k1, k) if inverse else C.rmat(k1, k2, k)
+        return [((k2, k1, nu), Rm[nu, mu] * sw) for nu in range(Rm.shape[0])]
+
+    return _through_merge(C, S, T, T, S, pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -795,39 +733,8 @@ def duality(C: MtcData) -> DualityData:
 # hom spaces and linear solves
 # ---------------------------------------------------------------------------
 
-@dataclass
-class HomBasis:
-    """Matrix-unit basis of Hom(src, tgt), orthonormal under the flat pairing."""
-
-    src: SumObject
-    tgt: SumObject
-    keys: list
-    elements: list
-
-    @property
-    def dim(self) -> int:
-        return len(self.elements)
-
-
 def hom_dim(C: MtcData, S: SumObject, T: SumObject) -> int:
     return sum(obj_dim(C, S, k) * obj_dim(C, T, k) for k in range(C.rank))
-
-
-def hom_space(C: MtcData, S: SumObject, T: SumObject) -> HomBasis:
-    keys = []
-    elements = []
-    for k in obj_sectors(C, S):
-        dt = obj_dim(C, T, k)
-        ds = obj_dim(C, S, k)
-        if dt == 0:
-            continue
-        for i in range(dt):
-            for j in range(ds):
-                mat = np.zeros((dt, ds), dtype=complex)
-                mat[i, j] = 1.0
-                keys.append((k, i, j))
-                elements.append(Morphism(C, S, T, {k: mat}))
-    return HomBasis(S, T, keys, elements)
 
 
 def vec(f: Morphism) -> np.ndarray:
@@ -854,8 +761,9 @@ def nullspace_morphisms(C: MtcData, S: SumObject, T: SumObject, constraints,
     """Basis of {f in Hom(S,T) : L(f) = 0 for all linear maps L}.
 
     ``constraints`` is an iterable of callables Morphism -> Morphism; each
-    must be linear in its argument.  Returns orthonormal coefficient combos
-    of the matrix-unit basis as morphisms; singular values of the stacked
+    must be linear in its argument and is evaluated on every matrix unit of
+    Hom(S, T) (the coordinate vectors of :func:`vec`).  Returns orthonormal
+    coordinate combinations as morphisms; singular values of the stacked
     constraints at or below the null-space cutoff of ``C.thresholds`` count
     as zero.
 
@@ -864,17 +772,18 @@ def nullspace_morphisms(C: MtcData, S: SumObject, T: SumObject, constraints,
     (inf when one of the two sides is empty) — a small gap means the
     dimension of the space is numerically ambiguous.
     """
-    basis = hom_space(C, S, T)
+    n = hom_dim(C, S, T)
     gap = np.inf
-    if basis.dim == 0:
+    if n == 0:
         return ([], gap) if with_gap else []
     rows = []
-    for e in basis.elements:
-        cols = [vec(c(e)) for c in constraints]
+    for e in np.eye(n, dtype=complex):
+        unit = from_vec(C, S, T, e)
+        cols = [vec(c(unit)) for c in constraints]
         rows.append(np.concatenate(cols) if cols else np.zeros(0, dtype=complex))
     A = np.array(rows).T
     if A.shape[0] == 0 or not A.any():
-        combos = np.eye(basis.dim, dtype=complex)
+        combos = np.eye(n, dtype=complex)
     else:
         _, sv, vh = np.linalg.svd(A)
         th = C.thresholds
@@ -885,11 +794,5 @@ def nullspace_morphisms(C: MtcData, S: SumObject, T: SumObject, constraints,
         if kept.size and dropped.size and dropped[0] > 0:
             gap = float(kept[-1] / dropped[0])
         combos = vh[rank:].conj()
-    out = []
-    for row in combos:
-        f = zero(C, S, T)
-        for coeff, e in zip(row, basis.elements):
-            if coeff != 0:
-                f = f + complex(coeff) * e
-        out.append(f)
+    out = [from_vec(C, S, T, row) for row in combos]
     return (out, gap) if with_gap else out

@@ -11,14 +11,13 @@ is the coefficient of the channel-mu fusion U_i ⊗ U_j -> U_k from copies
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import engine as E
 from .errors import NotSpecial, ParseError, ShapeError
-from .mtc import MtcData, _as_complex
+from .mtc import MtcData, _as_complex, read_document
 
 
 @dataclass(frozen=True)
@@ -66,6 +65,60 @@ def _copy_position(C: MtcData, mult: dict, i: int, a: int) -> int:
     return sum(mult[j] for j in sorted(mult) if j < i) + a
 
 
+def _entries(C: MtcData, doc: dict, name: str, labels: tuple, ints: tuple):
+    """Each entry of the section ``name``: its label fields as indices, then
+    its integer fields, then its raw ``val``."""
+    entries = doc.get(name, [])
+    if not isinstance(entries, list):
+        raise ParseError(f"algebra section {name!r} must be a list of entries")
+    for pos, ent in enumerate(entries):
+        where = f"{name} entry {pos}"
+        if not isinstance(ent, dict):
+            raise ParseError(f"{where} must be an object, got {ent!r}")
+        for key in (*labels, *ints, "val"):
+            if key not in ent:
+                raise ParseError(f"{where} is missing the field {key!r}")
+        for key in ints:
+            if not isinstance(ent[key], int) or isinstance(ent[key], bool):
+                raise ParseError(f"{where}: field {key}={ent[key]!r} is not an integer")
+        yield (*(C.index(str(ent[key])) for key in labels),
+               *(ent[key] for key in ints), ent["val"])
+
+
+def _product_blocks(C: MtcData, mult: dict, obj: tuple, doc: dict, name: str) -> dict:
+    """Sector blocks of the map A ⊗ A -> A given by a product-shaped section
+    (``m``; ``delta`` is its transpose, read as k -> i ⊗ j)."""
+    src = E.tensor_obj(obj, obj)
+    blocks = {k: np.zeros((E.obj_dim(C, obj, k), E.obj_dim(C, src, k)), dtype=complex)
+              for k in E.obj_sectors(C, obj)}
+    for i, j, k, a, b, c, mu, val in _entries(C, doc, name, ("i", "j", "k"),
+                                              ("a", "b", "c", "mu")):
+        if not 0 <= mu < C.N[i, j, k]:
+            raise ShapeError(
+                f"{name} entry uses channel {mu} of "
+                f"{C.labels[i]}×{C.labels[j]}→{C.labels[k]} "
+                f"(multiplicity {C.N[i, j, k]})"
+            )
+        pair = _copy_position(C, mult, i, a) * len(obj) + _copy_position(C, mult, j, b)
+        row = E.obj_offsets(C, obj, k)[_copy_position(C, mult, k, c)]
+        col = E.obj_offsets(C, src, k)[pair] + mu
+        blocks[k][row, col] = _as_complex(val, f"{name} entry")
+    return blocks
+
+
+def _unit_vector(C: MtcData, mult: dict, obj: tuple, doc: dict, name: str) -> np.ndarray:
+    """Coefficients on the sector-0 basis of A of a unit-shaped section
+    (``eta``, read as 1 -> A; ``eps``, read as A -> 1)."""
+    out = np.zeros(E.obj_dim(C, obj, 0), dtype=complex)
+    for k, c, val in _entries(C, doc, name, ("k",), ("c",)):
+        if k != 0:
+            raise ShapeError(f"{name} components live on unit-label copies only")
+        out[E.obj_offsets(C, obj, 0)[_copy_position(C, mult, k, c)]] = _as_complex(
+            val, f"{name} entry"
+        )
+    return out
+
+
 def parse_algebra(C: MtcData, doc: dict) -> AlgebraSpec:
     """Build an AlgebraSpec from its document form."""
     if not isinstance(doc, dict):
@@ -82,85 +135,23 @@ def parse_algebra(C: MtcData, doc: dict) -> AlgebraSpec:
     if not mult:
         raise ParseError("algebra has no nonzero multiplicities")
     obj = algebra_object(C, mult)
-    n_words = len(obj)
+    obj2 = E.tensor_obj(obj, obj)
 
-    m_blocks = {}
-    for k in E.obj_sectors(C, obj):
-        m_blocks[k] = np.zeros(
-            (E.obj_dim(C, obj, k), E.obj_dim(C, E.tensor_obj(obj, obj), k)),
-            dtype=complex,
-        )
-    for ent in doc.get("m", []):
-        i, j, k = (C.index(str(ent[key])) for key in ("i", "j", "k"))
-        a, b, c, mu = (int(ent[key]) for key in ("a", "b", "c", "mu"))
-        if not 0 <= mu < C.N[i, j, k]:
-            raise ShapeError(
-                f"m entry uses channel {mu} of "
-                f"{C.labels[i]}×{C.labels[j]}→{C.labels[k]} "
-                f"(multiplicity {C.N[i, j, k]})"
-            )
-        pi = _copy_position(C, mult, i, a)
-        pj = _copy_position(C, mult, j, b)
-        pk = _copy_position(C, mult, k, c)
-        pair = pi * n_words + pj
-        src2 = E.tensor_obj(obj, obj)
-        col = E.obj_offsets(C, src2, k)[pair] + mu
-        row = E.obj_offsets(C, obj, k)[pk]
-        m_blocks[k][row, col] = _as_complex(ent["val"], "m entry")
-    m = E.Morphism(C, E.tensor_obj(obj, obj), obj, m_blocks)
-
-    eta_entries = doc.get("eta", [])
-    if not eta_entries:
+    m = E.Morphism(C, obj2, obj, _product_blocks(C, mult, obj, doc, "m"))
+    if not doc.get("eta"):
         raise ParseError("algebra document needs a nonempty 'eta'")
-    eta_vec = np.zeros((E.obj_dim(C, obj, 0), 1), dtype=complex)
-    for ent in eta_entries:
-        k = C.index(str(ent["k"]))
-        if k != 0:
-            raise ShapeError("eta components live on unit-label copies only")
-        pk = _copy_position(C, mult, k, int(ent["c"]))
-        eta_vec[E.obj_offsets(C, obj, 0)[pk], 0] = _as_complex(ent["val"], "eta entry")
-    eta = E.Morphism(C, E.UNIT, obj, {0: eta_vec})
-
+    eta = E.Morphism(C, E.UNIT, obj, {0: _unit_vector(C, mult, obj, doc, "eta")[:, None]})
     delta = eps = None
     if "delta" in doc:
-        d_blocks = {}
-        tgt2 = E.tensor_obj(obj, obj)
-        for ent in doc["delta"]:
-            i, j, k = (C.index(str(ent[key])) for key in ("i", "j", "k"))
-            a, b, c, mu = (int(ent[key]) for key in ("a", "b", "c", "mu"))
-            pi = _copy_position(C, mult, i, a)
-            pj = _copy_position(C, mult, j, b)
-            pk = _copy_position(C, mult, k, c)
-            if not 0 <= mu < C.N[i, j, k]:
-                raise ShapeError("delta entry channel index out of range")
-            blk = d_blocks.setdefault(
-                k,
-                np.zeros((E.obj_dim(C, tgt2, k), E.obj_dim(C, obj, k)), dtype=complex),
-            )
-            row = E.obj_offsets(C, tgt2, k)[pi * n_words + pj] + mu
-            blk[row, E.obj_offsets(C, obj, k)[pk]] = _as_complex(ent["val"], "delta entry")
-        delta = E.Morphism(C, obj, tgt2, d_blocks)
+        blocks = _product_blocks(C, mult, obj, doc, "delta")
+        delta = E.Morphism(C, obj, obj2, {k: blk.T.copy() for k, blk in blocks.items()})
     if "eps" in doc:
-        e_vec = np.zeros((1, E.obj_dim(C, obj, 0)), dtype=complex)
-        for ent in doc["eps"]:
-            k = C.index(str(ent["k"]))
-            if k != 0:
-                raise ShapeError("eps components live on unit-label copies only")
-            pk = _copy_position(C, mult, k, int(ent["c"]))
-            e_vec[0, E.obj_offsets(C, obj, 0)[pk]] = _as_complex(
-                ent["val"], "eps entry"
-            )
-        eps = E.Morphism(C, obj, E.UNIT, {0: e_vec})
+        eps = E.Morphism(C, obj, E.UNIT, {0: _unit_vector(C, mult, obj, doc, "eps")[None, :]})
     return AlgebraSpec(C, mult, obj, m, eta, delta, eps)
 
 
 def load_algebra(C: MtcData, path) -> AlgebraSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON in {path}: {exc}") from None
-    return parse_algebra(C, doc)
+    return parse_algebra(C, read_document(path))
 
 
 def trivial_algebra(C: MtcData) -> AlgebraSpec:

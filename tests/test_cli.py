@@ -10,7 +10,7 @@ from bimodfusion import mtc
 from bimodfusion.catalog import CATALOG_NAMES
 from bimodfusion.cli import main
 
-from conftest import fixture_path, load_golden
+from conftest import FIXTURES, fixture_path, load_fixture, load_golden
 
 
 def run(capsys, *argv):
@@ -190,10 +190,35 @@ def test_injected_violations_fail_at_the_largest_tolerance(capsys, argv, axiom):
     ["validate", fixture_path("broken_pentagon.cat.json"), "--tol", "nan"],
     ["validate", fixture_path("broken_pentagon.cat.json"), "--tol", "inf"],
     ["validate", fixture_path("broken_pentagon.cat.json"), "--tol", "1e-3"],  # above MAX_TOL
+    ["z", "--cat", "catalog:fibonacci", "--alg", "/definitely/not/here.alg.json"],
+    ["z", "--cat", "catalog:fibonacci", "--alg", FIXTURES],   # a directory
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("m", "j", None),          # missing label field
+    ("m", "mu", 0.5),          # non-integer channel
+    ("delta", "a", "0"),       # copy index given as a string
+    ("eta", "c", None),
+    ("eps", "val", None),
+])
+def test_malformed_algebra_entry_exits_2(capsys, tmp_path, section, key, value):
+    doc = load_fixture("broken_frobenius.alg.json")
+    if value is None:
+        del doc[section][0][key]
+    else:
+        doc[section][0][key] = value
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "algebra-check", "--cat", "catalog:toric_code",
+                         "--alg", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {section} entry 0")
+    assert key in err
 
 
 def test_malformed_document_exits_2(capsys, tmp_path):

@@ -159,23 +159,30 @@ def test_project_inject_partition():
 # braiding
 # ---------------------------------------------------------------------------
 
+def braid_objects(name):
+    """(C, S, T): two sum objects to braid, one of them multi-word."""
+    if name in ALGEBRA_OBJECTS:
+        C, (A,) = duality_objects(name)
+        return C, A, ((C.rank - 1,), ())
+    C = get_catalog(name).data
+    r = C.rank
+    return C, ((r - 1,), (min(1, r - 1),)), ((r - 1, min(1, r - 1)),)
+
+
 @pytest.mark.parametrize("name", CATS)
 def test_braid_two_letters_is_r_matrix(name):
     C = get_catalog(name).data
     r = C.rank
     for a in range(r):
         for b in range(r):
-            m = E.braid_words(C, (a,), (b,))
+            m = E.braid(C, ((a,),), ((b,),))
             for k, blk in m.blocks.items():
                 assert np.allclose(blk, C.rmat(a, b, k), atol=1e-12)
 
 
-@pytest.mark.parametrize("name", CATS)
+@pytest.mark.parametrize("name", CATS + list(ALGEBRA_OBJECTS))
 def test_braid_inverse_roundtrip(name):
-    C = get_catalog(name).data
-    r = C.rank
-    S = ((r - 1,), (min(1, r - 1),))
-    T = ((r - 1, min(1, r - 1)),)
+    C, S, T = braid_objects(name)
     fwd = E.braid(C, S, T)
     back = E.braid(C, T, S, inverse=True)
     # back is (c_{S,T})^{-1} as a map T⊗S -> S⊗T
@@ -183,13 +190,19 @@ def test_braid_inverse_roundtrip(name):
     assert ((fwd @ back) - E.identity(C, E.tensor_obj(T, S))).norm() < 1e-10
 
 
-@pytest.mark.parametrize("name", CATS)
+@pytest.mark.parametrize("name", CATS + list(ALGEBRA_OBJECTS))
 def test_braid_naturality(name):
-    C = get_catalog(name).data
     rng = np.random.default_rng(23)
-    r = C.rank
-    S, Sp = ((r - 1,),), ((r - 1, min(1, r - 1)),)
-    T, Tp = ((min(1, r - 1),),), ((r - 1,), (0,))
+    if name in ALGEBRA_OBJECTS:
+        C, (A,) = duality_objects(name)
+        r = C.rank
+        S, Sp = A, A + ((),)
+        T, Tp = ((r - 1,), ()), E.tensor_obj(A, ((r - 1,),))
+    else:
+        C = get_catalog(name).data
+        r = C.rank
+        S, Sp = ((r - 1,),), ((r - 1, min(1, r - 1)),)
+        T, Tp = ((min(1, r - 1),),), ((r - 1,), (0,))
     f = rand_morph(C, S, Sp, rng)
     g = rand_morph(C, T, Tp, rng)
     lhs = E.braid(C, Sp, Tp) @ E.tensor(C, f, g)
@@ -202,20 +215,60 @@ def test_braid_naturality(name):
 
 @pytest.mark.parametrize("name", CATS)
 def test_braid_hexagon_splitting(name):
-    """c_{u,v+w} and c_{u+v,w} factor through adjacent braidings."""
+    """c_{u,v+w} and c_{u+v,w} factor through braidings of the parts, for
+    the braiding and for the inverse braiding, on every letter triple and
+    on triples with a two-letter word."""
     C = get_catalog(name).data
     r = C.rank
-    u, v, w = (r - 1,), (min(1, r - 1),), (r - 1,)
-    lhs = E.braid_words(C, u, v + w)
-    rhs = E.tensor(C, E.identity(C, (v,)), E.braid_words(C, u, w)) @ E.tensor(
-        C, E.braid_words(C, u, v), E.identity(C, (w,))
-    )
-    assert (lhs - rhs).norm() < 1e-10
-    lhs = E.braid_words(C, u + v, w)
-    rhs = E.tensor(C, E.braid_words(C, u, w), E.identity(C, (v,))) @ E.tensor(
-        C, E.identity(C, (u,)), E.braid_words(C, v, w)
-    )
-    assert (lhs - rhs).norm() < 1e-10
+    a, b = r - 1, min(1, r - 1)
+    triples = [((x,), (y,), (z,)) for x in range(r) for y in range(r) for z in range(r)]
+    triples += [((a, b), (b,), (a,)), ((a,), (b,), (b, a))]
+
+    def c(u, v, inverse):
+        return E.braid(C, (u,), (v,), inverse=inverse)
+
+    def ident(u):
+        return E.identity(C, (u,))
+
+    for inverse in (False, True):
+        for u, v, w in triples:
+            lhs = c(u, v + w, inverse)
+            rhs = E.tensor(C, ident(v), c(u, w, inverse)) @ E.tensor(C, c(u, v, inverse), ident(w))
+            assert (lhs - rhs).norm() < 1e-10
+            lhs = c(u + v, w, inverse)
+            rhs = E.tensor(C, c(u, w, inverse), ident(v)) @ E.tensor(C, ident(u), c(v, w, inverse))
+            assert (lhs - rhs).norm() < 1e-10
+
+
+@pytest.mark.parametrize("name", CATS + list(ALGEBRA_OBJECTS))
+def test_braid_matches_word_pair_sum(name):
+    """The braiding of sum objects is the sum over word pairs of the
+    braidings of the single words, each moved to its summand."""
+    if name in ALGEBRA_OBJECTS:
+        C, (A,) = duality_objects(name)
+        r = C.rank
+        pairs = [(A, A), (A + ((),), ((r - 1,), (min(1, r - 1), r - 1), ()))]
+    else:
+        C = get_catalog(name).data
+        r = C.rank
+        rng = np.random.default_rng(17)
+
+        def rand_sum():
+            words = [tuple(int(x) for x in rng.integers(0, r, size=n)) for n in (1, 2)]
+            words.insert(int(rng.integers(0, 3)), ())
+            return tuple(words)
+
+        pairs = [(rand_sum(), rand_sum()) for _ in range(2)]
+    for S, T in pairs:
+        ST, TS = E.tensor_obj(S, T), E.tensor_obj(T, S)
+        for inverse in (False, True):
+            want = E.zero(C, ST, TS)
+            for i, wi in enumerate(S):
+                for j, wj in enumerate(T):
+                    want = want + (E.inject(C, TS, j * len(S) + i)
+                                   @ E.braid(C, (wi,), (wj,), inverse=inverse)
+                                   @ E.project(C, ST, i * len(T) + j))
+            assert (E.braid(C, S, T, inverse=inverse) - want).norm() < 1e-10
 
 
 @pytest.mark.parametrize("name", CATS)
@@ -225,10 +278,10 @@ def test_braid_with_unit_is_identity(name):
     for w in [(r - 1,), (r - 1, min(1, r - 1))]:
         # a unit strand braids trivially on either side, in either direction
         for m in (
-            E.braid_words(C, (0,), w),
-            E.braid_words(C, w, (0,)),
-            E.braid_words(C, (0,), w, inverse=True),
-            E.braid_words(C, (), w),
+            E.braid(C, ((0,),), (w,)),
+            E.braid(C, (w,), ((0,),)),
+            E.braid(C, ((0,),), (w,), inverse=True),
+            E.braid(C, ((),), (w,)),
         ):
             for blk in m.blocks.values():
                 assert np.allclose(blk, np.eye(blk.shape[0]), atol=1e-12)
@@ -305,12 +358,10 @@ def test_hom_dims_match_fusion_counts(name):
     r = C.rank
     for a in range(r):
         for b in range(r):
-            hb = E.hom_space(C, ((a,),), ((b,),))
-            assert hb.dim == (1 if a == b else 0)
+            assert E.hom_dim(C, ((a,),), ((b,),)) == (1 if a == b else 0)
     a, b = r - 1, min(1, r - 1)
-    hb = E.hom_space(C, ((a, b),), ((a, b),))
     expected = int(np.sum(C.N[a, b] ** 2))
-    assert hb.dim == expected
+    assert E.hom_dim(C, ((a, b),), ((a, b),)) == expected
 
 
 def test_vec_roundtrip():
