@@ -254,16 +254,6 @@ def project(C: MtcData, S: SumObject, i: int) -> Morphism:
     return Morphism(C, S, w, blocks)
 
 
-def compose(*factors: Morphism) -> Morphism:
-    """Compose in diagram order: compose(f, g) applies f first, then g."""
-    if not factors:
-        raise TypeMismatch("compose() needs at least one morphism")
-    out = factors[0]
-    for f in factors[1:]:
-        out = f @ out
-    return out
-
-
 def y_vertex(C: MtcData, a: int, b: int, e: int, mu: int = 0) -> Morphism:
     """The splitting vertex Hom(e, a ⊗ b), multiplicity mu."""
     col = np.zeros((C.N[a, b, e], 1), dtype=complex)
@@ -588,9 +578,10 @@ _DUALITY_KINDS = {
 def _word_duality(C: MtcData, kind: str, w: Word) -> Morphism:
     """The duality map of ``kind`` on a word, built one letter at a time."""
     key = (kind, w)
-    out = C._cache.get(key)
-    if out is not None:
-        return out
+    hit = C._cache.get(key)
+    if hit is not None:
+        src, tgt, blocks = hit
+        return Morphism(C, src, tgt, dict(blocks))
     index, dual_left, peel_last = _DUALITY_KINDS[kind]
     is_cup = kind.startswith("cup")
 
@@ -612,7 +603,9 @@ def _word_duality(C: MtcData, kind: str, w: Word) -> Morphism:
                       tensor(C, _word_duality(C, kind, inner), identity(C, (right,))))
         outer_map = _word_duality(C, kind, outer)
         out = step @ outer_map if is_cup else outer_map @ step
-    C._cache[key] = out
+    # the cache holds the parts, not the Morphism: its reference to C would
+    # put C in a reference cycle, which only a full garbage collection frees
+    C._cache[key] = (out.src, out.tgt, out.blocks)
     return out
 
 

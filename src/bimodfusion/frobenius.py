@@ -128,7 +128,7 @@ def parse_algebra(C: MtcData, doc: dict) -> AlgebraSpec:
         raise ParseError("algebra document needs a nonempty 'mult' mapping")
     mult = {}
     for lab, n in raw_mult.items():
-        if not isinstance(n, int) or n < 0:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ParseError(f"multiplicity of {lab!r} must be a non-negative integer")
         if n:
             mult[C.index(lab)] = n

@@ -223,13 +223,9 @@ def _hom_block_bases(C: MtcData, A: AlgebraSpec, i: int, j: int):
         ginv = np.linalg.inv(gram)
     except np.linalg.LinAlgError as exc:
         raise SingularD(f"degenerate pairing on hom block ({i},{j})") from exc
-    hbar = []
-    for b in range(n):
-        g = 0.0 * hbar_raw[0]
-        for c in range(n):
-            g = g + complex(ginv[c, b]) * hbar_raw[c]
-        hbar.append(g)
-    return h, hbar
+    S, T = hbar_raw[0].src, hbar_raw[0].tgt
+    coords = ginv.T @ np.array([E.vec(f) for f in hbar_raw])
+    return h, [E.from_vec(C, S, T, row) for row in coords]
 
 
 def d_matrix(C: MtcData, A: AlgebraSpec, simples: list) -> DMatrix:

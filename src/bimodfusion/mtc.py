@@ -257,7 +257,7 @@ def _as_complex(val, where: str) -> complex:
     if (
         not isinstance(val, (list, tuple))
         or len(val) != 2
-        or not all(isinstance(x, (int, float)) for x in val)
+        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in val)
     ):
         raise ParseError(f"{where}: complex values must be [re, im] pairs, got {val!r}")
     return complex(val[0], val[1])
@@ -271,7 +271,7 @@ def _require(doc: dict, key: str):
 
 def _mult_index(ent: dict, key: str, bound: int, where: str) -> int:
     v = ent.get(key, 0)
-    if not isinstance(v, int) or v < 0:
+    if not isinstance(v, int) or isinstance(v, bool) or v < 0:
         raise ParseError(f"{where}: multiplicity index {key}={v!r} is not a non-negative integer")
     if v >= bound:
         raise ParseError(f"{where}: {key}={v} exceeds the fusion multiplicity {bound}")
@@ -323,7 +323,7 @@ def load_mtc(doc: dict, tol: float = DEFAULT_TOL) -> MtcData:
     for ent in _require(doc, "fusion"):
         a, b, c = (lab_index(ent, k, "fusion") for k in ("a", "b", "c"))
         mult = ent.get("mult")
-        if not isinstance(mult, int) or mult < 0:
+        if not isinstance(mult, int) or isinstance(mult, bool) or mult < 0:
             raise ParseError(f"fusion: mult must be a non-negative integer, got {mult!r}")
         N[a, b, c] = mult
 
@@ -459,100 +459,115 @@ def load_mtc(doc: dict, tol: float = DEFAULT_TOL) -> MtcData:
 # coherence residuals
 # ---------------------------------------------------------------------------
 
-def _pentagon_residual(C: MtcData) -> float:
-    """Max residual of the two recoupling routes on four-letter words.
+def _move(src: list, dst: list, blocks) -> np.ndarray:
+    """Matrix of one move between two bases of labelled tree tuples.
 
-    For the left comb of (a,b,c,d) with total E, moving the bracket via
-    (abc)-then-(a,*,d) recouplings must agree with the (f c d)-then-(a b *)
-    route, summed over the intermediate channel h resp. the multiplicity
-    on (f, l) -> E.
+    ``src`` and ``dst`` list the tree tuples of the two bases.  A move is an
+    F-move, or a change of basis of vertices (an R-matrix or gauge blocks),
+    and holds the other labels fixed, so it is a sum of blocks: ``blocks``
+    yields ``(rows, cols, mat)``, where ``mat[i, j]`` is the coefficient of
+    the tuple ``cols[j]`` in the image of ``rows[i]``.  For an F-move the
+    rows come from ``C.left_channels``, the columns from
+    ``C.right_channels`` and ``mat`` is the ``C.fmat`` of the quad.
     """
-    n = C.rank
+    at_src = {t: i for i, t in enumerate(src)}
+    at_dst = {u: j for j, u in enumerate(dst)}
+    i, j, vals = [], [], []
+    for rows, cols, mat in blocks:
+        js = [at_dst[u] for u in cols]
+        for t in rows:
+            i += [at_src[t]] * len(js)
+            j += js
+        vals += mat.ravel().tolist()
+    out = np.zeros((len(src), len(dst)), dtype=complex)
+    out[i, j] = vals
+    return out
+
+
+def _pentagon_residual(C: MtcData) -> float:
+    """Max entry of P1·P2·P3 − Q1·Q2 over the quads of non-unit letters.
+
+    Both products change the basis of Hom(E, a⊗b⊗c⊗d), for every E at
+    once, from the left comb ((ab)c)d to the right comb a(b(cd)): P1·P2·P3
+    through (a(bc))d and a((bc)d), Q1·Q2 through (ab)(cd).  The tree
+    tuples of the five bases, with the vertex each index counts:
+
+    * ((ab)c)d: (f1, m1, m2, g, m3, E) for ab→f1, f1c→g, gd→E;
+    * (a(bc))d: (h, r1, r2, g, m3, E) for bc→h, ah→g, gd→E;
+    * a((bc)d): (h, r1, k, s1, s2, E) for bc→h, hd→k, ak→E;
+    * a(b(cd)): (l, t1, t2, k, s2, E) for cd→l, bl→k, ak→E;
+    * (ab)(cd): (f1, m1, l, t1, n2, E) for ab→f1, cd→l, f1l→E.
+
+    With a unit letter the identity compares a matrix with itself,
+    because unit F-matrices are identities.
+    """
+    n, N = C.rank, C.N
+    L, R, F = C.left_channels, C.right_channels, C.fmat
+    pairs = list(itertools.product(range(n), repeat=2))
     worst = 0.0
-    for a, b, c, d in itertools.product(range(n), repeat=4):
-        for f1, g in itertools.product(range(n), repeat=2):
-            if C.N[a, b, f1] == 0 or C.N[f1, c, g] == 0:
-                continue
-            for E in range(n):
-                if C.N[g, d, E] == 0:
-                    continue
-                for l, k in itertools.product(range(n), repeat=2):
-                    if C.N[c, d, l] == 0 or C.N[b, l, k] == 0 or C.N[a, k, E] == 0:
-                        continue
-                    mults = itertools.product(
-                        range(C.N[a, b, f1]), range(C.N[f1, c, g]), range(C.N[g, d, E]),
-                        range(C.N[c, d, l]), range(C.N[b, l, k]), range(C.N[a, k, E]),
-                    )
-                    for mu1, mu2, mu3, tau1, tau2, sig2 in mults:
-                        lhs = 0j
-                        for h in range(n):
-                            for r1 in range(C.N[b, c, h]):
-                                for r2 in range(C.N[a, h, g]):
-                                    fa = C.f(a, b, c, g, f1, h, mu1, mu2, r1, r2)
-                                    if fa == 0:
-                                        continue
-                                    for s1 in range(C.N[h, d, k]):
-                                        lhs += (
-                                            fa
-                                            * C.f(a, h, d, E, g, k, r2, mu3, s1, sig2)
-                                            * C.f(b, c, d, k, h, l, r1, s1, tau1, tau2)
-                                        )
-                        rhs = 0j
-                        for n2 in range(C.N[f1, l, E]):
-                            rhs += (
-                                C.f(f1, c, d, E, g, l, mu2, mu3, tau1, n2)
-                                * C.f(a, b, l, E, f1, k, mu1, n2, tau2, sig2)
-                            )
-                        worst = max(worst, abs(lhs - rhs))
+    for a, b, c, d in itertools.product(range(1, n), repeat=4):
+        p1 = [([(f1, m1, m2, g, m3, E) for f1, m1, m2 in L(a, b, c, g)],
+               [(h, r1, r2, g, m3, E) for h, r1, r2 in R(a, b, c, g)], F(a, b, c, g))
+              for g, E in pairs for m3 in range(N[g, d, E]) if L(a, b, c, g)]
+        p2 = [([(h, r1, r2, g, m3, E) for g, r2, m3 in L(a, h, d, E)],
+               [(h, r1, s1, k, s2, E) for k, s1, s2 in R(a, h, d, E)], F(a, h, d, E))
+              for h, E in pairs for r1 in range(N[b, c, h]) if L(a, h, d, E)]
+        p3 = [([(h, r1, s1, k, s2, E) for h, r1, s1 in L(b, c, d, k)],
+               [(l, t1, t2, k, s2, E) for l, t1, t2 in R(b, c, d, k)], F(b, c, d, k))
+              for k, E in pairs for s2 in range(N[a, k, E]) if L(b, c, d, k)]
+        q1 = [([(f1, m1, m2, g, m3, E) for g, m2, m3 in L(f1, c, d, E)],
+               [(f1, m1, l, t1, n2, E) for l, t1, n2 in R(f1, c, d, E)], F(f1, c, d, E))
+              for f1, E in pairs for m1 in range(N[a, b, f1]) if L(f1, c, d, E)]
+        q2 = [([(f1, m1, l, t1, n2, E) for f1, m1, n2 in L(a, b, l, E)],
+               [(l, t1, t2, k, s2, E) for k, t2, s2 in R(a, b, l, E)], F(a, b, l, E))
+              for l, E in pairs for t1 in range(N[c, d, l]) if L(a, b, l, E)]
+        b0, b1, b2, b3, b4 = ([t for blk in blocks for t in blk[side]] for blocks, side
+                              in ((p1, 0), (p1, 1), (p2, 1), (p3, 1), (q1, 1)))
+        if not b0:
+            continue
+        lhs = _move(b0, b1, p1) @ _move(b1, b2, p2) @ _move(b2, b3, p3)
+        rhs = _move(b0, b4, q1) @ _move(b4, b3, q2)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 
 
 def _hexagon_residual(C: MtcData, inverse: bool) -> float:
-    """Max residual of the braid-through-F hexagon, per chirality."""
-    n = C.rank
+    """Max entry of Ra·F^{bca}_d − (F^{abc}_d)⁻¹·Rb·F^{bac}_d·Rc over the
+    quads with non-unit letters a, b, c, per chirality.
 
-    def rmat_of(x, y, z):
-        return C.rinv(y, x, z) if inverse else C.rmat(x, y, z)
+    Rows are the right channels of F^{abc}_d, columns those of F^{bca}_d;
+    Ra, Rb and Rc braid the letter a past f, b and c.  With ``inverse``
+    every R^{xy}_z is replaced by (R^{yx}_z)⁻¹.  With a unit letter both
+    sides are the same identity.
+    """
+    n, N = C.rank, C.N
+    L, R = C.left_channels, C.right_channels
+
+    def braid(x, y, z):
+        # rows: vertices of Hom(z, x⊗y), columns: those of Hom(z, y⊗x)
+        return (C.rinv(y, x, z) if inverse else C.rmat(x, y, z)).T
 
     worst = 0.0
-    for a, b, c, d in itertools.product(range(n), repeat=4):
-        lb = C.left_channels(a, b, c, d)
-        rb = C.right_channels(a, b, c, d)
-        if not lb or not rb:
+    for a, b, c, d in itertools.product(range(1, n), range(1, n), range(1, n), range(n)):
+        src = R(a, b, c, d)
+        if not src:
             continue
-        finv = C.finv(a, b, c, d)
-        for f1 in range(n):
-            if C.N[b, c, f1] == 0 or C.N[a, f1, d] == 0:
-                continue
-            r_af = rmat_of(a, f1, d)
-            for g in range(n):
-                if C.N[c, a, g] == 0 or C.N[b, g, d] == 0:
-                    continue
-                r_ac = rmat_of(a, c, g)
-                pairs = itertools.product(
-                    range(C.N[b, c, f1]), range(C.N[a, f1, d]),
-                    range(C.N[c, a, g]), range(C.N[b, g, d]),
-                )
-                for rho, sig, tp, kap in pairs:
-                    lhs = 0j
-                    for sp in range(C.N[f1, a, d]):
-                        lhs += r_af[sp, sig] * C.f(b, c, a, d, f1, g, rho, sp, tp, kap)
-                    rhs = 0j
-                    j_right = rb.index((f1, rho, sig))
-                    for i_left, (e, mu, nu) in enumerate(lb):
-                        coeff = finv[j_right, i_left]
-                        if coeff == 0:
-                            continue
-                        r_ab = rmat_of(a, b, e)
-                        for mup in range(C.N[b, a, e]):
-                            for tau in range(C.N[a, c, g]):
-                                rhs += (
-                                    coeff
-                                    * r_ab[mup, mu]
-                                    * C.f(b, a, c, d, e, g, mup, nu, tau, kap)
-                                    * r_ac[tp, tau]
-                                )
-                    worst = max(worst, abs(lhs - rhs))
+        # channel tuples: m counts the braided vertex, v the fixed one
+        ra = _move(src, L(b, c, a, d), (
+            ([(f, v, m) for m in range(N[a, f, d])],
+             [(f, v, m) for m in range(N[f, a, d])], braid(a, f, d))
+            for f in range(n) if N[a, f, d] for v in range(N[b, c, f])))
+        rb = _move(L(a, b, c, d), L(b, a, c, d), (
+            ([(e, m, v) for m in range(N[a, b, e])],
+             [(e, m, v) for m in range(N[b, a, e])], braid(a, b, e))
+            for e in range(n) if N[a, b, e] for v in range(N[e, c, d])))
+        rc = _move(R(b, a, c, d), R(b, c, a, d), (
+            ([(g, m, v) for m in range(N[a, c, g])],
+             [(g, m, v) for m in range(N[c, a, g])], braid(a, c, g))
+            for g in range(n) if N[a, c, g] for v in range(N[b, g, d])))
+        lhs = ra @ C.fmat(b, c, a, d)
+        rhs = C.finv(a, b, c, d) @ rb @ C.fmat(b, a, c, d) @ rc
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 
 
@@ -624,68 +639,38 @@ def gauge_transform(C: MtcData, g: dict) -> MtcData:
 
     ``g`` maps (a, b, e) label triples to invertible matrices of size
     N[a,b,e]; absent triples (and all unit triples) keep the identity.
+    Each F^{abc}_d becomes Lᵀ·F·R⁻ᵀ, where L and R act on its left and
+    right channels by the gauge blocks of their two vertices, so entry by
+    entry it is the sum over μ′, ν′, ρ′, σ′ of
+    g_ab_e[μ′,μ]·g_ec_d[ν′,ν]·F[(e,μ′,ν′),(f,ρ′,σ′)]·g_bc_f⁻¹[ρ,ρ′]·g_af_d⁻¹[σ,σ′];
+    each R^{ab}_c becomes g(b,a;c)⁻¹·R·g(a,b;c).
     The result is re-validated, so a non-invertible input surfaces as an
     AxiomViolation rather than silent nonsense.
     """
 
     def gm(a, b, e):
-        if 0 in (a, b):
-            return np.eye(C.N[a, b, e], dtype=complex)
-        mat = g.get((a, b, e))
+        mat = None if 0 in (a, b) else g.get((a, b, e))
         return np.eye(C.N[a, b, e], dtype=complex) if mat is None else np.asarray(mat, dtype=complex)
 
-    n = C.rank
-    doc = to_document(C)
-    f_entries = []
-    for a, b, c, d in itertools.product(range(1, n), range(1, n), range(1, n), range(n)):
-        left = C.left_channels(a, b, c, d)
-        right = C.right_channels(a, b, c, d)
-        if not left or not right:
+    def channel_gauge(chans, first, second):
+        # the channels (x, m1, m2) of one label x take kron(g(first(x)), g(second(x)))
+        by_label = [list(grp) for _, grp in itertools.groupby(chans, key=lambda ch: ch[0])]
+        return _move(chans, chans, (
+            (rows, rows, np.kron(gm(*first(rows[0][0])), gm(*second(rows[0][0]))))
+            for rows in by_label))
+
+    fmats = {}
+    for (a, b, c, d), old in C._fmats.items():
+        if 0 in (a, b, c) or not old.size:
             continue
-        old = C.fmat(a, b, c, d)
-        new = np.zeros_like(old)
-        for i, (e, mu, nu) in enumerate(left):
-            g_ab_e = gm(a, b, e)
-            g_ec_d = gm(e, c, d)
-            for j, (f, rho, sigma) in enumerate(right):
-                ginv_bc_f = np.linalg.inv(gm(b, c, f))
-                ginv_af_d = np.linalg.inv(gm(a, f, d))
-                acc = 0j
-                for ip, (ep, mup, nup) in enumerate(left):
-                    if ep != e:
-                        continue
-                    for jp, (fp, rhop, sigmap) in enumerate(right):
-                        if fp != f:
-                            continue
-                        acc += (
-                            g_ab_e[mup, mu] * g_ec_d[nup, nu]
-                            * old[ip, jp]
-                            * ginv_bc_f[rho, rhop] * ginv_af_d[sigma, sigmap]
-                        )
-                new[i, j] = acc
-        for i, (e, mu, nu) in enumerate(left):
-            for j, (f, rho, sigma) in enumerate(right):
-                f_entries.append({
-                    "a": C.labels[a], "b": C.labels[b], "c": C.labels[c], "d": C.labels[d],
-                    "e": C.labels[e], "f": C.labels[f],
-                    "mu": mu, "nu": nu, "rho": rho, "sigma": sigma,
-                    "val": [new[i, j].real, new[i, j].imag],
-                })
-    r_entries = []
-    for a, b, c in itertools.product(range(1, n), range(1, n), range(n)):
-        if C.N[a, b, c] == 0:
-            continue
-        new = np.linalg.inv(gm(b, a, c)) @ C.rmat(a, b, c) @ gm(a, b, c)
-        for mu in range(new.shape[0]):
-            for nu in range(new.shape[1]):
-                r_entries.append({
-                    "a": C.labels[a], "b": C.labels[b], "c": C.labels[c],
-                    "mu": mu, "nu": nu,
-                    "val": [new[mu, nu].real, new[mu, nu].imag],
-                })
-    doc["F"] = f_entries
-    doc["R"] = r_entries
-    return load_mtc(doc, tol=C.tol)
+        lg = channel_gauge(C.left_channels(a, b, c, d), lambda e: (a, b, e), lambda e: (e, c, d))
+        rg = channel_gauge(C.right_channels(a, b, c, d), lambda f: (b, c, f), lambda f: (a, f, d))
+        fmats[(a, b, c, d)] = lg.T @ old @ np.linalg.inv(rg).T
+    rmats = {(a, b, c): np.linalg.inv(gm(b, a, c)) @ old @ gm(a, b, c)
+             for (a, b, c), old in C._rmats.items() if 0 not in (a, b) and old.size}
+    moved = MtcData(labels=C.labels, dual=C.dual, N=C.N, twist=C.twist, tol=C.tol,
+                    _fmats=fmats, _rmats=rmats)
+    return load_mtc(to_document(moved), tol=C.tol)
 
 
 def random_gauge(C: MtcData, rng: np.random.Generator, spread: float = 0.4) -> MtcData:

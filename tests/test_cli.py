@@ -221,6 +221,17 @@ def test_malformed_algebra_entry_exits_2(capsys, tmp_path, section, key, value):
     assert key in err
 
 
+def test_boolean_algebra_multiplicity_exits_2(capsys, tmp_path):
+    doc = load_fixture("ze.alg.json")
+    doc["mult"]["1"] = True
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "z", "--cat", "catalog:toric_code", "--alg", str(path))
+    assert code == 2
+    assert out == ""
+    assert "multiplicity" in err
+
+
 def test_malformed_document_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")

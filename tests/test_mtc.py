@@ -1,13 +1,14 @@
 from __future__ import annotations
 
-import copy
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from bimodfusion import mtc
-from bimodfusion.catalog import CATALOG_NAMES, catalog, catalog_document
+import oracles
+from bimodfusion.catalog import CATALOG_NAMES, _su2_k_doc, catalog, catalog_document
 from bimodfusion.errors import (
     AxiomViolation,
     InvalidTolerance,
@@ -15,7 +16,7 @@ from bimodfusion.errors import (
     ParseError,
     UnknownCatalogName,
 )
-from conftest import get_catalog
+from conftest import get_catalog, load_fixture
 
 RANKS = {
     "trivial": 1, "vec_z2": 2, "vec_z3": 3, "vec_z4": 4, "vec_z5": 5,
@@ -78,25 +79,65 @@ def test_ising_r_values():
     assert abs(data.r(p, p, 0) - (-1.0)) < 1e-12
 
 
-def test_perturbed_f_raises_pentagon_violation():
+def _perturbed_f_doc():
     doc = catalog_document("fibonacci")
     for ent in doc["F"]:
         if ent["e"] == "1" and ent["f"] == "1" and ent["d"] == "t":
             ent["val"][0] += 0.1
+    return doc
+
+
+def _perturbed_r_doc():
+    doc = catalog_document("fibonacci")
+    doc["R"][0]["val"] = [1.0, 0.0]
+    return doc
+
+
+def test_perturbed_f_raises_pentagon_violation():
     with pytest.raises(AxiomViolation) as exc:
-        mtc.load_mtc(doc)
+        mtc.load_mtc(_perturbed_f_doc())
     assert exc.value.identity == "pentagon"
     assert exc.value.max_residual > 1e-3
     assert "pentagon" in exc.value.residuals
 
 
 def test_perturbed_r_raises_hexagon_violation():
-    doc = catalog_document("fibonacci")
-    doc["R"][0]["val"] = [1.0, 0.0]
     with pytest.raises(AxiomViolation) as exc:
-        mtc.load_mtc(doc)
+        mtc.load_mtc(_perturbed_r_doc())
     assert exc.value.identity in ("hexagon", "hexagon-inverse", "ribbon")
     assert exc.value.max_residual > 1e-3
+
+
+COHERENCE_INPUTS = {
+    **{name: (lambda name=name: catalog_document(name)) for name in CATALOG_NAMES},
+    "su2_5": lambda: _su2_k_doc(5),
+    "broken_pentagon": lambda: load_fixture("broken_pentagon.cat.json"),
+    "perturbed_f": _perturbed_f_doc,
+    "perturbed_r": _perturbed_r_doc,
+}
+
+
+@pytest.mark.parametrize("name", sorted(COHERENCE_INPUTS))
+def test_coherence_residuals_match_oracles(name):
+    doc = COHERENCE_INPUTS[name]()
+    try:
+        data = mtc.load_mtc(doc)
+    except AxiomViolation as exc:
+        got = exc.residuals
+    else:
+        got = {
+            "pentagon": mtc._pentagon_residual(data),
+            "hexagon": mtc._hexagon_residual(data, inverse=False),
+            "hexagon-inverse": mtc._hexagon_residual(data, inverse=True),
+        }
+    raw = oracles.RawCat(doc)
+    want = {
+        "pentagon": oracles.pentagon_residual(raw),
+        "hexagon": oracles.hexagon_residual(raw, inverse=False),
+        "hexagon-inverse": oracles.hexagon_residual(raw, inverse=True),
+    }
+    for identity, value in want.items():
+        assert abs(got[identity] - value) < 1e-13, (identity, got[identity], value)
 
 
 def test_wrong_twist_raises_ribbon_violation():
@@ -150,6 +191,12 @@ def test_missing_r_entry_raises():
         {"a": "t", "b": "t", "c": "t", "mu": 1, "nu": 0, "val": [1.0, 0.0]}
     ),
     lambda d: d["twist"].pop("t"),
+    # JSON booleans are not integers or numbers
+    lambda d: d["fusion"].__setitem__(0, {"a": "1", "b": "1", "c": "1", "mult": True}),
+    lambda d: d["F"][0].__setitem__("mu", False),
+    lambda d: d["R"][0].__setitem__("nu", False),
+    lambda d: d["F"][0].__setitem__("val", [True, 0.0]),
+    lambda d: d["R"][0].__setitem__("val", [0.5, False]),
 ])
 def test_malformed_documents_raise_parse_error(mangle):
     doc = catalog_document("fibonacci")
@@ -197,6 +244,37 @@ def test_gauge_transform_identity_is_noop():
     same = mtc.gauge_transform(data, {})
     for quad in data._fmats:
         np.testing.assert_allclose(same.fmat(*quad), data.fmat(*quad), atol=1e-14)
+
+
+@pytest.mark.parametrize("name", ["ising", "su2_3"])
+def test_gauge_convention_on_one_dimensional_vertices(name):
+    data = get_catalog(name).data
+    n, N = data.rank, data.N
+    rng = np.random.default_rng(5)
+    g = {
+        (a, b, e): np.array([[rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform())]])
+        for a, b, e in itertools.product(range(1, n), range(1, n), range(n)) if N[a, b, e]
+    }
+
+    def gs(a, b, e):
+        return 1.0 if 0 in (a, b) else g[(a, b, e)][0, 0]
+
+    moved = mtc.gauge_transform(data, g)
+    fmats = {q: m for q, m in data._fmats.items() if 0 not in q[:3] and m.size}
+    rmats = {t: m for t, m in data._rmats.items() if 0 not in t[:2] and m.size}
+    for (a, b, c, d), old in fmats.items():
+        new = moved.fmat(a, b, c, d)
+        for i, (e, _, _) in enumerate(data.left_channels(a, b, c, d)):
+            for j, (f, _, _) in enumerate(data.right_channels(a, b, c, d)):
+                want = gs(a, b, e) * gs(e, c, d) * old[i, j] / (gs(b, c, f) * gs(a, f, d))
+                assert abs(new[i, j] - want) < 1e-12
+    for (a, b, c), old in rmats.items():
+        assert abs(moved.rmat(a, b, c)[0, 0] - gs(a, b, c) / gs(b, a, c) * old[0, 0]) < 1e-12
+    back = mtc.gauge_transform(moved, {key: np.linalg.inv(mat) for key, mat in g.items()})
+    for quad, old in fmats.items():
+        np.testing.assert_allclose(back.fmat(*quad), old, rtol=0, atol=1e-12)
+    for triple, old in rmats.items():
+        np.testing.assert_allclose(back.rmat(*triple), old, rtol=0, atol=1e-12)
 
 
 def test_random_gauge_preserves_axioms_and_changes_f():
