@@ -164,19 +164,10 @@ def _cmd_defect_check(args):
     exhaustive = [
         (a, b, j) for a in range(k) for b in range(k) for j in range(C.rank)
     ]
-    if args.triples == "all":
-        triples = exhaustive
-    elif args.triples == "auto" and len(exhaustive) <= 256:
+    if args.triples == "all" or (args.triples == "auto" and len(exhaustive) <= 256):
         triples = exhaustive
     else:
-        try:
-            count = 20 if args.triples == "auto" else int(args.triples)
-        except ValueError:
-            raise ParseError(
-                f"--triples must be 'all', 'auto', or a count, got {args.triples!r}"
-            ) from None
-        if count <= 0:
-            raise ParseError("--triples count must be positive")
+        count = 20 if args.triples == "auto" else args.triples
         rng = np.random.default_rng(args.seed)
         idx = rng.integers(0, len(exhaustive), size=count)
         triples = [exhaustive[t] for t in idx]
@@ -194,6 +185,20 @@ def _cmd_defect_check(args):
         "pass": worst < tol,
     }
     return (0 if rep["pass"] else 1), rep
+
+
+def _triples(value: str):
+    """--triples: 'all', 'auto', or a positive sample count."""
+    if value in ("all", "auto"):
+        return value
+    try:
+        count = int(value)
+    except ValueError:
+        count = 0
+    if count <= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be 'all', 'auto', or a positive count, got {value!r}")
+    return count
 
 
 def _cmd_catalog(args):
@@ -266,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("defect-check", parents=[common],
                        help="closed-diagram identity for linked defect loops")
-    p.add_argument("--triples", default="auto",
+    p.add_argument("--triples", default="auto", type=_triples,
                    help="'all', 'auto', or a sampled count (default auto)")
     p.set_defaults(func=_cmd_defect_check)
 

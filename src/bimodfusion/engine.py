@@ -6,20 +6,25 @@ is a tuple of label indices (the empty tuple is the tensor unit) and a
 as one complex block per total sector k: the matrix of the map on
 Hom(U_k, -) in the canonical fusion-tree bases.
 
-The canonical basis of Hom(U_k, x_1 ⊗ ... ⊗ x_n) is indexed by trees: tuples
-of (sector, multiplicity) pairs for the prefixes of length 2..n, i.e. the
-left-comb fusion paths.  All structural morphisms (tensor products of
-morphisms, braidings, cups/caps) are expressed in these bases via the F and R
-tables of the category; the key internal object is the merge matrix
-:func:`merge_matrix`, which rewrites the "pair of trees plus joining vertex"
-basis of Hom(k, u ⊗ v) in the plain tree basis of the concatenated word.
-Its sum-object form :func:`sum_merge` does the same for Hom(k, S ⊗ T) of
-two sum objects, from a grouped basis with one kron block
-Hom(k1, S) ⊗ Hom(k2, T) per joining vertex (k1, k2, mu); it is assembled
-from the word-level blocks and cached per (S, T, k).  :func:`tensor` and
-:func:`braid` both multiply whole sector blocks through it and never loop
-over word pairs: a braiding is read off by naturality from the R-matrices of
-the joining vertices, c_{S,T} ∘ (t1 ⊗ t2) ∘ y = (t2 ⊗ t1) ∘ c_{k1,k2} ∘ y.
+The canonical basis of Hom(U_k, x_1 ⊗ ... ⊗ x_n) is the set of left-comb
+fusion trees, and both its size and its order follow from the fusion rules
+N alone, so trees are never built: :func:`word_dims` counts them per sector,
+dims(w + (b,)) = dims(w) · N[:, b, :], and the tree of w + (b,) in sector k
+through tree i of w in sector e and vertex mu has index
+start[e] + i·N[e, b, k] + mu (:func:`tree_starts`).  All structural
+morphisms (tensor products of morphisms, braidings, cups/caps) are expressed
+in these bases via the F and R tables of the category; the key internal
+object is the merge matrix :func:`merge_matrix`, which rewrites the "pair of
+trees plus joining vertex" basis of Hom(k, u ⊗ v) in the plain tree basis of
+the concatenated word.  Its sum-object form :func:`sum_merge` does the same
+for Hom(k, S ⊗ T) of two sum objects, from a grouped basis with one kron
+block Hom(k1, S) ⊗ Hom(k2, T) per joining vertex (k1, k2, mu); the pair
+basis is that layout for two words, and :func:`sum_groups` builds both from
+the sector dimensions.  The sum merge is assembled from the word-level
+blocks and cached per (S, T, k).  :func:`tensor` and :func:`braid` both
+multiply whole sector blocks through it and never loop over word pairs: a
+braiding is read off by naturality from the R-matrices of the joining
+vertices, c_{S,T} ∘ (t1 ⊗ t2) ∘ y = (t2 ⊗ t1) ∘ c_{k1,k2} ∘ y.
 """
 from __future__ import annotations
 
@@ -58,46 +63,26 @@ def tensor_obj(S: SumObject, T: SumObject) -> SumObject:
 # tree bookkeeping
 # ---------------------------------------------------------------------------
 
-def trees(C: MtcData, w: Word, k: int) -> list:
-    """Canonical fusion trees of word w with total sector k.
-
-    A tree is a tuple of (sector, multiplicity) pairs for prefixes 2..n,
-    enumerated prefix-sector-major, recursively, multiplicity-minor.
-    """
-    key = ("trees", w, k)
-    out = C._cache.get(key)
-    if out is not None:
-        return out
-    n = len(w)
-    if n == 0:
-        out = [()] if k == 0 else []
-    elif n == 1:
-        out = [()] if k == w[0] else []
-    else:
-        out = []
-        last = w[-1]
-        for e in range(C.rank):
-            sub = trees(C, w[:-1], e)
-            if not sub:
-                continue
-            for T in sub:
-                for mu in range(C.N[e, last, k]):
-                    out.append(T + ((k, mu),))
-    C._cache[key] = out
-    return out
-
-
-def tree_pos(C: MtcData, w: Word, k: int) -> dict:
-    key = ("treepos", w, k)
+def word_dims(C: MtcData, w: Word) -> tuple:
+    """Number of fusion trees of w in every sector:
+    dims(()) = e_0 and dims(w + (b,)) = dims(w) · N[:, b, :]."""
+    key = ("wdims", w)
     out = C._cache.get(key)
     if out is None:
-        out = {T: i for i, T in enumerate(trees(C, w, k))}
+        if w:
+            out = tuple(np.dot(word_dims(C, w[:-1]), C.N[:, w[-1], :]).tolist())
+        else:
+            out = (1,) + (0,) * (C.rank - 1)
         C._cache[key] = out
     return out
 
 
-def word_dim(C: MtcData, w: Word, k: int) -> int:
-    return len(trees(C, w, k))
+def tree_starts(C: MtcData, w: Word, b: int, k: int) -> list:
+    """First index, per sector e of w, of the trees of w + (b,) in sector k
+    that go through e: the tree through tree i of w in e and vertex mu of
+    N[e, b, k] has index start[e] + i·N[e, b, k] + mu."""
+    counts = (d * n for d, n in zip(word_dims(C, w), C.N[:, b, k].tolist()))
+    return list(itertools.accumulate(counts, initial=0))[:-1]
 
 
 def obj_dims(C: MtcData, S: SumObject) -> tuple:
@@ -105,7 +90,7 @@ def obj_dims(C: MtcData, S: SumObject) -> tuple:
     key = ("dims", S)
     out = C._cache.get(key)
     if out is None:
-        out = tuple(sum(word_dim(C, w, k) for w in S) for k in range(C.rank))
+        out = tuple(sum(word_dims(C, w)[k] for w in S) for k in range(C.rank))
         C._cache[key] = out
     return out
 
@@ -123,7 +108,7 @@ def obj_offsets(C: MtcData, S: SumObject, k: int) -> list:
         acc = 0
         for w in S:
             out.append(acc)
-            acc += word_dim(C, w, k)
+            acc += word_dims(C, w)[k]
         out.append(acc)
         C._cache[key] = out
     return out
@@ -233,7 +218,7 @@ def inject(C: MtcData, S: SumObject, i: int) -> Morphism:
     w = (S[i],)
     blocks = {}
     for k in obj_sectors(C, w):
-        d = word_dim(C, S[i], k)
+        d = word_dims(C, S[i])[k]
         mat = np.zeros((obj_dim(C, S, k), d), dtype=complex)
         off = obj_offsets(C, S, k)[i]
         mat[off:off + d, :] = np.eye(d)
@@ -246,7 +231,7 @@ def project(C: MtcData, S: SumObject, i: int) -> Morphism:
     w = (S[i],)
     blocks = {}
     for k in obj_sectors(C, w):
-        d = word_dim(C, S[i], k)
+        d = word_dims(C, S[i])[k]
         mat = np.zeros((d, obj_dim(C, S, k)), dtype=complex)
         off = obj_offsets(C, S, k)[i]
         mat[:, off:off + d] = np.eye(d)
@@ -272,95 +257,88 @@ def y_covertex(C: MtcData, a: int, b: int, e: int, mu: int = 0) -> Morphism:
 # merge matrices: Hom(k, u ⊗ v) pair basis -> tree basis of the joined word
 # ---------------------------------------------------------------------------
 
-def split_groups(C: MtcData, u: Word, v: Word, k: int) -> list:
-    """(k1, k2, mu, n1, n2) groups of the pair basis, in canonical order."""
-    out = []
-    for k1 in range(C.rank):
-        n1 = word_dim(C, u, k1)
-        if n1 == 0:
-            continue
-        for k2 in range(C.rank):
-            n2 = word_dim(C, v, k2)
-            if n2 == 0:
-                continue
-            for mu in range(C.N[k1, k2, k]):
-                out.append((k1, k2, mu, n1, n2))
-    return out
+def sum_groups(C: MtcData, dS: tuple, dT: tuple, k: int) -> dict:
+    """Layout of the grouped basis of Hom(k, S ⊗ T), for S and T with the
+    sector dimensions dS and dT (:func:`obj_dims`, or :func:`word_dims` of
+    two words, where it is the pair basis of :func:`merge_matrix`).
 
-
-def split_pos(C: MtcData, u: Word, v: Word, k: int) -> dict:
-    """(k1, i1, k2, i2, mu) -> column index in the pair basis."""
-    key = ("splitpos", u, v, k)
+    For each (k1, k2, mu) with both sectors present, in canonical order, the
+    group is the kron basis of Hom(k1, S) ⊗ Hom(k2, T) joined by vertex mu:
+    column g + i1·dT[k2] + i2, with g the group's first column, which is
+    what the returned dict maps (k1, k2, mu) to.
+    """
+    key = ("sumgroups", dS, dT, k)
     out = C._cache.get(key)
     if out is None:
-        out = {}
-        col = 0
-        for k1, k2, mu, n1, n2 in split_groups(C, u, v, k):
-            for i1 in range(n1):
-                for i2 in range(n2):
-                    out[(k1, i1, k2, i2, mu)] = col
-                    col += 1
+        out, acc = {}, 0
+        for k1, k2 in itertools.product(range(C.rank), repeat=2):
+            n = dS[k1] * dT[k2]
+            if n == 0:
+                continue
+            for mu in range(C.N[k1, k2, k]):
+                out[(k1, k2, mu)] = acc
+                acc += n
         C._cache[key] = out
     return out
 
 
+def _strided(start: int, count: int, stride: int) -> slice:
+    return slice(start, start + count * stride, stride)
+
+
 def merge_matrix(C: MtcData, u: Word, v: Word, k: int) -> np.ndarray:
-    """Matrix taking pair-basis coordinates to tree-basis coordinates of u+v."""
+    """Matrix taking pair-basis coordinates (:func:`sum_groups` of the two
+    words) to tree-basis coordinates of u+v (:func:`tree_starts`).
+
+    With v = v1 + (b,), tree i2 of v in sector k2 goes through sector q of
+    v1, tree i2p of v1 there and vertex nu of N[q, b, k2], in that order.
+    The inverse F-move at (k1, q, b; k) rewrites each pair-basis column as
+    columns of merge_matrix(u, v1, e), each extended by a vertex (e, b; k).
+    """
     key = ("merge", u, v, k)
     M = C._cache.get(key)
     if M is not None:
         return M
-    joint = trees(C, u + v, k)
-    dim = len(joint)
-    M = np.zeros((dim, dim), dtype=complex)
+    dim = word_dims(C, u + v)[k]
     if len(u) == 0 or len(v) == 0:
         M = np.eye(dim, dtype=complex)
-    elif len(v) == 1:
-        jpos = tree_pos(C, u + v, k)
-        spos = split_pos(C, u, v, k)
-        for (k1, i1, k2, i2, mu), col in spos.items():
-            T1 = trees(C, u, k1)[i1]
-            M[jpos[T1 + ((k, mu),)], col] = 1.0
     else:
+        M = np.zeros((dim, dim), dtype=complex)
+        N = C.N
         v1, b = v[:-1], v[-1]
-        jpos = tree_pos(C, u + v, k)
-        spos = split_pos(C, u, v, k)
-        for (k1, i1, k2, i2, mu), col in spos.items():
-            T2 = trees(C, v, k2)[i2]
-            nu = T2[-1][1]
-            q = T2[-2][0] if len(v) >= 3 else v[0]
-            T2p = T2[:-1]
-            i2p = tree_pos(C, v1, q)[T2p]
-            finv = C.finv(k1, q, b, k)
-            rc = C.right_channels(k1, q, b, k)
-            row_r = rc.index((k2, nu, mu))
-            lc = C.left_channels(k1, q, b, k)
-            for lidx, (e, rhop, sigp) in enumerate(lc):
-                coeff = finv[row_r, lidx]
-                if coeff == 0:
+        du, dv, dv1, duv1 = (word_dims(C, w) for w in (u, v, v1, u + v1))
+        starts = tree_starts(C, u + v1, b, k)
+        for (k1, k2, mu), g in sum_groups(C, du, dv, k).items():
+            n1, n2 = du[k1], dv[k2]
+            if not v1:
+                M[_strided(starts[k1] + mu, n1, N[k1, b, k]), g:g + n1] = np.eye(n1)
+                continue
+            i2 = 0
+            for q in range(C.rank):
+                nq, nb = dv1[q], N[q, b, k2]
+                if nq == 0 or nb == 0:
                     continue
-                sub = merge_matrix(C, u, v1, e)
-                col_p = split_pos(C, u, v1, e)[(k1, i1, q, i2p, rhop)]
-                colvec = sub[:, col_p]
-                emb = _suffix_embedding(C, u + v1, b, e, k, sigp)
-                M[emb, col] += coeff * colvec
+                finv = C.finv(k1, q, b, k)
+                rc = C.right_channels(k1, q, b, k)
+                # (index, sector, rows of the extended trees, first column in
+                # the pair basis of (u, v1, e)) of each left channel
+                moves = [(lidx, e, _strided(starts[e] + sigp, duv1[e], N[e, b, k]),
+                          sum_groups(C, du, dv1, e)[(k1, q, rhop)])
+                         for lidx, (e, rhop, sigp) in enumerate(C.left_channels(k1, q, b, k))]
+                for i2p in range(nq):
+                    for nu in range(nb):
+                        coeffs = finv[rc.index((k2, nu, mu))]
+                        for lidx, e, rows, gp in moves:
+                            coeff = coeffs[lidx]
+                            if coeff == 0:
+                                continue
+                            sub = merge_matrix(C, u, v1, e)
+                            for i1 in range(n1):
+                                M[rows, g + i1 * n2 + i2] += coeff * sub[:, gp + i1 * nq + i2p]
+                        i2 += 1
     M.setflags(write=False)
     C._cache[key] = M
     return M
-
-
-def _suffix_embedding(C: MtcData, w: Word, b: int, e: int, k: int,
-                      sigma: int) -> np.ndarray:
-    """Row indices in trees(w+(b,), k) of the trees(w, e) extended by (k, sigma)."""
-    key = ("sufemb", w, b, e, k, sigma)
-    out = C._cache.get(key)
-    if out is None:
-        jpos = tree_pos(C, w + (b,), k)
-        out = np.array(
-            [jpos[T + ((k, sigma),)] for T in trees(C, w, e)], dtype=np.intp
-        )
-        C._cache[key] = out
-    return out
 
 
 def merge_inv(C: MtcData, u: Word, v: Word, k: int) -> np.ndarray:
@@ -378,69 +356,39 @@ def merge_inv(C: MtcData, u: Word, v: Word, k: int) -> np.ndarray:
 # merge matrices of sum objects: grouped basis -> tree basis of S ⊗ T
 # ---------------------------------------------------------------------------
 
-def sum_groups(C: MtcData, S: SumObject, T: SumObject, k: int) -> tuple:
-    """Layout of the grouped basis of Hom(k, S ⊗ T).
-
-    For each (k1, k2, mu) with both sectors present, in canonical order, the
-    group is the kron basis of Hom(k1, S) ⊗ Hom(k2, T) joined by vertex mu.
-    Returns ``(groups, pos)``: groups maps (k1, k2, mu) to the group's first
-    column, and pos[r] is the grouped column of the pair-basis vector that
-    merge_matrix of r's word pair sends to tree-basis row r of S ⊗ T.
-    """
-    key = ("sumgroups", S, T, k)
-    out = C._cache.get(key)
-    if out is not None:
-        return out
-    dS, dT = obj_dims(C, S), obj_dims(C, T)
-    groups = {}
-    acc = 0
-    for k1 in range(C.rank):
-        for k2 in range(C.rank):
-            n = dS[k1] * dT[k2]
-            if n == 0:
-                continue
-            for mu in range(C.N[k1, k2, k]):
-                groups[(k1, k2, mu)] = acc
-                acc += n
-    pos = []
-    off = obj_offsets(C, tensor_obj(S, T), k)
-    for p, ((i, wi), (j, wj)) in enumerate(itertools.product(enumerate(S), enumerate(T))):
-        if off[p] == off[p + 1]:
-            continue
-        # split_pos iterates in pair-basis column order
-        for k1, i1, k2, i2, mu in split_pos(C, wi, wj, k):
-            a = obj_offsets(C, S, k1)[i] + i1
-            b = obj_offsets(C, T, k2)[j] + i2
-            pos.append(groups[(k1, k2, mu)] + a * dT[k2] + b)
-    out = (groups, np.array(pos, dtype=np.intp))
-    C._cache[key] = out
-    return out
-
-
 def sum_merge(C: MtcData, S: SumObject, T: SumObject, k: int,
               inverse: bool = False) -> np.ndarray:
     """Matrix taking grouped coordinates (:func:`sum_groups`) to tree-basis
     coordinates of S ⊗ T in sector k, or its inverse.
 
-    Up to the column order of pos it is block diagonal over the word pairs,
-    one merge_matrix block each, so the inverse is assembled from the
+    Up to a column order it is block diagonal over the word pairs, one
+    merge_matrix block each: pair-basis column g + i1·n2 + i2 of words
+    (S[i], T[j]) is grouped column G + (o_i + i1)·dT[k2] + o_j + i2, with G
+    the group's first column in S ⊗ T and o_i, o_j the offsets of the words
+    in sectors k1 of S and k2 of T.  So the inverse is assembled from the
     merge_inv blocks.
     """
     key = ("summergeinv" if inverse else "summerge", S, T, k)
     M = C._cache.get(key)
     if M is not None:
         return M
-    _, pos = sum_groups(C, S, T, k)
+    dT = obj_dims(C, T)
+    groups = sum_groups(C, obj_dims(C, S), dT, k)
     off = obj_offsets(C, tensor_obj(S, T), k)
-    M = np.zeros((len(pos), len(pos)), dtype=complex)
-    for p, (wi, wj) in enumerate(itertools.product(S, T)):
+    M = np.zeros((off[-1], off[-1]), dtype=complex)
+    for p, ((i, wi), (j, wj)) in enumerate(itertools.product(enumerate(S), enumerate(T))):
         lo, hi = off[p], off[p + 1]
         if lo == hi:
             continue
+        du, dv = word_dims(C, wi), word_dims(C, wj)
+        pos = [groups[grp] + (obj_offsets(C, S, grp[0])[i] + i1) * dT[grp[1]]
+               + obj_offsets(C, T, grp[1])[j] + i2
+               for grp in sum_groups(C, du, dv, k)
+               for i1 in range(du[grp[0]]) for i2 in range(dv[grp[1]])]
         if inverse:
-            M[pos[lo:hi], lo:hi] = merge_inv(C, wi, wj, k)
+            M[pos, lo:hi] = merge_inv(C, wi, wj, k)
         else:
-            M[lo:hi, pos[lo:hi]] = merge_matrix(C, wi, wj, k)
+            M[lo:hi, pos] = merge_matrix(C, wi, wj, k)
     M.setflags(write=False)
     C._cache[key] = M
     return M
@@ -467,12 +415,13 @@ def _through_merge(C: MtcData, S: SumObject, T: SumObject, Sp: SumObject,
     """
     src, tgt = tensor_obj(S, T), tensor_obj(Sp, Tp)
     ds_all, dt_all = obj_dims(C, src), obj_dims(C, tgt)
+    dS, dT, dSp, dTp = (obj_dims(C, X) for X in (S, T, Sp, Tp))
     blocks = {}
     for k in range(C.rank):
         if ds_all[k] == 0 or dt_all[k] == 0:
             continue
-        tgroups, _ = sum_groups(C, Sp, Tp, k)
-        sgroups, _ = sum_groups(C, S, T, k)
+        tgroups = sum_groups(C, dSp, dTp, k)
+        sgroups = sum_groups(C, dS, dT, k)
         middle = None
         for grp, col in sgroups.items():
             for tgrp, blk in pieces(k, grp):

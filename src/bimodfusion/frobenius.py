@@ -226,6 +226,14 @@ def with_costructure(C: MtcData, A: AlgebraSpec) -> AlgebraSpec:
 # axiom checks
 # ---------------------------------------------------------------------------
 
+def _special_scale(C: MtcData, A: AlgebraSpec) -> tuple:
+    """(λ, ‖m∘Δ − λ·id‖) with λ = tr(m∘Δ)/dim, for A with its costructure."""
+    md = A.m @ A.delta
+    total_dim = sum(blk.shape[0] for blk in md.blocks.values())
+    lam = complex(sum(np.trace(blk) for blk in md.blocks.values()) / total_dim)
+    return lam, (md - lam * E.identity(C, A.obj)).norm()
+
+
 def validate_algebra(C: MtcData, A: AlgebraSpec) -> dict:
     """Residuals of the algebra axioms; overall pass flag.
 
@@ -247,10 +255,7 @@ def validate_algebra(C: MtcData, A: AlgebraSpec) -> dict:
 
     sym = (_pairing(C, A, eps) - _pairing_flipped(C, A, eps)).norm()
 
-    md = m @ delta
-    total_dim = sum(blk.shape[0] for blk in md.blocks.values())
-    lam = sum(np.trace(blk) for blk in md.blocks.values()) / total_dim
-    special = (md - complex(lam) * idA).norm()
+    lam, special = _special_scale(C, A)
     if abs(lam) < C.thresholds.special_scale:
         special = max(special, 1.0)
 
@@ -282,16 +287,12 @@ def normalize_counit(C: MtcData, A: AlgebraSpec) -> AlgebraSpec:
     """Rescale (ε, Δ) so that m∘Δ = id and ε∘η = dim(A)."""
     tol = C.thresholds.identity
     A = with_costructure(C, A)
-    idA = E.identity(C, A.obj)
-    md = A.m @ A.delta
-    total_dim = sum(blk.shape[0] for blk in md.blocks.values())
-    lam = sum(np.trace(blk) for blk in md.blocks.values()) / total_dim
-    if abs(lam) < tol or (md - complex(lam) * idA).norm() > tol * max(1.0, abs(lam)):
+    lam, residual = _special_scale(C, A)
+    if abs(lam) < tol or residual > tol * max(1.0, abs(lam)):
         raise NotSpecial(
             f"m∘Δ is not an invertible multiple of the identity "
-            f"(scale {abs(lam):.3e}, residual {(md - complex(lam) * idA).norm():.3e})"
+            f"(scale {abs(lam):.3e}, residual {residual:.3e})"
         )
-    lam = complex(lam)
     out = replace(A, delta=(1.0 / lam) * A.delta, eps=lam * A.eps)
     pairing = (out.eps @ out.eta).scalar()
     dim_a = complex(out.dim)

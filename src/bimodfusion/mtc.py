@@ -95,8 +95,11 @@ class MtcData:
 
     F and R matrices are stored per label quad/triple in the canonical
     channel bases enumerated by :meth:`left_channels` / :meth:`right_channels`
-    (label-major, multiplicity-minor).  Unit-gauge F/R matrices are not
-    stored; the accessors synthesize identities for them on demand.
+    (label-major, multiplicity-minor).  ``_fmats`` and ``_rmats`` hold
+    exactly the quads and triples of non-unit letters with non-empty
+    channels, as in the document; the accessors synthesize the unit-gauge
+    identities and the empty matrices of the others on demand and keep them
+    in ``_cache``.
     """
 
     labels: tuple[str, ...]
@@ -156,6 +159,8 @@ class MtcData:
         """F-matrix of the quad, rows = left channels, cols = right channels."""
         mat = self._fmats.get((a, b, c, d))
         if mat is None:
+            mat = self._cache.get(("Fmat", a, b, c, d))
+        if mat is None:
             nl = len(self.left_channels(a, b, c, d))
             if 0 in (a, b, c):
                 mat = np.eye(nl, dtype=complex)
@@ -163,7 +168,7 @@ class MtcData:
                 # validated data: absent quad means the hom space is zero
                 mat = np.zeros((nl, len(self.right_channels(a, b, c, d))), dtype=complex)
             mat.setflags(write=False)
-            self._fmats[(a, b, c, d)] = mat
+            self._cache[("Fmat", a, b, c, d)] = mat
         return mat
 
     def finv(self, a: int, b: int, c: int, d: int) -> np.ndarray:
@@ -189,9 +194,11 @@ class MtcData:
     def rmat(self, a: int, b: int, c: int) -> np.ndarray:
         mat = self._rmats.get((a, b, c))
         if mat is None:
+            mat = self._cache.get(("Rmat", a, b, c))
+        if mat is None:
             mat = np.eye(self.N[a, b, c], dtype=complex)
             mat.setflags(write=False)
-            self._rmats[(a, b, c)] = mat
+            self._cache[("Rmat", a, b, c)] = mat
         return mat
 
     def rinv(self, a: int, b: int, c: int) -> np.ndarray:
@@ -600,8 +607,6 @@ def to_document(C: MtcData) -> dict:
     ]
     f_entries = []
     for (a, b, c, d), mat in sorted(C._fmats.items()):
-        if 0 in (a, b, c):
-            continue
         left = C.left_channels(a, b, c, d)
         right = C.right_channels(a, b, c, d)
         for i, (e, mu, nu) in enumerate(left):
@@ -614,8 +619,6 @@ def to_document(C: MtcData) -> dict:
                 })
     r_entries = []
     for (a, b, c), mat in sorted(C._rmats.items()):
-        if a == 0 or b == 0:
-            continue
         for mu in range(mat.shape[0]):
             for nu in range(mat.shape[1]):
                 r_entries.append({
@@ -661,13 +664,11 @@ def gauge_transform(C: MtcData, g: dict) -> MtcData:
 
     fmats = {}
     for (a, b, c, d), old in C._fmats.items():
-        if 0 in (a, b, c) or not old.size:
-            continue
         lg = channel_gauge(C.left_channels(a, b, c, d), lambda e: (a, b, e), lambda e: (e, c, d))
         rg = channel_gauge(C.right_channels(a, b, c, d), lambda f: (b, c, f), lambda f: (a, f, d))
         fmats[(a, b, c, d)] = lg.T @ old @ np.linalg.inv(rg).T
     rmats = {(a, b, c): np.linalg.inv(gm(b, a, c)) @ old @ gm(a, b, c)
-             for (a, b, c), old in C._rmats.items() if 0 not in (a, b) and old.size}
+             for (a, b, c), old in C._rmats.items()}
     moved = MtcData(labels=C.labels, dual=C.dual, N=C.N, twist=C.twist, tol=C.tol,
                     _fmats=fmats, _rmats=rmats)
     return load_mtc(to_document(moved), tol=C.tol)

@@ -122,6 +122,20 @@ def pf_dims(N):
     return dims
 
 
+def fusion_trees(N, w, k):
+    """Left-comb fusion trees of the word w (a tuple of labels) with total
+    sector k, as tuples of (sector, multiplicity) pairs for the prefixes of
+    length 2..n: prefix-sector-major, recursively, multiplicity-minor."""
+    if len(w) <= 1:
+        return [()] if k == (w[0] if w else 0) else []
+    out = []
+    for e in range(N.shape[0]):
+        for tree in fusion_trees(N, w[:-1], e):
+            for mu in range(N[e, w[-1], k]):
+                out.append(tree + ((k, mu),))
+    return out
+
+
 def backspin_smatrix(N, twist, dims):
     """Unnormalized S-matrix from the twist/fusion data alone.
 

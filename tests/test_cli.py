@@ -192,10 +192,20 @@ def test_injected_violations_fail_at_the_largest_tolerance(capsys, argv, axiom):
     ["validate", fixture_path("broken_pentagon.cat.json"), "--tol", "1e-3"],  # above MAX_TOL
     ["z", "--cat", "catalog:fibonacci", "--alg", "/definitely/not/here.alg.json"],
     ["z", "--cat", "catalog:fibonacci", "--alg", FIXTURES],   # a directory
+    *[["defect-check", "--cat", "catalog:su2_4", "--alg", fixture_path("su2_4_deven.alg.json"),
+       "--triples", count] for count in ("abc", "0", "-3")],
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
+
+
+def test_bad_triples_exit_2_before_reading_documents(capsys):
+    code, out, err = run(capsys, "defect-check", "--cat", "/definitely/not/here.json",
+                         "--alg", "trivial", "--triples", "0")
+    assert code == 2
+    assert out == ""
+    assert "--triples" in err
 
 
 @pytest.mark.parametrize("section, key, value", [

@@ -1,13 +1,17 @@
 """Structural laws of the fusion-tree morphism calculus."""
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
 from bimodfusion import engine as E
 from bimodfusion import frobenius as F
 from bimodfusion.errors import TypeMismatch
+from bimodfusion.mtc import MtcData
 
+import oracles
 from conftest import get_catalog, load_fixture
 
 CATS = ["vec_z3", "fibonacci", "ising", "toric_code", "su2_2"]
@@ -44,6 +48,46 @@ def top_words(C, n=2):
     """A couple of interesting words: the highest label and a mixed pair."""
     r = C.rank
     return [(r - 1,), (r - 1, min(1, r - 1)), (min(1, r - 1),)][:n + 1]
+
+
+# ---------------------------------------------------------------------------
+# tree bookkeeping
+# ---------------------------------------------------------------------------
+
+def rep_a4_fusion():
+    """The fusion rules of Rep(A4): labels 1, 1', 1'' (the Z3 characters) and
+    3, with 3 ⊗ 3 = 1 + 1' + 1'' + 2·3.  Tree bookkeeping reads only N, so
+    no F or R data is attached."""
+    N = np.zeros((4, 4, 4), dtype=int)
+    for a in range(3):
+        for b in range(3):
+            N[a, b, (a + b) % 3] = 1
+        N[a, 3, 3] = N[3, a, 3] = 1
+    N[3, 3] = [1, 1, 1, 2]
+    return MtcData(labels=("1", "1'", "1''", "3"), dual=np.array([0, 2, 1, 3]), N=N,
+                   twist=np.ones(4, dtype=complex), tol=1e-9, _fmats={}, _rmats={})
+
+
+@pytest.mark.parametrize("name", ["su2_4", "ising", "rep_a4"])
+def test_tree_index_matches_enumeration(name):
+    """word_dims counts the enumerated trees of every word up to length 3,
+    and tree_starts puts each extended tree where the enumeration does."""
+    C = rep_a4_fusion() if name == "rep_a4" else get_catalog(name).data
+    r, N = C.rank, C.N
+    for n in range(4):
+        for w in itertools.product(range(r), repeat=n):
+            assert E.word_dims(C, w) == tuple(
+                len(oracles.fusion_trees(N, w, k)) for k in range(r))
+            if n in (0, 3):  # a letter's tree has no vertex; extended words stop at 3
+                continue
+            for b, k in itertools.product(range(r), repeat=2):
+                pos = {t: i for i, t in enumerate(oracles.fusion_trees(N, w + (b,), k))}
+                starts = E.tree_starts(C, w, b, k)
+                for e in range(r):
+                    for i, t in enumerate(oracles.fusion_trees(N, w, e)):
+                        for mu in range(N[e, b, k]):
+                            assert pos.pop(t + ((k, mu),)) == starts[e] + i * N[e, b, k] + mu
+                assert not pos
 
 
 # ---------------------------------------------------------------------------

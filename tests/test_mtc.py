@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from bimodfusion import frobenius as F
+from bimodfusion import fusion_algebra as FA
 from bimodfusion import mtc
 import oracles
 from bimodfusion.catalog import CATALOG_NAMES, _su2_k_doc, catalog, catalog_document
@@ -239,6 +241,22 @@ def test_document_round_trip():
             np.testing.assert_allclose(again.fmat(*quad), data.fmat(*quad), atol=1e-14)
 
 
+@pytest.mark.parametrize("name, alg", [("ising", None), ("su2_4", "su2_4_deven.alg.json")])
+def test_symbol_tables_hold_only_document_entries(name, alg):
+    """Use adds no entry to the F and R tables: they keep exactly the
+    quads and triples of non-unit letters with a non-empty channel list."""
+    data = catalog(name).data
+    mtc.s_matrix(data)
+    A = F.trivial_algebra(data) if alg is None else F.parse_algebra(data, load_fixture(alg))
+    assert FA.verify_theorem_o(data, F.normalize_counit(data, A)).passed
+    n = data.rank
+    quads = {q for q in itertools.product(range(1, n), range(1, n), range(1, n), range(n))
+             if data.left_channels(*q)}
+    triples = {t for t in itertools.product(range(1, n), range(1, n), range(n)) if data.N[t]}
+    assert set(data._fmats) == quads
+    assert set(data._rmats) == triples
+
+
 def test_gauge_transform_identity_is_noop():
     data = get_catalog("ising").data
     same = mtc.gauge_transform(data, {})
@@ -260,8 +278,7 @@ def test_gauge_convention_on_one_dimensional_vertices(name):
         return 1.0 if 0 in (a, b) else g[(a, b, e)][0, 0]
 
     moved = mtc.gauge_transform(data, g)
-    fmats = {q: m for q, m in data._fmats.items() if 0 not in q[:3] and m.size}
-    rmats = {t: m for t, m in data._rmats.items() if 0 not in t[:2] and m.size}
+    fmats, rmats = data._fmats, data._rmats
     for (a, b, c, d), old in fmats.items():
         new = moved.fmat(a, b, c, d)
         for i, (e, _, _) in enumerate(data.left_channels(a, b, c, d)):
