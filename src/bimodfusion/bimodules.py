@@ -128,43 +128,39 @@ def module_residuals(C: MtcData, X: Bimodule) -> dict:
     return res
 
 
-def _hom_constraints(C: MtcData, X: Bimodule, Y: Bimodule) -> list:
-    id_a = E.identity(C, X.alg.obj)
-    cons = [lambda f: f @ X.rho_l - Y.rho_l @ E.tensor(C, id_a, f)]
+def intertwiner_matrix(C: MtcData, X: Bimodule, Y: Bimodule) -> np.ndarray:
+    """Matrix on vec(f), f in Hom(X, Y), whose null space is the module
+    maps: the rows of f∘ρ_l − ρ_l∘(id_A⊗f) and, when both have a right
+    action, of f∘ρ_r − ρ_r∘(f⊗id_A) below them (:func:`engine.action_matrix`)."""
+    A = X.alg.obj
+    M = E.action_matrix(C, A, X.rho_l, Y.rho_l, left=True)
     if X.rho_r is not None and Y.rho_r is not None:
-        cons.append(lambda f: f @ X.rho_r - Y.rho_r @ E.tensor(C, f, id_a))
-    return cons
+        M = np.vstack([M, E.action_matrix(C, A, X.rho_r, Y.rho_r, left=False)])
+    return M
 
 
-def hom_bimodule(C: MtcData, X: Bimodule, Y: Bimodule, with_gap: bool = False):
-    """Basis of maps intertwining both actions (left action only for
-    left modules)."""
-    return E.nullspace_morphisms(
-        C, X.obj, Y.obj, _hom_constraints(C, X, Y), with_gap=with_gap
-    )
+def hom_bimodule(C: MtcData, X: Bimodule, Y: Bimodule) -> list:
+    """Basis of maps intertwining both actions (left action only for left
+    modules), the null space of :func:`intertwiner_matrix`; NonIntegerDim
+    when its singular-value gap leaves the dimension ambiguous."""
+    if E.hom_dim(C, X.obj, Y.obj) == 0:
+        return []
+    sols, gap = E.nullspace_morphisms(C, X.obj, Y.obj, intertwiner_matrix(C, X, Y))
+    if gap < C.thresholds.hom_gap:
+        raise NonIntegerDim(
+            f"Hom({X.obj}, {Y.obj}): singular-value gap {gap:.3g} leaves the "
+            f"hom dimension ambiguous"
+        )
+    return sols
 
 
 def z_matrix(C: MtcData, A: AlgebraSpec) -> ZMatrix:
-    """dim Hom(α⁺U_i, α⁻U_j) for all label pairs.
-
-    Dimensions are singular-value counts; if the spectrum has no clean
-    gap at the cutoff the entry is unreliable and NonIntegerDim is
-    raised rather than returning a guess.
-    """
-    n = C.rank
-    plus = [alpha_induce(C, A, i, +1) for i in range(n)]
-    minus = [alpha_induce(C, A, j, -1) for j in range(n)]
-    z = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            sols, gap = hom_bimodule(C, plus[i], minus[j], with_gap=True)
-            if gap < C.thresholds.hom_gap:
-                raise NonIntegerDim(
-                    f"z[{i},{j}]: singular-value gap {gap:.3g} leaves the "
-                    f"hom dimension ambiguous"
-                )
-            z[i, j] = len(sols)
-    return ZMatrix(z)
+    """dim Hom(α⁺U_i, α⁻U_j) for all label pairs (NonIntegerDim when one of
+    them is ambiguous, see :func:`hom_bimodule`)."""
+    plus = [alpha_induce(C, A, i, +1) for i in range(C.rank)]
+    minus = [alpha_induce(C, A, j, -1) for j in range(C.rank)]
+    return ZMatrix(np.array([[len(hom_bimodule(C, p, m)) for m in minus] for p in plus],
+                            dtype=np.int64))
 
 
 def split_idempotent(C: MtcData, X: Bimodule, P: E.Morphism) -> RetractPair:

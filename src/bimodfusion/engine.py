@@ -698,43 +698,60 @@ def from_vec(C: MtcData, S: SumObject, T: SumObject, v: np.ndarray) -> Morphism:
     return Morphism(C, S, T, blocks)
 
 
-def nullspace_morphisms(C: MtcData, S: SumObject, T: SumObject, constraints,
-                        with_gap: bool = False):
-    """Basis of {f in Hom(S,T) : L(f) = 0 for all linear maps L}.
+def action_matrix(C: MtcData, A: SumObject, rho_x: Morphism, rho_y: Morphism,
+                  left: bool) -> np.ndarray:
+    """Matrix on vec(f), f in Hom(S, T), of f∘ρ_X − ρ_Y∘(id_A⊗f) for the
+    left actions ρ_X : A⊗S -> S, ρ_Y : A⊗T -> T, or of f∘ρ_X − ρ_Y∘(f⊗id_A)
+    for right actions; its rows are :func:`vec` of the result.
 
-    ``constraints`` is an iterable of callables Morphism -> Morphism; each
-    must be linear in its argument and is evaluated on every matrix unit of
-    Hom(S, T) (the coordinate vectors of :func:`vec`).  Returns orthonormal
-    coordinate combinations as morphisms; singular values of the stacked
-    constraints at or below the null-space cutoff of ``C.thresholds`` count
-    as zero.
-
-    With ``with_gap`` the return value is ``(basis, gap)`` where gap is the
-    ratio between the smallest retained and largest discarded singular value
-    (inf when one of the two sides is empty) — a small gap means the
-    dimension of the space is numerically ambiguous.
+    In sector k the first term is kron(I, ρ_X,kᵀ) and the second, as in
+    :func:`tensor`, ρ_Y,k · M_tgt · middle · M_src⁻¹ with middle kron(I, f_k2)
+    (kron(f_k1, I)) on each group (k1, k2, mu): one einsum per group.
     """
-    n = hom_dim(C, S, T)
+    S, T = rho_x.tgt, rho_y.tgt
+    pair = (lambda X: (A, X)) if left else (lambda X: (X, A))
+    spec = "rij,ilc->rcjl" if left else "rji,lic->rcjl"
+    dS, dT, dsrc = obj_dims(C, S), obj_dims(C, T), obj_dims(C, rho_x.src)
+    dSL, dSR = (obj_dims(C, X) for X in pair(S))
+    dTL, dTR = (obj_dims(C, X) for X in pair(T))
+    cols = list(itertools.accumulate((t * s for t, s in zip(dT, dS)), initial=0))
+    rows = list(itertools.accumulate((t * s for t, s in zip(dT, dsrc)), initial=0))
+    M = np.zeros((rows[-1], cols[-1]), dtype=complex)
+    for k, blk in rho_x.blocks.items():
+        M[rows[k]:rows[k + 1], cols[k]:cols[k + 1]] = _kron(np.eye(dT[k]), blk.T)
+    for k, blk in rho_y.blocks.items():
+        out = M[rows[k]:rows[k + 1]]
+        if not out.size:
+            continue
+        P = blk @ sum_merge(C, *pair(T), k)
+        Q = sum_merge(C, *pair(S), k, inverse=True)
+        tgroups = sum_groups(C, dTL, dTR, k)
+        for grp, g in sum_groups(C, dSL, dSR, k).items():
+            tg = tgroups.get(grp)
+            if tg is None:
+                continue
+            k1, k2 = grp[:2]
+            kf = k2 if left else k1
+            p = P[:, tg:tg + dTL[k1] * dTR[k2]].reshape(-1, dTL[k1], dTR[k2])
+            q = Q[g:g + dSL[k1] * dSR[k2]].reshape(dSL[k1], dSR[k2], -1)
+            out[:, cols[kf]:cols[kf + 1]] -= np.einsum(spec, p, q).reshape(len(out), -1)
+    return M
+
+
+def nullspace_morphisms(C: MtcData, S: SumObject, T: SumObject, M: np.ndarray):
+    """``(basis, gap)``: a basis of {f in Hom(S,T) : M·vec(f) = 0},
+    orthonormal in :func:`vec` coordinates, with the singular values of M at
+    or below the null-space cutoff of ``C.thresholds`` counted as zero, and
+    the smallest kept over the largest dropped singular value (inf when a
+    side is empty): a small gap means the dimension is numerically ambiguous."""
     gap = np.inf
-    if n == 0:
-        return ([], gap) if with_gap else []
-    rows = []
-    for e in np.eye(n, dtype=complex):
-        unit = from_vec(C, S, T, e)
-        cols = [vec(c(unit)) for c in constraints]
-        rows.append(np.concatenate(cols) if cols else np.zeros(0, dtype=complex))
-    A = np.array(rows).T
-    if A.shape[0] == 0 or not A.any():
-        combos = np.eye(n, dtype=complex)
+    if not M.any():
+        combos = np.eye(M.shape[1], dtype=complex)
     else:
-        _, sv, vh = np.linalg.svd(A)
+        _, sv, vh = np.linalg.svd(M)
         th = C.thresholds
-        cutoff = max(th.null_atol, th.null_rtol * (sv[0] if sv.size else 0.0))
-        rank = int(np.sum(sv > cutoff))
-        kept = sv[:rank]
-        dropped = sv[rank:]
-        if kept.size and dropped.size and dropped[0] > 0:
-            gap = float(kept[-1] / dropped[0])
+        rank = int(np.sum(sv > max(th.null_atol, th.null_rtol * sv[0])))
+        if 0 < rank < sv.size and sv[rank] > 0:
+            gap = float(sv[rank - 1] / sv[rank])
         combos = vh[rank:].conj()
-    out = [from_vec(C, S, T, row) for row in combos]
-    return (out, gap) if with_gap else out
+    return [from_vec(C, S, T, row) for row in combos], gap

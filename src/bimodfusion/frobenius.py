@@ -259,13 +259,10 @@ def validate_algebra(C: MtcData, A: AlgebraSpec) -> dict:
     if abs(lam) < C.thresholds.special_scale:
         special = max(special, 1.0)
 
-    sols = E.nullspace_morphisms(
-        C, A.obj, A.obj,
-        [
-            lambda f: (f @ m) - (m @ E.tensor(C, idA, f)),
-            lambda f: (f @ m) - (m @ E.tensor(C, f, idA)),
-        ],
-    )
+    from . import bimodules
+
+    reg = bimodules.regular_bimodule(C, A)
+    sols, _ = E.nullspace_morphisms(C, A.obj, A.obj, bimodules.intertwiner_matrix(C, reg, reg))
     simple_dim = len(sols)
 
     residuals = {

@@ -28,7 +28,6 @@ import numpy as np
 from . import bimodules as B
 from . import engine as E
 from .errors import (
-    NonIntegerDim,
     NonIntegerStructureConstant,
     NotIntertwiner,
     SingularD,
@@ -89,13 +88,7 @@ def fusion_table_direct(C: MtcData, A: AlgebraSpec, simples: list, *,
     for a in range(k):
         for b in range(k):
             for c in range(k):
-                sols, gap = B.hom_bimodule(C, products(a, b), simples[c], with_gap=True)
-                if gap < C.thresholds.hom_gap:
-                    raise NonIntegerDim(
-                        f"table[{a},{b},{c}]: singular-value gap {gap:.3g} "
-                        f"leaves the hom dimension ambiguous"
-                    )
-                table[a, b, c] = len(sols)
+                table[a, b, c] = len(B.hom_bimodule(C, products(a, b), simples[c]))
     return FusionTable(table, _unit_index(C, A, simples) if _unit is None else _unit)
 
 
@@ -146,7 +139,7 @@ def D_map(C: MtcData, A: AlgebraSpec, X: B.Bimodule, i: int, j: int,
             raise NotIntertwiner(
                 f"phi must map U_{i}⊗A⊗U_{j} to A, got {phi.src} -> {phi.tgt}"
             )
-        worst = max(c(phi).norm() for c in B._hom_constraints(C, W, reg))
+        worst = np.max(np.abs(B.intertwiner_matrix(C, W, reg) @ E.vec(phi)), initial=0.0)
         if worst > C.thresholds.identity:
             raise NotIntertwiner(
                 f"phi fails the bimodule-intertwiner check by {worst:.3g}"
@@ -187,12 +180,10 @@ class DMatrix:
 
     ``blocks[(i, j)]`` has shape (|K|, n, n) with n the dimension of the
     (i, j) Hom space; ``matrix`` is the same data flattened to
-    |K| × Σn², rows indexed by simples, columns by (i, j, α, β) in the
-    order of ``col_index``.
+    |K| × Σn², rows indexed by simples, columns by (i, j, α, β).
     """
 
     blocks: dict
-    col_index: list
     matrix: np.ndarray
     sigma_min: float
     h: dict = field(repr=False)
@@ -242,8 +233,6 @@ def d_matrix(C: MtcData, A: AlgebraSpec, simples: list) -> DMatrix:
     mats = [defect_matrices(C, A, X, hs, hbars) for X in simples]
     blocks = {key: np.array([m[key] for m in mats], dtype=complex).reshape(k, len(h), len(h))
               for key, h in hs.items()}
-    col_index = [(i, j, alpha, beta) for (i, j), h in hs.items()
-                 for alpha in range(len(h)) for beta in range(len(h))]
     cols = [blk.reshape(k, -1) for blk in blocks.values()]
     matrix = np.concatenate(cols, axis=1) if cols else np.zeros((k, 0))
     if matrix.shape[1] != k:
@@ -256,7 +245,7 @@ def d_matrix(C: MtcData, A: AlgebraSpec, simples: list) -> DMatrix:
     if sigma_min <= C.thresholds.d_rtol * (float(sv[0]) if sv.size else 1.0):
         raise SingularD(f"d has smallest singular value {sigma_min:.3g}")
     return DMatrix(
-        blocks=blocks, col_index=col_index, matrix=matrix,
+        blocks=blocks, matrix=matrix,
         sigma_min=sigma_min, h=hs, hbar=hbars,
         unit=_unit_index(C, A, simples),
     )

@@ -3,8 +3,10 @@
 Everything in this module is written with explicit loops over raw symbol
 tables and its own tiny JSON reader -- no imports from ``bimodfusion`` -- so
 that the main code paths are cross-checked against genuinely independent
-arithmetic.  Frozen expected values live in ``test_oracles.py`` and in the
-fixture/golden files.
+arithmetic.  The one exception, :func:`intertwiner_by_units`, is handed the
+engine module: it evaluates the module-map equations as composites of
+morphisms, one matrix unit at a time.  Frozen expected values live in
+``test_oracles.py`` and in the fixture/golden files.
 """
 from __future__ import annotations
 
@@ -547,3 +549,23 @@ def smatrix_vec_zn(n):
     else:
         q = cmath.exp(2j * cmath.pi / n)
     return np.array([[q ** (a * b) for b in range(n)] for a in range(n)])
+
+
+# ---------------------------------------------------------------------------
+# module maps
+# ---------------------------------------------------------------------------
+
+def intertwiner_by_units(E, C, X, Y):
+    """The module-map equations f∘ρ_l − ρ_l∘(id_A⊗f) and, when X and Y both
+    have a right action, f∘ρ_r − ρ_r∘(f⊗id_A), applied to E.from_vec of each
+    row of eye(hom_dim): column u holds the E.vec of both results for the
+    u-th matrix unit of Hom(X, Y), the left equation's entries first."""
+    id_a = E.identity(C, X.alg.obj)
+    equations = [lambda f: f @ X.rho_l - Y.rho_l @ E.tensor(C, id_a, f)]
+    if X.rho_r is not None and Y.rho_r is not None:
+        equations.append(lambda f: f @ X.rho_r - Y.rho_r @ E.tensor(C, f, id_a))
+    cols = []
+    for e in np.eye(E.hom_dim(C, X.obj, Y.obj), dtype=complex):
+        f = E.from_vec(C, X.obj, Y.obj, e)
+        cols.append(np.concatenate([E.vec(eq(f)) for eq in equations]))
+    return np.array(cols).T

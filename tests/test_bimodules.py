@@ -8,8 +8,16 @@ from bimodfusion import bimodules as B
 from bimodfusion import engine as E
 from bimodfusion import frobenius as F
 from bimodfusion import mtc
-from bimodfusion.errors import DecompositionIncomplete, IdempotentSplitFailure, NotSpecial
+from bimodfusion import fusion_algebra as FA
+from bimodfusion.catalog import catalog
+from bimodfusion.errors import (
+    DecompositionIncomplete,
+    IdempotentSplitFailure,
+    NonIntegerDim,
+    NotSpecial,
+)
 
+import oracles
 from conftest import get_catalog, load_fixture, load_golden
 
 
@@ -275,3 +283,65 @@ def test_simples_deterministic_across_seeds(toric, ze):
     p0 = [B._sector_profile(toric, S) for S in B.simple_bimodules(toric, ze, seed=0)]
     p5 = [B._sector_profile(toric, S) for S in B.simple_bimodules(toric, ze, seed=5)]
     assert p0 == p5
+
+
+# -- Hom solves ----------------------------------------------------------------
+
+def module_pairs(C, A):
+    """(X, Y) for every kind of Hom solve: α⁺U_i -> α⁻U_j, the sandwiches
+    U_i⊗A⊗U_j to A, from A and to themselves, the free left modules A⊗U_i,
+    the simples, and the first three relative products X_a ⊗_A X_b of more
+    than one word (ising with A = 1 has only σ ⊗ σ) into every simple.  The
+    simples, which take Hom solves to find, come last."""
+    r = range(C.rank)
+    plus = [B.alpha_induce(C, A, i, +1) for i in r]
+    minus = [B.alpha_induce(C, A, i, -1) for i in r]
+    yield from ((X, Y) for X in plus for Y in minus)
+    reg = B.regular_bimodule(C, A)
+    for W in (B.sandwich(C, i, reg, j) for i in r for j in r):
+        yield from ((W, reg), (reg, W), (W, W))
+    left = [B.left_induce(C, A, i) for i in r]
+    yield from ((X, Y) for X in left for Y in left)
+    simples = B.simple_bimodules(C, A, seed=0)
+    products = [T for T in (B.tensor_over_A(C, Xa, Xb)[0] for Xa in simples for Xb in simples)
+                if len(T.obj) > 1][:3]
+    assert products
+    yield from ((X, Y) for X in simples + products for Y in simples)
+
+
+@pytest.mark.parametrize("which", ["toric", "su24", "ising"])
+def test_intertwiner_matrix_matches_unit_evaluation(which, toric, ze, su24, deven):
+    """The assembled matrix equals the module-map equations evaluated on
+    every matrix unit of Hom(X, Y), left and right actions alike."""
+    if which == "ising":
+        C = get_catalog("ising").data
+        A = F.normalize_counit(C, F.trivial_algebra(C))
+    else:
+        C, A = (toric, ze) if which == "toric" else (su24, deven)
+    for X, Y in module_pairs(C, A):
+        M = B.intertwiner_matrix(C, X, Y)
+        if E.hom_dim(C, X.obj, Y.obj) == 0:
+            assert M.shape[1] == 0
+            continue
+        ref = oracles.intertwiner_by_units(E, C, X, Y)
+        assert M.shape == ref.shape
+        assert np.max(np.abs(M - ref)) <= 1e-13
+
+
+def test_ambiguous_hom_dimension_raises(monkeypatch):
+    """Every Hom solve checks its singular-value gap: with hom_gap = inf no
+    finite gap passes, in the left-module decomposition as in the direct
+    table (on su2_4 D-even; on toric_code every gap there is inf)."""
+    C = catalog("toric_code").data
+    A = F.normalize_counit(C, F.parse_algebra(C, load_fixture("ze.alg.json")))
+    monkeypatch.setattr(C.thresholds, "hom_gap", np.inf)
+    with pytest.raises(NonIntegerDim) as err:
+        B.simple_left_modules(C, A)
+    generator = B.left_induce(C, A, 0).obj
+    assert f"Hom({generator}, {generator})" in str(err.value)
+    C = catalog("su2_4").data
+    A = F.normalize_counit(C, F.parse_algebra(C, load_fixture("su2_4_deven.alg.json")))
+    simples = B.simple_bimodules(C, A, seed=0)
+    monkeypatch.setattr(C.thresholds, "hom_gap", np.inf)
+    with pytest.raises(NonIntegerDim):
+        FA.fusion_table_direct(C, A, simples)

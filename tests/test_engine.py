@@ -422,11 +422,26 @@ def test_nullspace_finds_central_morphisms():
     C = get_catalog("ising").data
     S = ((1, 1),)
     bm = E.braid(C, ((1,),), ((1,),))
-    sols = E.nullspace_morphisms(
-        C, S, S, [lambda f: (bm @ f) - (f @ bm)]
-    )
+    units = [E.from_vec(C, S, S, e) for e in np.eye(E.hom_dim(C, S, S))]
+    commutator = np.array([E.vec((bm @ f) - (f @ bm)) for f in units]).T
+    sols, _ = E.nullspace_morphisms(C, S, S, commutator)
     # End(s⊗s) is 2-dim and the braiding is diagonal in the channel basis,
     # with distinct eigenvalues, so the commutant is the full diagonal
     assert len(sols) == 2
     for f in sols:
         assert ((bm @ f) - (f @ bm)).norm() < 1e-9
+
+
+def test_nullspace_returns_basis_and_gap():
+    """nullspace_morphisms(C, S, T, M) returns a (list, float) pair, also for
+    an empty Hom space: the benchmark's trace reads C, S and T from the first
+    three positional arguments and the smallest gap from the pair."""
+    C = get_catalog("ising").data
+    S = ((1, 1),)
+    for T, M in [(S, np.diag([1.0, 1e-20])), (((1,),), np.zeros((0, 0)))]:
+        result = E.nullspace_morphisms(C, S, T, M)
+        assert isinstance(result, tuple) and len(result) == 2
+        basis, gap = result
+        assert isinstance(basis, list) and isinstance(gap, float)
+        assert len(basis) == (1 if T == S else 0)
+    assert E.nullspace_morphisms(C, S, S, np.diag([1.0, 1e-20]))[1] == 1e20
