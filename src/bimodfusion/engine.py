@@ -742,16 +742,20 @@ def nullspace_morphisms(C: MtcData, S: SumObject, T: SumObject, M: np.ndarray):
     """``(basis, gap)``: a basis of {f in Hom(S,T) : M·vec(f) = 0},
     orthonormal in :func:`vec` coordinates, with the singular values of M at
     or below the null-space cutoff of ``C.thresholds`` counted as zero, and
-    the smallest kept over the largest dropped singular value (inf when a
-    side is empty): a small gap means the dimension is numerically ambiguous."""
+    the gap: the smallest kept singular value over the largest positive
+    dropped one, either replaced by the cutoff when there is none, so that
+    the gap is inf only when M is all zero.  A small gap means the
+    dimension is numerically ambiguous."""
     gap = np.inf
     if not M.any():
         combos = np.eye(M.shape[1], dtype=complex)
     else:
         _, sv, vh = np.linalg.svd(M)
         th = C.thresholds
-        rank = int(np.sum(sv > max(th.null_atol, th.null_rtol * sv[0])))
-        if 0 < rank < sv.size and sv[rank] > 0:
-            gap = float(sv[rank - 1] / sv[rank])
+        cutoff = max(th.null_atol, th.null_rtol * sv[0])
+        rank = int(np.sum(sv > cutoff))
+        kept = sv[rank - 1] if rank else cutoff
+        dropped = sv[rank] if rank < sv.size and sv[rank] > 0 else cutoff
+        gap = float(kept / dropped)
         combos = vh[rank:].conj()
     return [from_vec(C, S, T, row) for row in combos], gap

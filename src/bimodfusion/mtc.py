@@ -3,7 +3,10 @@
 A category is described by a plain JSON-able document (see ``docs/formats.md``)
 holding fusion multiplicities and F/R/twist symbol tables.  :func:`load_mtc`
 parses one of these, checks the coherence axioms (pentagon, hexagons, ribbon)
-to a tolerance, and returns an immutable :class:`MtcData`.
+to a tolerance, and returns an immutable :class:`MtcData`.  The pentagon
+and hexagon residuals are the largest |lhs − rhs| over their equations;
+both sides are computed as numpy joins of arrays of fusion trees with one
+table of F entries (and of R entries), never quad by quad.
 
 Conventions baked into the symbol tables:
 
@@ -18,6 +21,7 @@ Conventions baked into the symbol tables:
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -466,38 +470,146 @@ def load_mtc(doc: dict, tol: float = DEFAULT_TOL) -> MtcData:
 # coherence residuals
 # ---------------------------------------------------------------------------
 
-def _move(src: list, dst: list, blocks) -> np.ndarray:
-    """Matrix of one move between two bases of labelled tree tuples.
+def _split(counts: np.ndarray):
+    """``(owner, offset)`` of the entries that ``counts`` hands out in turn:
+    row ``i`` owns ``counts[i]`` consecutive entries, offsets 0, 1, ..."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    return owner, np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
 
-    ``src`` and ``dst`` list the tree tuples of the two bases.  A move is an
-    F-move, or a change of basis of vertices (an R-matrix or gauge blocks),
-    and holds the other labels fixed, so it is a sum of blocks: ``blocks``
-    yields ``(rows, cols, mat)``, where ``mat[i, j]`` is the coefficient of
-    the tuple ``cols[j]`` in the image of ``rows[i]``.  For an F-move the
-    rows come from ``C.left_channels``, the columns from
-    ``C.right_channels`` and ``mat`` is the ``C.fmat`` of the quad.
-    """
-    at_src = {t: i for i, t in enumerate(src)}
-    at_dst = {u: j for j, u in enumerate(dst)}
-    i, j, vals = [], [], []
-    for rows, cols, mat in blocks:
-        js = [at_dst[u] for u in cols]
-        for t in rows:
-            i += [at_src[t]] * len(js)
-            j += js
-        vals += mat.ravel().tolist()
-    out = np.zeros((len(src), len(dst)), dtype=complex)
-    out[i, j] = vals
+
+def _inverses(mats: list, identity: str) -> list:
+    """``np.linalg.inv`` of each matrix, one batched call per shape; a
+    singular one raises AxiomViolation(``identity``)."""
+    out = [None] * len(mats)
+    by_shape: dict = {}
+    for i, mat in enumerate(mats):
+        by_shape.setdefault(mat.shape, []).append(i)
+    for idx in by_shape.values():
+        try:
+            inv = np.linalg.inv(np.stack([mats[i] for i in idx]))
+        except np.linalg.LinAlgError:
+            raise AxiomViolation(identity, float("inf"), {identity: float("inf")}) from None
+        for i, mat in zip(idx, inv):
+            out[i] = mat
     return out
 
 
-def _pentagon_residual(C: MtcData) -> float:
-    """Max entry of P1·P2·P3 − Q1·Q2 over the quads of non-unit letters.
+def _blocks(nin, nout, stored, mats) -> tuple:
+    """Entries of a family of block matrices of shapes ``(nin, nout)``,
+    block by block and row-major: arrays ``(block, row, col, val)``.  The
+    blocks flagged in ``stored`` are ``mats`` in order; the others are
+    identities."""
+    blk, off = _split(nin * nout)
+    row, col = off // nout[blk], off % nout[blk]
+    val = (row == col).astype(complex)
+    val[stored[blk]] = np.concatenate([mat.ravel() for mat in mats] or [[]])
+    return blk, row, col, val
 
-    Both products change the basis of Hom(E, a⊗b⊗c⊗d), for every E at
-    once, from the left comb ((ab)c)d to the right comb a(b(cd)): P1·P2·P3
-    through (a(bc))d and a((bc)d), Q1·Q2 through (ab)(cd).  The tree
-    tuples of the five bases, with the vertex each index counts:
+
+def _channel_code(n: int, m: int, a, b, c, d, x, i, j):
+    """Integer code of the channel (x, i, j) of the quad (a, b, c, d), for
+    labels below ``n`` and vertex indices below ``m``; it increases along
+    ``left_channels`` and ``right_channels``, quad by quad."""
+    return (((((a * n + b) * n + c) * n + d) * n + x) * m + i) * m + j
+
+
+def _vertex_code(n: int, m: int, x, y, z, i):
+    """Integer code of the vertex i of Hom(z, x⊗y), as :func:`_channel_code`."""
+    return ((x * n + y) * n + z) * m + i
+
+
+def _quad_channels(N: np.ndarray, left: bool) -> tuple:
+    """Every channel of every quad as arrays (a, b, c, d, x, i, j), ordered
+    as by ``left_channels`` (x, i, j = e, μ, ν) or ``right_channels``
+    (f, ρ, σ), quad by quad."""
+    n = len(N)
+    if left:   # ab→e (μ), ec→d (ν), indexed [a, b, c, d, e]
+        n1, n2 = N[:, :, None, None, :], N.transpose(1, 2, 0)[None, None]
+    else:      # bc→f (ρ), af→d (σ), indexed [a, b, c, d, f]
+        n1, n2 = N[None, :, :, None, :], N.transpose(0, 2, 1)[:, None, None]
+    n1, n2 = (arr.ravel() for arr in np.broadcast_arrays(n1, n2))
+    owner, off = _split(n1 * n2)
+    return (*np.unravel_index(owner, (n,) * 5), off // n2[owner], off % n2[owner])
+
+
+def _f_table(C: MtcData, inverse: bool) -> tuple:
+    """Every F-move, or every inverse one, as a join table
+    ``(key, out, val)``: row t maps the channel coded ``key[t]`` (a left
+    channel, or a right one with ``inverse``) to the channel ``out[:, t]``
+    (its x, i, j) of the other basis of the same quad with coefficient
+    ``val[t]``; ``key`` is sorted.  Unit quads contribute identities."""
+    n, N = C.rank, C.N
+    m = max(int(N.max()), 1)
+    chans = _quad_channels(N, left=True), _quad_channels(N, left=False)
+    src, dst = chans[::-1] if inverse else chans
+    nin, nout = (np.bincount(np.ravel_multi_index(ch[:4], (n,) * 4), minlength=n ** 4)
+                 for ch in (src, dst))
+    a, b, c, _ = np.unravel_index(np.arange(n ** 4), (n,) * 4)
+    mats = [C._fmats[q] for q in sorted(C._fmats)]
+    if inverse:
+        mats = _inverses(mats, "f-invertibility")
+    quad, row, col, val = _blocks(nin, nout, (a > 0) & (b > 0) & (c > 0), mats)
+    row += (np.cumsum(nin) - nin)[quad]
+    col += (np.cumsum(nout) - nout)[quad]
+    return _channel_code(n, m, *src)[row], np.stack(dst[4:])[:, col], val
+
+
+def _r_table(C: MtcData, inverse: bool) -> tuple:
+    """Every braided vertex as a join table ``(key, out, val)``, as
+    :func:`_f_table`: row t maps the vertex i of Hom(z, x⊗y) to the vertex
+    o = ``out[0, t]`` of Hom(z, y⊗x) with coefficient R^{xy}_z[o, i], or
+    (R^{yx}_z)⁻¹[o, i] with ``inverse``.  Unit letters contribute
+    identities."""
+    n, N = C.rank, C.N
+    m = max(int(N.max()), 1)
+    x, y, z = np.nonzero(N)
+    keys = sorted(C._rmats)
+    if inverse:
+        mats = _inverses([C._rmats[(b, a, c)] for a, b, c in keys], "r-invertibility")
+    else:
+        mats = [C._rmats[k] for k in keys]
+    trip, row, col, val = _blocks(N[x, y, z], N[y, x, z], (x > 0) & (y > 0),
+                                  [mat.T for mat in mats])
+    return _vertex_code(n, m, x[trip], y[trip], z[trip], row), col[None], val
+
+
+def _join(state: dict, table: tuple, key, consumed: str, produced: str) -> dict:
+    """Apply one move to a sum of channel tuples: each row of ``state`` (a
+    dict of equal-length arrays, ``coef`` among them) meets every row of
+    ``table`` with its ``key``, multiplies its ``coef`` by the table's value
+    and trades the fields named in ``consumed`` for those in ``produced``."""
+    tkey, out, val = table
+    lo = np.searchsorted(tkey, key, "left")
+    owner, off = _split(np.searchsorted(tkey, key, "right") - lo)
+    hit = lo[owner] + off
+    drop = consumed.split()
+    new = {k: v[owner] for k, v in state.items() if k not in drop}
+    new["coef"] = new["coef"] * val[hit]
+    new.update(zip(produced.split(), out[:, hit]))
+    return new
+
+
+def _worst_difference(tag, lhs, rhs) -> float:
+    """Largest |lhs − rhs| over the equations: ``tag`` maps a state to the
+    integer of its equation; terms of one equation are summed after one
+    stable sort."""
+    keys = np.concatenate([tag(lhs), tag(rhs)])
+    if not keys.size:
+        return 0.0
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    vals = np.concatenate([lhs["coef"], -rhs["coef"]])[order]
+    starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    return float(np.max(np.abs(np.add.reduceat(vals, starts))))
+
+
+def _pentagon_residual(C: MtcData) -> float:
+    """Largest |lhs − rhs| of the pentagon equations of non-unit letters.
+
+    Both sides change the basis of Hom(E, a⊗b⊗c⊗d), for every E at once,
+    from the left comb ((ab)c)d to the right comb a(b(cd)): P1·P2·P3
+    through (a(bc))d and a((bc)d), Q1·Q2 through (ab)(cd).  The trees of
+    the five bases, with the vertex each index counts:
 
     * ((ab)c)d: (f1, m1, m2, g, m3, E) for ab→f1, f1c→g, gd→E;
     * (a(bc))d: (h, r1, r2, g, m3, E) for bc→h, ah→g, gd→E;
@@ -505,77 +617,89 @@ def _pentagon_residual(C: MtcData) -> float:
     * a(b(cd)): (l, t1, t2, k, s2, E) for cd→l, bl→k, ak→E;
     * (ab)(cd): (f1, m1, l, t1, n2, E) for ab→f1, cd→l, f1l→E.
 
-    With a unit letter the identity compares a matrix with itself,
+    Each side is a sum over trees, kept as arrays: it starts from every
+    ((ab)c)d tree of the letters, and each F-move is a join of those
+    arrays with one table of F entries (:func:`_f_table`).  The terms are
+    then summed per pair of a source tree and an a(b(cd)) tree.  One pass
+    runs per pair of first letters a, b, which bounds the size of the
+    arrays.  With a unit letter the identity compares a sum with itself,
     because unit F-matrices are identities.
     """
     n, N = C.rank, C.N
-    L, R, F = C.left_channels, C.right_channels, C.fmat
-    pairs = list(itertools.product(range(n), repeat=2))
+    m = max(int(N.max()), 1)
+    table = _f_table(C, inverse=False)
+    left = _quad_channels(N, left=True)
+    x, y, z = np.nonzero(N[:, 1:])     # the vertices gd→E of non-unit d, sorted by g
+    own, m3 = _split(N[x, y + 1, z])
+    vertices = x[own], np.stack([y[own] + 1, z[own], m3]), np.ones(own.size)
+    key = functools.partial(_channel_code, n, m)
+
+    def tag(s):  # equation: the source tree and the a(b(cd)) tree it reaches
+        return (((((s["tree"] * n + s["l"]) * m + s["t1"]) * m + s["t2"]) * n + s["k"])
+                * m + s["s2"])
+
     worst = 0.0
-    for a, b, c, d in itertools.product(range(1, n), repeat=4):
-        p1 = [([(f1, m1, m2, g, m3, E) for f1, m1, m2 in L(a, b, c, g)],
-               [(h, r1, r2, g, m3, E) for h, r1, r2 in R(a, b, c, g)], F(a, b, c, g))
-              for g, E in pairs for m3 in range(N[g, d, E]) if L(a, b, c, g)]
-        p2 = [([(h, r1, r2, g, m3, E) for g, r2, m3 in L(a, h, d, E)],
-               [(h, r1, s1, k, s2, E) for k, s1, s2 in R(a, h, d, E)], F(a, h, d, E))
-              for h, E in pairs for r1 in range(N[b, c, h]) if L(a, h, d, E)]
-        p3 = [([(h, r1, s1, k, s2, E) for h, r1, s1 in L(b, c, d, k)],
-               [(l, t1, t2, k, s2, E) for l, t1, t2 in R(b, c, d, k)], F(b, c, d, k))
-              for k, E in pairs for s2 in range(N[a, k, E]) if L(b, c, d, k)]
-        q1 = [([(f1, m1, m2, g, m3, E) for g, m2, m3 in L(f1, c, d, E)],
-               [(f1, m1, l, t1, n2, E) for l, t1, n2 in R(f1, c, d, E)], F(f1, c, d, E))
-              for f1, E in pairs for m1 in range(N[a, b, f1]) if L(f1, c, d, E)]
-        q2 = [([(f1, m1, l, t1, n2, E) for f1, m1, n2 in L(a, b, l, E)],
-               [(l, t1, t2, k, s2, E) for k, t2, s2 in R(a, b, l, E)], F(a, b, l, E))
-              for l, E in pairs for t1 in range(N[c, d, l]) if L(a, b, l, E)]
-        b0, b1, b2, b3, b4 = ([t for blk in blocks for t in blk[side]] for blocks, side
-                              in ((p1, 0), (p1, 1), (p2, 1), (p3, 1), (q1, 1)))
-        if not b0:
-            continue
-        lhs = _move(b0, b1, p1) @ _move(b1, b2, p2) @ _move(b2, b3, p3)
-        rhs = _move(b0, b4, q1) @ _move(b4, b3, q2)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    for a, b in itertools.product(range(1, n), repeat=2):
+        rows = np.flatnonzero((left[0] == a) & (left[1] == b) & (left[2] > 0))
+        tops = dict(zip("c g f1 m1 m2".split(), (ch[rows] for ch in left[2:])))
+        tops["coef"] = np.ones(rows.size, dtype=complex)
+        start = _join(tops, vertices, tops["g"], "", "d E m3")
+        start["tree"] = np.arange(start["coef"].size)
+        s = start
+        s = _join(s, table, key(a, b, s["c"], s["g"], s["f1"], s["m1"], s["m2"]),
+                  "f1 m1 m2", "h r1 r2")
+        s = _join(s, table, key(a, s["h"], s["d"], s["E"], s["g"], s["r2"], s["m3"]),
+                  "g r2 m3", "k s1 s2")
+        lhs = _join(s, table, key(b, s["c"], s["d"], s["k"], s["h"], s["r1"], s["s1"]),
+                    "h r1 s1", "l t1 t2")
+        s = start
+        s = _join(s, table, key(s["f1"], s["c"], s["d"], s["E"], s["g"], s["m2"], s["m3"]),
+                  "g m2 m3", "l t1 n2")
+        rhs = _join(s, table, key(a, b, s["l"], s["E"], s["f1"], s["m1"], s["n2"]),
+                    "f1 m1 n2", "k t2 s2")
+        worst = max(worst, _worst_difference(tag, lhs, rhs))
     return worst
 
 
 def _hexagon_residual(C: MtcData, inverse: bool) -> float:
-    """Max entry of Ra·F^{bca}_d − (F^{abc}_d)⁻¹·Rb·F^{bac}_d·Rc over the
-    quads with non-unit letters a, b, c, per chirality.
+    """Largest |lhs − rhs| of Ra·F^{bca}_d = (F^{abc}_d)⁻¹·Rb·F^{bac}_d·Rc
+    over the quads with non-unit letters a, b, c, per chirality.
 
-    Rows are the right channels of F^{abc}_d, columns those of F^{bca}_d;
-    Ra, Rb and Rc braid the letter a past f, b and c.  With ``inverse``
-    every R^{xy}_z is replaced by (R^{yx}_z)⁻¹.  With a unit letter both
-    sides are the same identity.
+    Each side maps the right channels (f, ρ, σ) of F^{abc}_d to the right
+    channels (g, τ, κ) of F^{bca}_d; Ra, Rb and Rc braid the letter a past
+    f, b and c.  With ``inverse`` every R^{xy}_z is replaced by
+    (R^{yx}_z)⁻¹.  As in :func:`_pentagon_residual`, each side is a sum
+    over channels kept as arrays, and each move is a join with a table of
+    F, F⁻¹ or R entries.  With a unit letter both sides are the same
+    identity.
     """
     n, N = C.rank, C.N
-    L, R = C.left_channels, C.right_channels
+    m = max(int(N.max()), 1)
+    f_tab, finv_tab = _f_table(C, inverse=False), _f_table(C, inverse=True)
+    r_tab = _r_table(C, inverse)
+    a, b, c, d, f, rho, sigma = _quad_channels(N, left=False)
+    rows = np.flatnonzero((a > 0) & (b > 0) & (c > 0))
+    start = {"a": a[rows], "b": b[rows], "c": c[rows], "d": d[rows], "f": f[rows],
+             "rho": rho[rows], "sigma": sigma[rows], "tree": np.arange(rows.size),
+             "coef": np.ones(rows.size, dtype=complex)}
+    key = functools.partial(_channel_code, n, m)
+    vertex = functools.partial(_vertex_code, n, m)
 
-    def braid(x, y, z):
-        # rows: vertices of Hom(z, x⊗y), columns: those of Hom(z, y⊗x)
-        return (C.rinv(y, x, z) if inverse else C.rmat(x, y, z)).T
+    def tag(s):  # equation: the source channel and the channel (g, τ, κ) it reaches
+        return ((s["tree"] * n + s["g"]) * m + s["tau"]) * m + s["kappa"]
 
-    worst = 0.0
-    for a, b, c, d in itertools.product(range(1, n), range(1, n), range(1, n), range(n)):
-        src = R(a, b, c, d)
-        if not src:
-            continue
-        # channel tuples: m counts the braided vertex, v the fixed one
-        ra = _move(src, L(b, c, a, d), (
-            ([(f, v, m) for m in range(N[a, f, d])],
-             [(f, v, m) for m in range(N[f, a, d])], braid(a, f, d))
-            for f in range(n) if N[a, f, d] for v in range(N[b, c, f])))
-        rb = _move(L(a, b, c, d), L(b, a, c, d), (
-            ([(e, m, v) for m in range(N[a, b, e])],
-             [(e, m, v) for m in range(N[b, a, e])], braid(a, b, e))
-            for e in range(n) if N[a, b, e] for v in range(N[e, c, d])))
-        rc = _move(R(b, a, c, d), R(b, c, a, d), (
-            ([(g, m, v) for m in range(N[a, c, g])],
-             [(g, m, v) for m in range(N[c, a, g])], braid(a, c, g))
-            for g in range(n) if N[a, c, g] for v in range(N[b, g, d])))
-        lhs = ra @ C.fmat(b, c, a, d)
-        rhs = C.finv(a, b, c, d) @ rb @ C.fmat(b, a, c, d) @ rc
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+    s = start
+    s = _join(s, r_tab, vertex(s["a"], s["f"], s["d"], s["sigma"]), "sigma", "sigma")
+    lhs = _join(s, f_tab, key(s["b"], s["c"], s["a"], s["d"], s["f"], s["rho"], s["sigma"]),
+                "f rho sigma", "g tau kappa")
+    s = start
+    s = _join(s, finv_tab, key(s["a"], s["b"], s["c"], s["d"], s["f"], s["rho"], s["sigma"]),
+              "f rho sigma", "e mu nu")
+    s = _join(s, r_tab, vertex(s["a"], s["b"], s["e"], s["mu"]), "mu", "mu")
+    s = _join(s, f_tab, key(s["b"], s["a"], s["c"], s["d"], s["e"], s["mu"], s["nu"]),
+              "e mu nu", "g tau kappa")
+    rhs = _join(s, r_tab, vertex(s["a"], s["c"], s["g"], s["tau"]), "tau", "tau")
+    return _worst_difference(tag, lhs, rhs)
 
 
 def _ribbon_residual(C: MtcData) -> float:
@@ -656,11 +780,15 @@ def gauge_transform(C: MtcData, g: dict) -> MtcData:
         return np.eye(C.N[a, b, e], dtype=complex) if mat is None else np.asarray(mat, dtype=complex)
 
     def channel_gauge(chans, first, second):
-        # the channels (x, m1, m2) of one label x take kron(g(first(x)), g(second(x)))
-        by_label = [list(grp) for _, grp in itertools.groupby(chans, key=lambda ch: ch[0])]
-        return _move(chans, chans, (
-            (rows, rows, np.kron(gm(*first(rows[0][0])), gm(*second(rows[0][0]))))
-            for rows in by_label))
+        # block diagonal: the consecutive channels (x, m1, m2) of one label x
+        # take kron(g(first(x)), g(second(x)))
+        out = np.zeros((len(chans), len(chans)), dtype=complex)
+        i = 0
+        for x, _ in itertools.groupby(chans, key=lambda ch: ch[0]):
+            blk = np.kron(gm(*first(x)), gm(*second(x)))
+            out[i:i + len(blk), i:i + len(blk)] = blk
+            i += len(blk)
+        return out
 
     fmats = {}
     for (a, b, c, d), old in C._fmats.items():

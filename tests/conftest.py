@@ -3,9 +3,11 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
 import pytest
 
 from bimodfusion.catalog import CATALOG_NAMES, catalog
+from bimodfusion.mtc import MtcData
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 GOLDENS = os.path.join(os.path.dirname(__file__), "goldens")
@@ -32,6 +34,20 @@ def load_fixture(name: str) -> dict:
 def load_golden(name: str) -> dict:
     with open(os.path.join(GOLDENS, name), "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def rep_a4_fusion() -> MtcData:
+    """The fusion rules of Rep(A4): labels 1, 1', 1'' (the Z3 characters) and
+    3, with 3 ⊗ 3 = 1 + 1' + 1'' + 2·3.  Only N is set: no F or R data is
+    attached, and the data is not validated."""
+    N = np.zeros((4, 4, 4), dtype=int)
+    for a in range(3):
+        for b in range(3):
+            N[a, b, (a + b) % 3] = 1
+        N[a, 3, 3] = N[3, a, 3] = 1
+    N[3, 3] = [1, 1, 1, 2]
+    return MtcData(labels=("1", "1'", "1''", "3"), dual=np.array([0, 2, 1, 3]), N=N,
+                   twist=np.ones(4, dtype=complex), tol=1e-9, _fmats={}, _rmats={})
 
 
 @pytest.fixture(params=CATALOG_NAMES)

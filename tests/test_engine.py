@@ -9,10 +9,9 @@ import pytest
 from bimodfusion import engine as E
 from bimodfusion import frobenius as F
 from bimodfusion.errors import TypeMismatch
-from bimodfusion.mtc import MtcData
 
 import oracles
-from conftest import get_catalog, load_fixture
+from conftest import get_catalog, load_fixture, rep_a4_fusion
 
 CATS = ["vec_z3", "fibonacci", "ising", "toric_code", "su2_2"]
 
@@ -53,20 +52,6 @@ def top_words(C, n=2):
 # ---------------------------------------------------------------------------
 # tree bookkeeping
 # ---------------------------------------------------------------------------
-
-def rep_a4_fusion():
-    """The fusion rules of Rep(A4): labels 1, 1', 1'' (the Z3 characters) and
-    3, with 3 ⊗ 3 = 1 + 1' + 1'' + 2·3.  Tree bookkeeping reads only N, so
-    no F or R data is attached."""
-    N = np.zeros((4, 4, 4), dtype=int)
-    for a in range(3):
-        for b in range(3):
-            N[a, b, (a + b) % 3] = 1
-        N[a, 3, 3] = N[3, a, 3] = 1
-    N[3, 3] = [1, 1, 1, 2]
-    return MtcData(labels=("1", "1'", "1''", "3"), dual=np.array([0, 2, 1, 3]), N=N,
-                   twist=np.ones(4, dtype=complex), tol=1e-9, _fmats={}, _rmats={})
-
 
 @pytest.mark.parametrize("name", ["su2_4", "ising", "rep_a4"])
 def test_tree_index_matches_enumeration(name):

@@ -18,7 +18,7 @@ from bimodfusion.errors import (
     ParseError,
     UnknownCatalogName,
 )
-from conftest import get_catalog, load_fixture
+from conftest import get_catalog, load_fixture, rep_a4_fusion
 
 RANKS = {
     "trivial": 1, "vec_z2": 2, "vec_z3": 3, "vec_z4": 4, "vec_z5": 5,
@@ -110,9 +110,33 @@ def test_perturbed_r_raises_hexagon_violation():
     assert exc.value.max_residual > 1e-3
 
 
+def _random_rep_a4_doc():
+    """The fusion rules of Rep(A4) with seeded random complex F-matrices on
+    every non-unit quad with channels and random R-matrices: the pentagon
+    and hexagons fail, and N[3,3,3] = 2 gives the moves multiplicity blocks."""
+    base = rep_a4_fusion()
+    rng = np.random.default_rng(0)
+
+    def rand(rows, cols):
+        return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+    N = base.N
+    fmats = {}
+    for a, b, c, d in itertools.product(range(1, 4), range(1, 4), range(1, 4), range(4)):
+        rows, cols = len(base.left_channels(a, b, c, d)), len(base.right_channels(a, b, c, d))
+        if rows:
+            fmats[(a, b, c, d)] = rand(rows, cols)
+    rmats = {(a, b, c): rand(N[b, a, c], N[a, b, c])
+             for a, b, c in itertools.product(range(1, 4), range(1, 4), range(4)) if N[a, b, c]}
+    return mtc.to_document(mtc.MtcData(labels=base.labels, dual=base.dual, N=N,
+                                       twist=base.twist, tol=base.tol,
+                                       _fmats=fmats, _rmats=rmats))
+
+
 COHERENCE_INPUTS = {
     **{name: (lambda name=name: catalog_document(name)) for name in CATALOG_NAMES},
     "su2_5": lambda: _su2_k_doc(5),
+    "rep_a4_random": _random_rep_a4_doc,
     "broken_pentagon": lambda: load_fixture("broken_pentagon.cat.json"),
     "perturbed_f": _perturbed_f_doc,
     "perturbed_r": _perturbed_r_doc,
@@ -140,6 +164,23 @@ def test_coherence_residuals_match_oracles(name):
     }
     for identity, value in want.items():
         assert abs(got[identity] - value) < 1e-13, (identity, got[identity], value)
+
+
+def test_su2_8_passes_and_a_perturbed_f_fails():
+    """The rank-9 category passes, and a 1e-3 violation in an F-matrix
+    whose first letter is the last label fails the pentagon."""
+    doc = _su2_k_doc(8)
+    data = mtc.load_mtc(doc)
+    assert mtc._pentagon_residual(data) < 1e-13
+    assert mtc._hexagon_residual(data, inverse=False) < 1e-13
+    assert mtc._hexagon_residual(data, inverse=True) < 1e-13
+    last = doc["labels"][-1]
+    ent = next(ent for ent in doc["F"] if ent["a"] == last)
+    ent["val"][0] += 1e-3
+    with pytest.raises(AxiomViolation) as exc:
+        mtc.load_mtc(doc)
+    assert exc.value.identity == "pentagon"
+    assert exc.value.max_residual > 1e-4
 
 
 def test_wrong_twist_raises_ribbon_violation():
