@@ -3,10 +3,12 @@
 A category is described by a plain JSON-able document (see ``docs/formats.md``)
 holding fusion multiplicities and F/R/twist symbol tables.  :func:`load_mtc`
 parses one of these, checks the coherence axioms (pentagon, hexagons, ribbon)
-to a tolerance, and returns an immutable :class:`MtcData`.  The pentagon
-and hexagon residuals are the largest |lhs − rhs| over their equations;
-both sides are computed as numpy joins of arrays of fusion trees with one
-table of F entries (and of R entries), never quad by quad.
+to a tolerance, and returns an immutable :class:`MtcData`.  Its symbols are
+held once, in four flat tables (F, F⁻¹, R, R⁻¹) that the load fills and
+nothing changes or extends afterwards.  The pentagon and hexagon residuals
+are the largest |lhs − rhs| over their equations; both sides are computed
+as numpy joins of arrays of fusion trees with those tables, never quad by
+quad.
 
 Conventions baked into the symbol tables:
 
@@ -16,16 +18,17 @@ Conventions baked into the symbol tables:
   terms of the right-comb tree through ``f``;
 * ``[R^{ab}_c]_{mu,nu}`` expands the braided splitting vertex
   ``c_{a,b} ∘ Y^nu`` in the vertices ``Y^mu`` of ``Hom(c, b ⊗ a)``;
-* any F whose first three labels include the unit is the identity matrix in
-  the canonical channel bases (fixed unit gauge), and is not stored.
+* any F whose first three labels include the unit, and any R with a unit
+  letter, is the identity matrix in the canonical channel bases (fixed unit
+  gauge); the document may omit it.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,17 +96,69 @@ class Thresholds:
 # data types
 # ---------------------------------------------------------------------------
 
+class _Channels(NamedTuple):
+    """One basis of the channels of every quad (a, b, c, d), the quad
+    numbered q = ((a·n + b)·n + c)·n + d: the left channels (x, i, j) =
+    (e, μ, ν) of :meth:`MtcData.left_channels`, for ab→x (i) and xc→d (j),
+    or the right ones (f, ρ, σ), for bc→x (i) and ax→d (j)."""
+
+    count: np.ndarray   # [q]: number of channels of quad q
+    start: np.ndarray   # [q, x]: index in quad q of its first channel through x
+    inner: np.ndarray   # [q, x]: multiplicity of the vertex j of those channels
+    first: np.ndarray   # [q]: column of quad q's first channel in ``chans``
+    chans: np.ndarray   # [7, t]: (a, b, c, d, x, i, j) of every channel, quad by quad
+
+    def index(self, q, x, i, j):
+        """Index of the channel (x, i, j) among the channels of quad q."""
+        return self.start[q, x] + i * self.inner[q, x] + j
+
+
+def _channels(N: np.ndarray, left: bool) -> _Channels:
+    """The left (or right) channels of every quad of the fusion rules N."""
+    n = len(N)
+    if left:   # [a, b, c, d, x]: N[a, b, x], N[x, c, d]
+        n1, n2 = N[:, :, None, None, :], N.transpose(1, 2, 0)[None, None]
+    else:      # [a, b, c, d, x]: N[b, c, x], N[a, x, d]
+        n1, n2 = N[None, :, :, None, :], N.transpose(0, 2, 1)[:, None, None]
+    n1, n2 = (arr.reshape(n ** 4, n) for arr in np.broadcast_arrays(n1, n2))
+    per = n1 * n2
+    count = per.sum(axis=1)
+    owner, off = _split(per.ravel())
+    inner = n2.ravel()[owner]
+    chans = np.stack([*np.unravel_index(owner, (n,) * 5), off // inner, off % inner])
+    return _Channels(count, np.cumsum(per, axis=1) - per, n2, np.cumsum(count) - count, chans)
+
+
+def _quad(n: int, a, b, c, d):
+    return ((a * n + b) * n + c) * n + d
+
+
+def _f_channels(C: MtcData, q, row, col) -> np.ndarray:
+    """(a, b, c, d, e, μ, ν, f, ρ, σ) of the entry (row, col) of the F block
+    of quad q: its quad, left channel and right channel."""
+    left, right = C._left, C._right
+    return np.concatenate([left.chans[:, left.first[q] + row],
+                           right.chans[4:, right.first[q] + col]])
+
+
+def _block(table: np.ndarray, first, rows, cols) -> np.ndarray:
+    """The rows × cols block of ``table`` from entry ``first``, as a view."""
+    return table[first:first + rows * cols].reshape(rows, cols)
+
+
 @dataclass(frozen=True, eq=False)
 class MtcData:
     """Validated category symbol tables, immutable after :func:`load_mtc`.
 
-    F and R matrices are stored per label quad/triple in the canonical
-    channel bases enumerated by :meth:`left_channels` / :meth:`right_channels`
-    (label-major, multiplicity-minor).  ``_fmats`` and ``_rmats`` hold
-    exactly the quads and triples of non-unit letters with non-empty
-    channels, as in the document; the accessors synthesize the unit-gauge
-    identities and the empty matrices of the others on demand and keep them
-    in ``_cache``.
+    The symbols are held once, in four flat complex tables ``_F``,
+    ``_Finv``, ``_R`` and ``_Rinv``.  Each holds every entry of every quad
+    (a, b, c, d), or triple (a, b, c), in canonical order: quad-major, then
+    row, then column, in the channel bases enumerated by
+    :meth:`left_channels` / :meth:`right_channels` (label-major,
+    multiplicity-minor), with block offsets from N.  Unit blocks are
+    identities and empty ones are empty.  The tables are allocated from N
+    on construction and filled once by :func:`load_mtc`; the accessors
+    return read-only views of them, and nothing is made later.
     """
 
     labels: tuple[str, ...]
@@ -111,13 +166,31 @@ class MtcData:
     N: np.ndarray
     twist: np.ndarray
     tol: float
-    _fmats: dict = field(repr=False)
-    _rmats: dict = field(repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
     thresholds: Thresholds = field(init=False, repr=False)
+    _left: _Channels = field(init=False, repr=False)
+    _right: _Channels = field(init=False, repr=False)
+    _fpos: np.ndarray = field(init=False, repr=False)   # [q]: first entry of quad q
+    _rpos: np.ndarray = field(init=False, repr=False)   # [a, b, c]: first entry
+    _F: np.ndarray = field(init=False, repr=False)      # rows: left channels
+    _Finv: np.ndarray = field(init=False, repr=False)   # rows: right channels
+    _R: np.ndarray = field(init=False, repr=False)      # R^{ab}_c: N[b,a,c] × N[a,b,c]
+    _Rinv: np.ndarray = field(init=False, repr=False)   # (R^{ab}_c)⁻¹: N[a,b,c] × N[b,a,c]
 
     def __post_init__(self):
-        object.__setattr__(self, "thresholds", Thresholds(self.tol))
+        N = self.N
+        left, right = _channels(N, left=True), _channels(N, left=False)
+        fsize, rsize = left.count * right.count, (N.transpose(1, 0, 2) * N).ravel()
+        for name, value in [
+            ("thresholds", Thresholds(self.tol)), ("_left", left), ("_right", right),
+            ("_fpos", np.cumsum(fsize) - fsize),
+            ("_rpos", (np.cumsum(rsize) - rsize).reshape(N.shape)),
+            ("_F", np.zeros(fsize.sum(), dtype=complex)),
+            ("_Finv", np.zeros(fsize.sum(), dtype=complex)),
+            ("_R", np.zeros(rsize.sum(), dtype=complex)),
+            ("_Rinv", np.zeros(rsize.sum(), dtype=complex)),
+        ]:
+            object.__setattr__(self, name, value)
 
     # -- bookkeeping -----------------------------------------------------
     @property
@@ -132,94 +205,38 @@ class MtcData:
 
     def left_channels(self, a: int, b: int, c: int, d: int) -> list[tuple[int, int, int]]:
         """Canonical basis (e, mu, nu) of trees a(b) -> e -> d fusing c."""
-        key = ("L", a, b, c, d)
-        out = self._cache.get(key)
-        if out is None:
-            out = [
-                (e, mu, nu)
-                for e in range(self.rank)
-                for mu in range(self.N[a, b, e])
-                for nu in range(self.N[e, c, d])
-            ]
-            self._cache[key] = out
-        return out
+        return self._channel_list("L", self._left, a, b, c, d)
 
     def right_channels(self, a: int, b: int, c: int, d: int) -> list[tuple[int, int, int]]:
         """Canonical basis (f, rho, sigma) of trees with b(c) -> f fused first."""
-        key = ("R", a, b, c, d)
+        return self._channel_list("R", self._right, a, b, c, d)
+
+    def _channel_list(self, kind: str, basis: _Channels, a, b, c, d) -> list:
+        key = (kind, a, b, c, d)
         out = self._cache.get(key)
         if out is None:
-            out = [
-                (f, rho, sigma)
-                for f in range(self.rank)
-                for rho in range(self.N[b, c, f])
-                for sigma in range(self.N[a, f, d])
-            ]
-            self._cache[key] = out
+            q = _quad(self.rank, a, b, c, d)
+            first = basis.first[q]
+            out = self._cache[key] = list(map(
+                tuple, basis.chans[4:, first:first + basis.count[q]].T.tolist()))
         return out
 
     # -- symbol access ---------------------------------------------------
     def fmat(self, a: int, b: int, c: int, d: int) -> np.ndarray:
         """F-matrix of the quad, rows = left channels, cols = right channels."""
-        mat = self._fmats.get((a, b, c, d))
-        if mat is None:
-            mat = self._cache.get(("Fmat", a, b, c, d))
-        if mat is None:
-            nl = len(self.left_channels(a, b, c, d))
-            if 0 in (a, b, c):
-                mat = np.eye(nl, dtype=complex)
-            else:
-                # validated data: absent quad means the hom space is zero
-                mat = np.zeros((nl, len(self.right_channels(a, b, c, d))), dtype=complex)
-            mat.setflags(write=False)
-            self._cache[("Fmat", a, b, c, d)] = mat
-        return mat
+        q = _quad(self.rank, a, b, c, d)
+        return _block(self._F, self._fpos[q], self._left.count[q], self._right.count[q])
 
     def finv(self, a: int, b: int, c: int, d: int) -> np.ndarray:
         """Inverse F-matrix, rows = right channels, cols = left channels."""
-        key = ("Finv", a, b, c, d)
-        mat = self._cache.get(key)
-        if mat is None:
-            fwd = self.fmat(a, b, c, d)
-            if fwd.size == 0:
-                mat = fwd.T.copy()
-            else:
-                try:
-                    mat = np.linalg.inv(fwd)
-                except np.linalg.LinAlgError:
-                    raise AxiomViolation(
-                        "f-invertibility", float("inf"),
-                        {"f-invertibility": float("inf")},
-                    ) from None
-            mat.setflags(write=False)
-            self._cache[key] = mat
-        return mat
+        q = _quad(self.rank, a, b, c, d)
+        return _block(self._Finv, self._fpos[q], self._right.count[q], self._left.count[q])
 
     def rmat(self, a: int, b: int, c: int) -> np.ndarray:
-        mat = self._rmats.get((a, b, c))
-        if mat is None:
-            mat = self._cache.get(("Rmat", a, b, c))
-        if mat is None:
-            mat = np.eye(self.N[a, b, c], dtype=complex)
-            mat.setflags(write=False)
-            self._cache[("Rmat", a, b, c)] = mat
-        return mat
+        return _block(self._R, self._rpos[a, b, c], self.N[b, a, c], self.N[a, b, c])
 
     def rinv(self, a: int, b: int, c: int) -> np.ndarray:
-        key = ("Rinv", a, b, c)
-        mat = self._cache.get(key)
-        if mat is None:
-            fwd = self.rmat(a, b, c)
-            try:
-                mat = np.linalg.inv(fwd) if fwd.size else fwd.copy()
-            except np.linalg.LinAlgError:
-                raise AxiomViolation(
-                    "r-invertibility", float("inf"),
-                    {"r-invertibility": float("inf")},
-                ) from None
-            mat.setflags(write=False)
-            self._cache[key] = mat
-        return mat
+        return _block(self._Rinv, self._rpos[a, b, c], self.N[a, b, c], self.N[b, a, c])
 
     def f(self, a, b, c, d, e, f, mu=0, nu=0, rho=0, sigma=0) -> complex:
         left = self.left_channels(a, b, c, d)
@@ -292,8 +309,9 @@ def _mult_index(ent: dict, key: str, bound: int, where: str) -> int:
 def load_mtc(doc: dict, tol: float = DEFAULT_TOL) -> MtcData:
     """Parse and validate a category document.
 
-    Raises ParseError for structural problems, MissingSymbol when an F/R
-    entry required by a nonzero fusion channel is absent, and AxiomViolation
+    Raises ParseError for structural problems (an F/R cell given twice
+    among them), MissingSymbol when an F/R entry required by a nonzero
+    fusion channel is absent, and AxiomViolation
     (with all residuals attached) when a coherence identity fails ``tol``,
     and InvalidTolerance unless ``tol`` is finite, positive and at most
     ``MAX_TOL``.
@@ -338,12 +356,7 @@ def load_mtc(doc: dict, tol: float = DEFAULT_TOL) -> MtcData:
             raise ParseError(f"fusion: mult must be a non-negative integer, got {mult!r}")
         N[a, b, c] = mult
 
-    data = MtcData(
-        labels=tuple(labels), dual=dual, N=N,
-        twist=np.ones(n, dtype=complex), tol=float(tol),
-        _fmats={}, _rmats={},
-    )
-
+    coherence = Thresholds(float(tol)).coherence
     residuals: dict[str, float] = {}
     eye = np.eye(n, dtype=int)
     residuals["fusion-unit"] = float(
@@ -355,88 +368,54 @@ def load_mtc(doc: dict, tol: float = DEFAULT_TOL) -> MtcData:
     residuals["fusion-duality"] = float(np.max(np.abs(N[:, :, 0] - want_dual)))
     assoc = np.einsum("abe,ecd->abcd", N, N) - np.einsum("bcf,afd->abcd", N, N)
     residuals["fusion-associativity"] = float(np.max(np.abs(assoc)))
-    if max(residuals.values()) > data.thresholds.coherence:
+    if max(residuals.values()) > coherence:
         worst = max(residuals, key=residuals.get)
         raise AxiomViolation(worst, residuals[worst], residuals)
 
-    unit_gauge_res = 0.0
-    f_cells: dict[tuple, dict] = {}
+    data = MtcData(labels=tuple(labels), dual=dual, N=N,
+                   twist=np.ones(n, dtype=complex), tol=float(tol))
+    left, right = data._left, data._right
+    cells, vals = [], []
     for ent in _require(doc, "F"):
         a, b, c, d, e, f = (
             lab_index(ent, k, "F") for k in ("a", "b", "c", "d", "e", "f")
         )
         where = f"F[{labels[a]},{labels[b]},{labels[c]};{labels[d]}]"
-        mu = _mult_index(ent, "mu", N[a, b, e], where)
-        nu = _mult_index(ent, "nu", N[e, c, d], where)
-        rho = _mult_index(ent, "rho", N[b, c, f], where)
-        sigma = _mult_index(ent, "sigma", N[a, f, d], where)
-        val = _as_complex(ent.get("val"), where)
-        if 0 in (a, b, c):
-            left = data.left_channels(a, b, c, d)
-            right = data.right_channels(a, b, c, d)
-            want = 1.0 if left.index((e, mu, nu)) == right.index((f, rho, sigma)) else 0.0
-            unit_gauge_res = max(unit_gauge_res, abs(val - want))
-            continue
-        f_cells.setdefault((a, b, c, d), {})[(e, mu, nu, f, rho, sigma)] = val
+        cells.append((_quad(n, a, b, c, d), e, _mult_index(ent, "mu", N[a, b, e], where),
+                      _mult_index(ent, "nu", N[e, c, d], where), f,
+                      _mult_index(ent, "rho", N[b, c, f], where),
+                      _mult_index(ent, "sigma", N[a, f, d], where)))
+        vals.append(_as_complex(ent.get("val"), where))
+    q, e, mu, nu, f, rho, sigma = np.array(cells, dtype=int).reshape(-1, 7).T
 
-    fmats = data._fmats
-    for a, b, c, d in itertools.product(range(1, n), range(1, n), range(1, n), range(n)):
-        left = data.left_channels(a, b, c, d)
-        right = data.right_channels(a, b, c, d)
-        if not left or not right:
-            if (a, b, c, d) in f_cells:
-                raise ParseError(
-                    f"F[{labels[a]},{labels[b]},{labels[c]};{labels[d]}]: "
-                    "entries given for a zero fusion channel"
-                )
-            continue
-        cells = f_cells.pop((a, b, c, d), None)
-        mat = np.zeros((len(left), len(right)), dtype=complex)
-        for i, (e, mu, nu) in enumerate(left):
-            for j, (f, rho, sigma) in enumerate(right):
-                if cells is None or (e, mu, nu, f, rho, sigma) not in cells:
-                    raise MissingSymbol(
-                        f"F[{labels[a]},{labels[b]},{labels[c]};{labels[d]}] entry "
-                        f"(e={labels[e]},mu={mu},nu={nu};f={labels[f]},rho={rho},"
-                        f"sigma={sigma}) required by a nonzero fusion channel is absent"
-                    )
-                mat[i, j] = cells[(e, mu, nu, f, rho, sigma)]
-        mat.setflags(write=False)
-        fmats[(a, b, c, d)] = mat
+    def f_entry(q, i, j):
+        a, b, c, d, e, mu, nu, f, rho, sigma = _f_channels(data, q, i, j)
+        return (f"F[{labels[a]},{labels[b]},{labels[c]};{labels[d]}] entry "
+                f"(e={labels[e]},mu={mu},nu={nu};f={labels[f]},rho={rho},sigma={sigma})")
 
-    r_cells: dict[tuple, dict] = {}
+    quads = np.indices((n,) * 4).reshape(4, -1)
+    unit_gauge_res = _fill(
+        data._F, data._fpos, left.count, right.count, (quads[:3] == 0).any(axis=0),
+        (q, left.index(q, e, mu, nu), right.index(q, f, rho, sigma)),
+        np.array(vals, dtype=complex), f_entry)
+
+    cells, vals = [], []
     for ent in _require(doc, "R"):
         a, b, c = (lab_index(ent, k, "R") for k in ("a", "b", "c"))
         where = f"R[{labels[a]},{labels[b]};{labels[c]}]"
-        mu = _mult_index(ent, "mu", N[b, a, c], where)
-        nu = _mult_index(ent, "nu", N[a, b, c], where)
-        val = _as_complex(ent.get("val"), where)
-        if a == 0 or b == 0:
-            unit_gauge_res = max(unit_gauge_res, abs(val - (1.0 if mu == nu else 0.0)))
-            continue
-        r_cells.setdefault((a, b, c), {})[(mu, nu)] = val
+        cells.append(((a * n + b) * n + c, _mult_index(ent, "mu", N[b, a, c], where),
+                      _mult_index(ent, "nu", N[a, b, c], where)))
+        vals.append(_as_complex(ent.get("val"), where))
 
-    rmats = data._rmats
-    for a, b, c in itertools.product(range(1, n), range(1, n), range(n)):
-        if N[a, b, c] == 0:
-            if (a, b, c) in r_cells:
-                raise ParseError(
-                    f"R[{labels[a]},{labels[b]};{labels[c]}]: "
-                    "entries given for a zero fusion channel"
-                )
-            continue
-        cells = r_cells.pop((a, b, c), None)
-        mat = np.zeros((N[b, a, c], N[a, b, c]), dtype=complex)
-        for mu in range(N[b, a, c]):
-            for nu in range(N[a, b, c]):
-                if cells is None or (mu, nu) not in cells:
-                    raise MissingSymbol(
-                        f"R[{labels[a]},{labels[b]};{labels[c]}] entry (mu={mu},nu={nu}) "
-                        "required by a nonzero fusion channel is absent"
-                    )
-                mat[mu, nu] = cells[(mu, nu)]
-        mat.setflags(write=False)
-        rmats[(a, b, c)] = mat
+    def r_entry(t, mu, nu):
+        a, b, c = (labels[x] for x in np.unravel_index(t, (n,) * 3))
+        return f"R[{a},{b};{c}] entry (mu={mu},nu={nu})"
+
+    triples = np.indices((n,) * 3).reshape(3, -1)
+    r_rows, r_cols = N.transpose(1, 0, 2).ravel(), N.ravel()
+    unit_gauge_res = max(unit_gauge_res, _fill(
+        data._R, data._rpos.ravel(), r_rows, r_cols, (triples[:2] == 0).any(axis=0),
+        np.array(cells, dtype=int).reshape(-1, 3).T, np.array(vals, dtype=complex), r_entry))
 
     twist_map = _require(doc, "twist")
     if not isinstance(twist_map, dict) or set(twist_map) != set(labels):
@@ -448,20 +427,22 @@ def load_mtc(doc: dict, tol: float = DEFAULT_TOL) -> MtcData:
 
     residuals["unit-gauge"] = unit_gauge_res
     residuals["twist-modulus"] = float(np.max(np.abs(np.abs(twist) - 1.0)))
-    if residuals["twist-modulus"] > data.thresholds.coherence:
+    if residuals["twist-modulus"] > coherence:
         # a non-unimodular twist is structurally broken; report it directly
         # rather than whichever downstream identity it wrecks hardest
         raise AxiomViolation("twist-modulus", residuals["twist-modulus"], dict(residuals))
+    _inverses(data._F, data._Finv, data._fpos, left.count, right.count, "f-invertibility")
+    _inverses(data._R, data._Rinv, data._rpos.ravel(), r_rows, r_cols, "r-invertibility")
     residuals["pentagon"] = _pentagon_residual(data)
     residuals["hexagon"] = _hexagon_residual(data, inverse=False)
     residuals["hexagon-inverse"] = _hexagon_residual(data, inverse=True)
     residuals["ribbon"] = _ribbon_residual(data)
 
-    if max(residuals.values()) > data.thresholds.coherence:
+    if max(residuals.values()) > coherence:
         worst = max(residuals, key=residuals.get)
         raise AxiomViolation(worst, residuals[worst], residuals)
 
-    for arr in (data.dual, data.N, data.twist):
+    for arr in (data.dual, data.N, data.twist, data._F, data._Finv, data._R, data._Rinv):
         arr.setflags(write=False)
     return data
 
@@ -477,115 +458,96 @@ def _split(counts: np.ndarray):
     return owner, np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _inverses(mats: list, identity: str) -> list:
-    """``np.linalg.inv`` of each matrix, one batched call per shape; a
-    singular one raises AxiomViolation(``identity``)."""
-    out = [None] * len(mats)
-    by_shape: dict = {}
-    for i, mat in enumerate(mats):
-        by_shape.setdefault(mat.shape, []).append(i)
-    for idx in by_shape.values():
+def _fill(table, first, rows, cols, unit, cells, vals, entry) -> float:
+    """Fill ``table`` from the cells of one document section.
+
+    Block t of the table is the ``rows[t]`` × ``cols[t]`` matrix from entry
+    ``first[t]``, row-major; cell k puts ``vals[k]`` at the block, row and
+    column given by the arrays ``cells``.  The blocks flagged in ``unit``
+    are identities, and their cells are only compared with them: the
+    largest |cell − identity| is returned.  A cell given twice raises
+    ParseError, and the first entry of another block that no cell gives
+    raises MissingSymbol; ``entry(t, row, col)`` names the entry.
+    """
+    blk, off = _split(rows * cols)
+    row, col = off // cols[blk], off % cols[blk]
+    t, i, j = cells
+    pos = first[t] + i * cols[t] + j
+    order = np.argsort(pos, kind="stable")
+    again = order[1:][pos[order[1:]] == pos[order[:-1]]]
+    if again.size:
+        p = pos[again.min()]
+        raise ParseError(f"{entry(blk[p], row[p], col[p])} is given twice")
+    ident = (row == col).astype(complex)
+    given = unit[blk]
+    table[given] = ident[given]
+    on_unit = unit[t]
+    table[pos[~on_unit]] = vals[~on_unit]
+    given[pos] = True
+    missing = np.flatnonzero(~given)
+    if missing.size:
+        p = missing[0]
+        raise MissingSymbol(f"{entry(blk[p], row[p], col[p])} required by a nonzero "
+                            "fusion channel is absent")
+    return float(np.max(np.abs(vals[on_unit] - ident[pos[on_unit]]), initial=0.0))
+
+
+def _inverses(table, out, first, rows, cols, identity: str) -> None:
+    """Write into ``out`` the inverse of every block of ``table``: the
+    ``rows[t]`` × ``cols[t]`` block from entry ``first[t]`` becomes its
+    inverse in the same place, by one batched ``np.linalg.inv`` per shape.
+    A singular or non-square block raises AxiomViolation(``identity``)."""
+    for r, c in set(zip(rows.tolist(), cols.tolist())):
+        if r * c == 0:
+            continue
+        at = first[(rows == r) & (cols == c), None] + np.arange(r * c)
         try:
-            inv = np.linalg.inv(np.stack([mats[i] for i in idx]))
+            out[at] = np.linalg.inv(table[at].reshape(-1, r, c)).reshape(at.shape)
         except np.linalg.LinAlgError:
             raise AxiomViolation(identity, float("inf"), {identity: float("inf")}) from None
-        for i, mat in zip(idx, inv):
-            out[i] = mat
-    return out
 
 
-def _blocks(nin, nout, stored, mats) -> tuple:
-    """Entries of a family of block matrices of shapes ``(nin, nout)``,
-    block by block and row-major: arrays ``(block, row, col, val)``.  The
-    blocks flagged in ``stored`` are ``mats`` in order; the others are
-    identities."""
-    blk, off = _split(nin * nout)
-    row, col = off // nout[blk], off % nout[blk]
-    val = (row == col).astype(complex)
-    val[stored[blk]] = np.concatenate([mat.ravel() for mat in mats] or [[]])
-    return blk, row, col, val
-
-
-def _channel_code(n: int, m: int, a, b, c, d, x, i, j):
-    """Integer code of the channel (x, i, j) of the quad (a, b, c, d), for
-    labels below ``n`` and vertex indices below ``m``; it increases along
-    ``left_channels`` and ``right_channels``, quad by quad."""
-    return (((((a * n + b) * n + c) * n + d) * n + x) * m + i) * m + j
-
-
-def _vertex_code(n: int, m: int, x, y, z, i):
-    """Integer code of the vertex i of Hom(z, x⊗y), as :func:`_channel_code`."""
-    return ((x * n + y) * n + z) * m + i
-
-
-def _quad_channels(N: np.ndarray, left: bool) -> tuple:
-    """Every channel of every quad as arrays (a, b, c, d, x, i, j), ordered
-    as by ``left_channels`` (x, i, j = e, μ, ν) or ``right_channels``
-    (f, ρ, σ), quad by quad."""
-    n = len(N)
-    if left:   # ab→e (μ), ec→d (ν), indexed [a, b, c, d, e]
-        n1, n2 = N[:, :, None, None, :], N.transpose(1, 2, 0)[None, None]
-    else:      # bc→f (ρ), af→d (σ), indexed [a, b, c, d, f]
-        n1, n2 = N[None, :, :, None, :], N.transpose(0, 2, 1)[:, None, None]
-    n1, n2 = (arr.ravel() for arr in np.broadcast_arrays(n1, n2))
-    owner, off = _split(n1 * n2)
-    return (*np.unravel_index(owner, (n,) * 5), off // n2[owner], off % n2[owner])
-
-
-def _f_table(C: MtcData, inverse: bool) -> tuple:
-    """Every F-move, or every inverse one, as a join table
-    ``(key, out, val)``: row t maps the channel coded ``key[t]`` (a left
-    channel, or a right one with ``inverse``) to the channel ``out[:, t]``
-    (its x, i, j) of the other basis of the same quad with coefficient
-    ``val[t]``; ``key`` is sorted.  Unit quads contribute identities."""
-    n, N = C.rank, C.N
-    m = max(int(N.max()), 1)
-    chans = _quad_channels(N, left=True), _quad_channels(N, left=False)
-    src, dst = chans[::-1] if inverse else chans
-    nin, nout = (np.bincount(np.ravel_multi_index(ch[:4], (n,) * 4), minlength=n ** 4)
-                 for ch in (src, dst))
-    a, b, c, _ = np.unravel_index(np.arange(n ** 4), (n,) * 4)
-    mats = [C._fmats[q] for q in sorted(C._fmats)]
-    if inverse:
-        mats = _inverses(mats, "f-invertibility")
-    quad, row, col, val = _blocks(nin, nout, (a > 0) & (b > 0) & (c > 0), mats)
-    row += (np.cumsum(nin) - nin)[quad]
-    col += (np.cumsum(nout) - nout)[quad]
-    return _channel_code(n, m, *src)[row], np.stack(dst[4:])[:, col], val
-
-
-def _r_table(C: MtcData, inverse: bool) -> tuple:
-    """Every braided vertex as a join table ``(key, out, val)``, as
-    :func:`_f_table`: row t maps the vertex i of Hom(z, x⊗y) to the vertex
-    o = ``out[0, t]`` of Hom(z, y⊗x) with coefficient R^{xy}_z[o, i], or
-    (R^{yx}_z)⁻¹[o, i] with ``inverse``.  Unit letters contribute
-    identities."""
-    n, N = C.rank, C.N
-    m = max(int(N.max()), 1)
-    x, y, z = np.nonzero(N)
-    keys = sorted(C._rmats)
-    if inverse:
-        mats = _inverses([C._rmats[(b, a, c)] for a, b, c in keys], "r-invertibility")
-    else:
-        mats = [C._rmats[k] for k in keys]
-    trip, row, col, val = _blocks(N[x, y, z], N[y, x, z], (x > 0) & (y > 0),
-                                  [mat.T for mat in mats])
-    return _vertex_code(n, m, x[trip], y[trip], z[trip], row), col[None], val
-
-
-def _join(state: dict, table: tuple, key, consumed: str, produced: str) -> dict:
-    """Apply one move to a sum of channel tuples: each row of ``state`` (a
-    dict of equal-length arrays, ``coef`` among them) meets every row of
-    ``table`` with its ``key``, multiplies its ``coef`` by the table's value
-    and trades the fields named in ``consumed`` for those in ``produced``."""
-    tkey, out, val = table
-    lo = np.searchsorted(tkey, key, "left")
-    owner, off = _split(np.searchsorted(tkey, key, "right") - lo)
-    hit = lo[owner] + off
+def _expand(state: dict, count, consumed: str = "") -> tuple:
+    """Repeat row r of ``state`` (a dict of equal-length arrays) ``count[r]``
+    times, without the fields named in ``consumed``: the new state, and
+    for each new row its old row and its place 0, 1, ... in the run."""
+    owner, off = _split(count)
     drop = consumed.split()
-    new = {k: v[owner] for k, v in state.items() if k not in drop}
-    new["coef"] = new["coef"] * val[hit]
-    new.update(zip(produced.split(), out[:, hit]))
+    return {k: v[owner] for k, v in state.items() if k not in drop}, owner, off
+
+
+def _f_move(C: MtcData, state: dict, quad, consumed: str, produced: str,
+            inverse: bool = False) -> dict:
+    """Apply F^{abc}_d to a sum of channel tuples, for the quad (a, b, c, d).
+
+    Each row of ``state`` (``coef`` among its fields) holds the left
+    channel named by ``consumed`` (a right one with ``inverse``, which
+    applies (F^{abc}_d)⁻¹).  It meets every entry of that channel's row of
+    the quad's block in the stored table, multiplies its ``coef`` by the
+    entry and takes the entry's column channel as ``produced``.
+    """
+    src, dst = (C._right, C._left) if inverse else (C._left, C._right)
+    table = C._Finv if inverse else C._F
+    q = _quad(C.rank, *quad)
+    size = dst.count[q]
+    first = C._fpos[q] + src.index(q, *(state[k] for k in consumed.split())) * size
+    new, owner, col = _expand(state, size, consumed)
+    new["coef"] = new["coef"] * table[first[owner] + col]
+    new.update(zip(produced.split(), dst.chans[4:, dst.first[q][owner] + col]))
+    return new
+
+
+def _r_move(C: MtcData, state: dict, triple, vertex: str, inverse: bool) -> dict:
+    """Braid the vertex ``vertex`` of Hom(z, x⊗y), (x, y, z) = ``triple``,
+    into Hom(z, y⊗x): row by row as :func:`_f_move`, with R^{xy}_z, or
+    (R^{yx}_z)⁻¹ with ``inverse``."""
+    x, y, z = triple
+    N = C.N
+    first = (C._rpos[y, x, z] if inverse else C._rpos[x, y, z]) + state[vertex]
+    new, owner, o = _expand(state, N[y, x, z])
+    table = C._Rinv if inverse else C._R
+    new["coef"] = new["coef"] * table[first[owner] + o * N[x, y, z][owner]]
+    new[vertex] = o
     return new
 
 
@@ -619,20 +581,19 @@ def _pentagon_residual(C: MtcData) -> float:
 
     Each side is a sum over trees, kept as arrays: it starts from every
     ((ab)c)d tree of the letters, and each F-move is a join of those
-    arrays with one table of F entries (:func:`_f_table`).  The terms are
-    then summed per pair of a source tree and an a(b(cd)) tree.  One pass
-    runs per pair of first letters a, b, which bounds the size of the
-    arrays.  With a unit letter the identity compares a sum with itself,
-    because unit F-matrices are identities.
+    arrays with the stored F table (:func:`_f_move`).  The terms are then
+    summed per pair of a source tree and an a(b(cd)) tree.  One pass runs
+    per pair of first letters a, b, which bounds the size of the arrays.
+    With a unit letter the identity compares a sum with itself, because
+    unit F-matrices are identities.
     """
     n, N = C.rank, C.N
     m = max(int(N.max()), 1)
-    table = _f_table(C, inverse=False)
-    left = _quad_channels(N, left=True)
+    left = C._left.chans
     x, y, z = np.nonzero(N[:, 1:])     # the vertices gd→E of non-unit d, sorted by g
     own, m3 = _split(N[x, y + 1, z])
-    vertices = x[own], np.stack([y[own] + 1, z[own], m3]), np.ones(own.size)
-    key = functools.partial(_channel_code, n, m)
+    per_g = np.bincount(x[own], minlength=n)
+    vertices = np.stack([y[own] + 1, z[own], m3])
 
     def tag(s):  # equation: the source tree and the a(b(cd)) tree it reaches
         return (((((s["tree"] * n + s["l"]) * m + s["t1"]) * m + s["t2"]) * n + s["k"])
@@ -641,22 +602,18 @@ def _pentagon_residual(C: MtcData) -> float:
     worst = 0.0
     for a, b in itertools.product(range(1, n), repeat=2):
         rows = np.flatnonzero((left[0] == a) & (left[1] == b) & (left[2] > 0))
-        tops = dict(zip("c g f1 m1 m2".split(), (ch[rows] for ch in left[2:])))
+        tops = dict(zip("c g f1 m1 m2".split(), left[2:, rows]))
         tops["coef"] = np.ones(rows.size, dtype=complex)
-        start = _join(tops, vertices, tops["g"], "", "d E m3")
-        start["tree"] = np.arange(start["coef"].size)
-        s = start
-        s = _join(s, table, key(a, b, s["c"], s["g"], s["f1"], s["m1"], s["m2"]),
-                  "f1 m1 m2", "h r1 r2")
-        s = _join(s, table, key(a, s["h"], s["d"], s["E"], s["g"], s["r2"], s["m3"]),
-                  "g r2 m3", "k s1 s2")
-        lhs = _join(s, table, key(b, s["c"], s["d"], s["k"], s["h"], s["r1"], s["s1"]),
-                    "h r1 s1", "l t1 t2")
-        s = start
-        s = _join(s, table, key(s["f1"], s["c"], s["d"], s["E"], s["g"], s["m2"], s["m3"]),
-                  "g m2 m3", "l t1 n2")
-        rhs = _join(s, table, key(a, b, s["l"], s["E"], s["f1"], s["m1"], s["n2"]),
-                    "f1 m1 n2", "k t2 s2")
+        start, owner, off = _expand(tops, per_g[tops["g"]])
+        start.update(zip("d E m3".split(),
+                         vertices[:, (np.cumsum(per_g) - per_g)[tops["g"]][owner] + off]))
+        start["tree"] = np.arange(owner.size)
+        s = _f_move(C, start, (a, b, start["c"], start["g"]), "f1 m1 m2", "h r1 r2")
+        s = _f_move(C, s, (a, s["h"], s["d"], s["E"]), "g r2 m3", "k s1 s2")
+        lhs = _f_move(C, s, (b, s["c"], s["d"], s["k"]), "h r1 s1", "l t1 t2")
+        s = _f_move(C, start, (start["f1"], start["c"], start["d"], start["E"]),
+                    "g m2 m3", "l t1 n2")
+        rhs = _f_move(C, s, (a, b, s["l"], s["E"]), "f1 m1 n2", "k t2 s2")
         worst = max(worst, _worst_difference(tag, lhs, rhs))
     return worst
 
@@ -669,36 +626,28 @@ def _hexagon_residual(C: MtcData, inverse: bool) -> float:
     channels (g, τ, κ) of F^{bca}_d; Ra, Rb and Rc braid the letter a past
     f, b and c.  With ``inverse`` every R^{xy}_z is replaced by
     (R^{yx}_z)⁻¹.  As in :func:`_pentagon_residual`, each side is a sum
-    over channels kept as arrays, and each move is a join with a table of
-    F, F⁻¹ or R entries.  With a unit letter both sides are the same
+    over channels kept as arrays, and each move is a join with the stored
+    F, F⁻¹, R or R⁻¹ table.  With a unit letter both sides are the same
     identity.
     """
     n, N = C.rank, C.N
     m = max(int(N.max()), 1)
-    f_tab, finv_tab = _f_table(C, inverse=False), _f_table(C, inverse=True)
-    r_tab = _r_table(C, inverse)
-    a, b, c, d, f, rho, sigma = _quad_channels(N, left=False)
-    rows = np.flatnonzero((a > 0) & (b > 0) & (c > 0))
-    start = {"a": a[rows], "b": b[rows], "c": c[rows], "d": d[rows], "f": f[rows],
-             "rho": rho[rows], "sigma": sigma[rows], "tree": np.arange(rows.size),
-             "coef": np.ones(rows.size, dtype=complex)}
-    key = functools.partial(_channel_code, n, m)
-    vertex = functools.partial(_vertex_code, n, m)
+    right = C._right.chans
+    rows = np.flatnonzero((right[:3] > 0).all(axis=0))
+    start = dict(zip("a b c d f rho sigma".split(), right[:, rows]))
+    start["tree"] = np.arange(rows.size)
+    start["coef"] = np.ones(rows.size, dtype=complex)
 
     def tag(s):  # equation: the source channel and the channel (g, τ, κ) it reaches
         return ((s["tree"] * n + s["g"]) * m + s["tau"]) * m + s["kappa"]
 
-    s = start
-    s = _join(s, r_tab, vertex(s["a"], s["f"], s["d"], s["sigma"]), "sigma", "sigma")
-    lhs = _join(s, f_tab, key(s["b"], s["c"], s["a"], s["d"], s["f"], s["rho"], s["sigma"]),
-                "f rho sigma", "g tau kappa")
-    s = start
-    s = _join(s, finv_tab, key(s["a"], s["b"], s["c"], s["d"], s["f"], s["rho"], s["sigma"]),
-              "f rho sigma", "e mu nu")
-    s = _join(s, r_tab, vertex(s["a"], s["b"], s["e"], s["mu"]), "mu", "mu")
-    s = _join(s, f_tab, key(s["b"], s["a"], s["c"], s["d"], s["e"], s["mu"], s["nu"]),
-              "e mu nu", "g tau kappa")
-    rhs = _join(s, r_tab, vertex(s["a"], s["c"], s["g"], s["tau"]), "tau", "tau")
+    s = _r_move(C, start, (start["a"], start["f"], start["d"]), "sigma", inverse)
+    lhs = _f_move(C, s, (s["b"], s["c"], s["a"], s["d"]), "f rho sigma", "g tau kappa")
+    s = _f_move(C, start, (start["a"], start["b"], start["c"], start["d"]), "f rho sigma",
+                "e mu nu", inverse=True)
+    s = _r_move(C, s, (s["a"], s["b"], s["e"]), "mu", inverse)
+    s = _f_move(C, s, (s["b"], s["a"], s["c"], s["d"]), "e mu nu", "g tau kappa")
+    rhs = _r_move(C, s, (s["a"], s["c"], s["g"]), "tau", inverse)
     return _worst_difference(tag, lhs, rhs)
 
 
@@ -729,27 +678,23 @@ def to_document(C: MtcData) -> dict:
         for a, b, c in itertools.product(range(C.rank), repeat=3)
         if C.N[a, b, c] > 0
     ]
-    f_entries = []
-    for (a, b, c, d), mat in sorted(C._fmats.items()):
-        left = C.left_channels(a, b, c, d)
-        right = C.right_channels(a, b, c, d)
-        for i, (e, mu, nu) in enumerate(left):
-            for j, (f, rho, sigma) in enumerate(right):
-                f_entries.append({
-                    "a": labels[a], "b": labels[b], "c": labels[c], "d": labels[d],
-                    "e": labels[e], "f": labels[f],
-                    "mu": mu, "nu": nu, "rho": rho, "sigma": sigma,
-                    "val": [mat[i, j].real, mat[i, j].imag],
-                })
-    r_entries = []
-    for (a, b, c), mat in sorted(C._rmats.items()):
-        for mu in range(mat.shape[0]):
-            for nu in range(mat.shape[1]):
-                r_entries.append({
-                    "a": labels[a], "b": labels[b], "c": labels[c],
-                    "mu": mu, "nu": nu,
-                    "val": [mat[mu, nu].real, mat[mu, nu].imag],
-                })
+    ncol = C._right.count
+    q, off = _split(C._left.count * ncol)
+    cells = _f_channels(C, q, off // ncol[q], off % ncol[q])
+    keep = (cells[:3] > 0).all(axis=0)
+    f_entries = [
+        {"a": labels[a], "b": labels[b], "c": labels[c], "d": labels[d],
+         "e": labels[e], "f": labels[f], "mu": mu, "nu": nu, "rho": rho, "sigma": sigma,
+         "val": [v.real, v.imag]}
+        for (a, b, c, d, e, mu, nu, f, rho, sigma), v in zip(cells[:, keep].T.tolist(),
+                                                            C._F[keep])
+    ]
+    r_entries = [
+        {"a": labels[a], "b": labels[b], "c": labels[c], "mu": mu, "nu": nu,
+         "val": [v.real, v.imag]}
+        for a, b, c in itertools.product(range(1, C.rank), range(1, C.rank), range(C.rank))
+        for (mu, nu), v in np.ndenumerate(C.rmat(a, b, c))
+    ]
     return {
         "labels": list(labels),
         "unit": labels[0],
@@ -790,15 +735,17 @@ def gauge_transform(C: MtcData, g: dict) -> MtcData:
             i += len(blk)
         return out
 
-    fmats = {}
-    for (a, b, c, d), old in C._fmats.items():
+    n = C.rank
+    # the moved data is never loaded, so its tables are still writable
+    moved = MtcData(labels=C.labels, dual=C.dual, N=C.N, twist=C.twist, tol=C.tol)
+    for a, b, c, d in itertools.product(range(1, n), range(1, n), range(1, n), range(n)):
+        if not C.fmat(a, b, c, d).size:
+            continue
         lg = channel_gauge(C.left_channels(a, b, c, d), lambda e: (a, b, e), lambda e: (e, c, d))
         rg = channel_gauge(C.right_channels(a, b, c, d), lambda f: (b, c, f), lambda f: (a, f, d))
-        fmats[(a, b, c, d)] = lg.T @ old @ np.linalg.inv(rg).T
-    rmats = {(a, b, c): np.linalg.inv(gm(b, a, c)) @ old @ gm(a, b, c)
-             for (a, b, c), old in C._rmats.items()}
-    moved = MtcData(labels=C.labels, dual=C.dual, N=C.N, twist=C.twist, tol=C.tol,
-                    _fmats=fmats, _rmats=rmats)
+        moved.fmat(a, b, c, d)[:] = lg.T @ C.fmat(a, b, c, d) @ np.linalg.inv(rg).T
+    for a, b, c in itertools.product(range(1, n), range(1, n), range(n)):
+        moved.rmat(a, b, c)[:] = np.linalg.inv(gm(b, a, c)) @ C.rmat(a, b, c) @ gm(a, b, c)
     return load_mtc(to_document(moved), tol=C.tol)
 
 

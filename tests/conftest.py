@@ -38,8 +38,8 @@ def load_golden(name: str) -> dict:
 
 def rep_a4_fusion() -> MtcData:
     """The fusion rules of Rep(A4): labels 1, 1', 1'' (the Z3 characters) and
-    3, with 3 ⊗ 3 = 1 + 1' + 1'' + 2·3.  Only N is set: no F or R data is
-    attached, and the data is not validated."""
+    3, with 3 ⊗ 3 = 1 + 1' + 1'' + 2·3.  Only N is set: the F and R tables
+    are all zero, and the data is not validated."""
     N = np.zeros((4, 4, 4), dtype=int)
     for a in range(3):
         for b in range(3):
@@ -47,7 +47,7 @@ def rep_a4_fusion() -> MtcData:
         N[a, 3, 3] = N[3, a, 3] = 1
     N[3, 3] = [1, 1, 1, 2]
     return MtcData(labels=("1", "1'", "1''", "3"), dual=np.array([0, 2, 1, 3]), N=N,
-                   twist=np.ones(4, dtype=complex), tol=1e-9, _fmats={}, _rmats={})
+                   twist=np.ones(4, dtype=complex), tol=1e-9)
 
 
 @pytest.fixture(params=CATALOG_NAMES)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -54,8 +55,12 @@ def test_loaded_data_is_immutable():
         data.N[0, 0, 0] = 7
     with pytest.raises(ValueError):
         data.twist[1] = 0.0
-    with pytest.raises(ValueError):
-        data.fmat(1, 1, 1, 1)[0, 0] = 2.0
+    # every accessor returns a read-only view, on unit blocks too
+    for view in (data.fmat(1, 1, 1, 1), data.fmat(0, 1, 1, 0), data.finv(1, 1, 1, 1),
+                 data.finv(1, 0, 1, 0), data.rmat(1, 1, 1), data.rmat(0, 1, 1),
+                 data.rinv(1, 1, 0), data.rinv(1, 0, 1)):
+        with pytest.raises(ValueError):
+            view[0, 0] = 2.0
 
 
 def test_fibonacci_f_values():
@@ -116,21 +121,27 @@ def _random_rep_a4_doc():
     and hexagons fail, and N[3,3,3] = 2 gives the moves multiplicity blocks."""
     base = rep_a4_fusion()
     rng = np.random.default_rng(0)
-
-    def rand(rows, cols):
-        return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-
-    N = base.N
-    fmats = {}
+    N, labels = base.N, base.labels
+    doc = mtc.to_document(base)
+    doc["F"], doc["R"] = [], []
     for a, b, c, d in itertools.product(range(1, 4), range(1, 4), range(1, 4), range(4)):
-        rows, cols = len(base.left_channels(a, b, c, d)), len(base.right_channels(a, b, c, d))
-        if rows:
-            fmats[(a, b, c, d)] = rand(rows, cols)
-    rmats = {(a, b, c): rand(N[b, a, c], N[a, b, c])
-             for a, b, c in itertools.product(range(1, 4), range(1, 4), range(4)) if N[a, b, c]}
-    return mtc.to_document(mtc.MtcData(labels=base.labels, dual=base.dual, N=N,
-                                       twist=base.twist, tol=base.tol,
-                                       _fmats=fmats, _rmats=rmats))
+        left, right = base.left_channels(a, b, c, d), base.right_channels(a, b, c, d)
+        if not left:
+            continue
+        real, imag = (rng.standard_normal((len(left), len(right))) for _ in range(2))
+        doc["F"] += [
+            {"a": labels[a], "b": labels[b], "c": labels[c], "d": labels[d],
+             "e": labels[e], "f": labels[f], "mu": mu, "nu": nu, "rho": rho, "sigma": sigma,
+             "val": [real[i, j], imag[i, j]]}
+            for i, (e, mu, nu) in enumerate(left) for j, (f, rho, sigma) in enumerate(right)
+        ]
+    for a, b, c in itertools.product(range(1, 4), range(1, 4), range(4)):
+        if N[a, b, c]:
+            real, imag = (rng.standard_normal((N[b, a, c], N[a, b, c])) for _ in range(2))
+            doc["R"] += [{"a": labels[a], "b": labels[b], "c": labels[c], "mu": mu, "nu": nu,
+                          "val": [real[mu, nu], imag[mu, nu]]}
+                         for mu in range(N[b, a, c]) for nu in range(N[a, b, c])]
+    return doc
 
 
 COHERENCE_INPUTS = {
@@ -210,14 +221,36 @@ def test_non_finite_tolerance_rejected(tol):
 def test_missing_f_entry_raises():
     doc = catalog_document("fibonacci")
     doc["F"] = [ent for ent in doc["F"] if not (ent["e"] == "1" and ent["f"] == "1")]
-    with pytest.raises(MissingSymbol):
+    with pytest.raises(MissingSymbol, match=re.escape(
+            "F[t,t,t;t] entry (e=1,mu=0,nu=0;f=1,rho=0,sigma=0) required by a nonzero "
+            "fusion channel is absent")):
         mtc.load_mtc(doc)
 
 
 def test_missing_r_entry_raises():
     doc = catalog_document("ising")
     doc["R"] = doc["R"][1:]
-    with pytest.raises(MissingSymbol):
+    with pytest.raises(MissingSymbol, match=re.escape(
+            "R[sigma,sigma;1] entry (mu=0,nu=0) required by a nonzero fusion channel "
+            "is absent")):
+        mtc.load_mtc(doc)
+
+
+@pytest.mark.parametrize("section, pick, message", [
+    ("F", lambda ent: (ent["a"], ent["b"], ent["c"], ent["d"], ent["e"], ent["f"])
+     == ("t", "t", "t", "t", "1", "1"),
+     "F[t,t,t;t] entry (e=1,mu=0,nu=0;f=1,rho=0,sigma=0) is given twice"),
+    ("R", lambda ent: (ent["a"], ent["b"], ent["c"]) == ("t", "t", "1"),
+     "R[t,t;1] entry (mu=0,nu=0) is given twice"),
+], ids=["F", "R"])
+def test_duplicate_cells_rejected(section, pick, message):
+    """A cell given twice is an error, not last-wins: here a wrong copy
+    comes first and the right one after it."""
+    doc = catalog_document("fibonacci")
+    cells = doc[section]
+    i = next(i for i, ent in enumerate(cells) if pick(ent))
+    cells.insert(i, dict(cells[i], val=[5.0, 0.0]))
+    with pytest.raises(ParseError, match=re.escape(message)):
         mtc.load_mtc(doc)
 
 
@@ -249,13 +282,14 @@ def test_malformed_documents_raise_parse_error(mangle):
 
 
 def test_entries_for_zero_channels_rejected():
-    doc = catalog_document("ising")
-    doc["F"].append({
-        "a": "psi", "b": "psi", "c": "psi", "d": "sigma",
-        "e": "1", "f": "1", "val": [1.0, 0.0],
-    })
-    with pytest.raises(ParseError):
-        mtc.load_mtc(doc)
+    for section, cell in [
+        ("F", {"a": "psi", "b": "psi", "c": "psi", "d": "sigma", "e": "1", "f": "1"}),
+        ("R", {"a": "psi", "b": "psi", "c": "sigma"}),
+    ]:
+        doc = catalog_document("ising")
+        doc[section].append({**cell, "val": [1.0, 0.0]})
+        with pytest.raises(ParseError):
+            mtc.load_mtc(doc)
 
 
 def test_explicit_unit_gauge_entries_accepted_if_identity():
@@ -278,31 +312,29 @@ def test_document_round_trip():
         again = mtc.load_mtc(doc, tol=data.tol)
         assert again.labels == data.labels
         np.testing.assert_array_equal(again.N, data.N)
-        for quad in data._fmats:
-            np.testing.assert_allclose(again.fmat(*quad), data.fmat(*quad), atol=1e-14)
+        for table in ("_F", "_Finv", "_R", "_Rinv"):
+            assert getattr(again, table).tobytes() == getattr(data, table).tobytes(), table
 
 
 @pytest.mark.parametrize("name, alg", [("ising", None), ("su2_4", "su2_4_deven.alg.json")])
 def test_symbol_tables_hold_only_document_entries(name, alg):
-    """Use adds no entry to the F and R tables: they keep exactly the
-    quads and triples of non-unit letters with a non-empty channel list."""
+    """Use makes no symbol matrix and changes no table: the cache holds no
+    F or R matrices, and the four tables equal those of a fresh load."""
     data = catalog(name).data
     mtc.s_matrix(data)
     A = F.trivial_algebra(data) if alg is None else F.parse_algebra(data, load_fixture(alg))
     assert FA.verify_theorem_o(data, F.normalize_counit(data, A)).passed
-    n = data.rank
-    quads = {q for q in itertools.product(range(1, n), range(1, n), range(1, n), range(n))
-             if data.left_channels(*q)}
-    triples = {t for t in itertools.product(range(1, n), range(1, n), range(n)) if data.N[t]}
-    assert set(data._fmats) == quads
-    assert set(data._rmats) == triples
+    assert not {key[0] for key in data._cache} & {"Fmat", "Finv", "Rmat", "Rinv"}
+    fresh = catalog(name).data
+    for table in ("_F", "_Finv", "_R", "_Rinv"):
+        assert getattr(data, table).tobytes() == getattr(fresh, table).tobytes(), table
 
 
 def test_gauge_transform_identity_is_noop():
     data = get_catalog("ising").data
     same = mtc.gauge_transform(data, {})
-    for quad in data._fmats:
-        np.testing.assert_allclose(same.fmat(*quad), data.fmat(*quad), atol=1e-14)
+    for table in ("_F", "_R"):
+        np.testing.assert_allclose(getattr(same, table), getattr(data, table), atol=1e-14)
 
 
 @pytest.mark.parametrize("name", ["ising", "su2_3"])
@@ -319,7 +351,10 @@ def test_gauge_convention_on_one_dimensional_vertices(name):
         return 1.0 if 0 in (a, b) else g[(a, b, e)][0, 0]
 
     moved = mtc.gauge_transform(data, g)
-    fmats, rmats = data._fmats, data._rmats
+    fmats = {q: data.fmat(*q)
+             for q in itertools.product(range(1, n), range(1, n), range(1, n), range(n))}
+    rmats = {t: data.rmat(*t) for t in itertools.product(range(1, n), range(1, n), range(n))
+             if N[t]}
     for (a, b, c, d), old in fmats.items():
         new = moved.fmat(a, b, c, d)
         for i, (e, _, _) in enumerate(data.left_channels(a, b, c, d)):
