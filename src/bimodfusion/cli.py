@@ -1,7 +1,8 @@
 """Command-line interface wiring documents to computations.
 
 Exit status: 0 when the requested check passes, 1 when a computation fails
-or an axiom is violated, 2 for usage and document-parse errors.
+or an axiom is violated, 2 for usage and document-parse errors and for an
+``--out`` file that cannot be written.
 """
 from __future__ import annotations
 
@@ -282,13 +283,19 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _emit(rep: dict, args) -> None:
+def _emit(rep: dict, args, status: int) -> int:
+    """Write the report; return ``status``, or 2 if ``--out`` cannot be written."""
     text = reports.to_json(rep) if args.format == "json" else reports.render_table(rep)
-    if args.out:
+    if not args.out:
+        sys.stdout.write(text)
+        return status
+    try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write report to {args.out}: {exc}\n")
+        return 2
+    return status
 
 
 def main(argv=None) -> int:
@@ -313,10 +320,8 @@ def main(argv=None) -> int:
             rep["identity"] = exc.identity
             rep["max_residual"] = exc.max_residual
             rep["residuals"] = exc.residuals
-        _emit(rep, args)
-        return 1
-    _emit(rep, args)
-    return status
+        return _emit(rep, args, 1)
+    return _emit(rep, args, status)
 
 
 if __name__ == "__main__":

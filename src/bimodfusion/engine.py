@@ -21,10 +21,12 @@ for Hom(k, S ⊗ T) of two sum objects, from a grouped basis with one kron
 block Hom(k1, S) ⊗ Hom(k2, T) per joining vertex (k1, k2, mu); the pair
 basis is that layout for two words, and :func:`sum_groups` builds both from
 the sector dimensions.  The sum merge is assembled from the word-level
-blocks and cached per (S, T, k).  :func:`tensor` and :func:`braid` both
-multiply whole sector blocks through it and never loop over word pairs: a
-braiding is read off by naturality from the R-matrices of the joining
-vertices, c_{S,T} ∘ (t1 ⊗ t2) ∘ y = (t2 ⊗ t1) ∘ c_{k1,k2} ∘ y.
+merge matrices, its inverse is the matrix inverse of that forward sum merge
+(no word-level inverses are made), and both are cached per (S, T, k).
+:func:`tensor` and :func:`braid` both multiply whole sector blocks
+through them and never loop over word pairs: a braiding is read off by
+naturality from the R-matrices of the joining vertices,
+c_{S,T} ∘ (t1 ⊗ t2) ∘ y = (t2 ⊗ t1) ∘ c_{k1,k2} ∘ y.
 """
 from __future__ import annotations
 
@@ -319,15 +321,16 @@ def merge_matrix(C: MtcData, u: Word, v: Word, k: int) -> np.ndarray:
                 if nq == 0 or nb == 0:
                     continue
                 finv = C.finv(k1, q, b, k)
-                rc = C.right_channels(k1, q, b, k)
+                # the F⁻¹ row of the right channel (k2, nu, mu), for each nu
+                coeff_rows = [finv[C.right_index(k1, q, b, k, k2, nu, mu)] for nu in range(nb)]
                 # (index, sector, rows of the extended trees, first column in
                 # the pair basis of (u, v1, e)) of each left channel
                 moves = [(lidx, e, _strided(starts[e] + sigp, duv1[e], N[e, b, k]),
                           sum_groups(C, du, dv1, e)[(k1, q, rhop)])
-                         for lidx, (e, rhop, sigp) in enumerate(C.left_channels(k1, q, b, k))]
+                         for lidx, (e, rhop, sigp)
+                         in enumerate(C.left_channels(k1, q, b, k).tolist())]
                 for i2p in range(nq):
-                    for nu in range(nb):
-                        coeffs = finv[rc.index((k2, nu, mu))]
+                    for coeffs in coeff_rows:
                         for lidx, e, rows, gp in moves:
                             coeff = coeffs[lidx]
                             if coeff == 0:
@@ -338,17 +341,6 @@ def merge_matrix(C: MtcData, u: Word, v: Word, k: int) -> np.ndarray:
                         i2 += 1
     M.setflags(write=False)
     C._cache[key] = M
-    return M
-
-
-def merge_inv(C: MtcData, u: Word, v: Word, k: int) -> np.ndarray:
-    key = ("mergeinv", u, v, k)
-    M = C._cache.get(key)
-    if M is None:
-        fwd = merge_matrix(C, u, v, k)
-        M = np.linalg.inv(fwd) if fwd.size else fwd.copy()
-        M.setflags(write=False)
-        C._cache[key] = M
     return M
 
 
@@ -365,29 +357,29 @@ def sum_merge(C: MtcData, S: SumObject, T: SumObject, k: int,
     merge_matrix block each: pair-basis column g + i1·n2 + i2 of words
     (S[i], T[j]) is grouped column G + (o_i + i1)·dT[k2] + o_j + i2, with G
     the group's first column in S ⊗ T and o_i, o_j the offsets of the words
-    in sectors k1 of S and k2 of T.  So the inverse is assembled from the
-    merge_inv blocks.
+    in sectors k1 of S and k2 of T.  The inverse is the inverse of this
+    forward matrix; both are cached.
     """
     key = ("summergeinv" if inverse else "summerge", S, T, k)
     M = C._cache.get(key)
     if M is not None:
         return M
-    dT = obj_dims(C, T)
-    groups = sum_groups(C, obj_dims(C, S), dT, k)
-    off = obj_offsets(C, tensor_obj(S, T), k)
-    M = np.zeros((off[-1], off[-1]), dtype=complex)
-    for p, ((i, wi), (j, wj)) in enumerate(itertools.product(enumerate(S), enumerate(T))):
-        lo, hi = off[p], off[p + 1]
-        if lo == hi:
-            continue
-        du, dv = word_dims(C, wi), word_dims(C, wj)
-        pos = [groups[grp] + (obj_offsets(C, S, grp[0])[i] + i1) * dT[grp[1]]
-               + obj_offsets(C, T, grp[1])[j] + i2
-               for grp in sum_groups(C, du, dv, k)
-               for i1 in range(du[grp[0]]) for i2 in range(dv[grp[1]])]
-        if inverse:
-            M[pos, lo:hi] = merge_inv(C, wi, wj, k)
-        else:
+    if inverse:
+        M = np.linalg.inv(sum_merge(C, S, T, k))
+    else:
+        dT = obj_dims(C, T)
+        groups = sum_groups(C, obj_dims(C, S), dT, k)
+        off = obj_offsets(C, tensor_obj(S, T), k)
+        M = np.zeros((off[-1], off[-1]), dtype=complex)
+        for p, ((i, wi), (j, wj)) in enumerate(itertools.product(enumerate(S), enumerate(T))):
+            lo, hi = off[p], off[p + 1]
+            if lo == hi:
+                continue
+            du, dv = word_dims(C, wi), word_dims(C, wj)
+            pos = [groups[grp] + (obj_offsets(C, S, grp[0])[i] + i1) * dT[grp[1]]
+                   + obj_offsets(C, T, grp[1])[j] + i2
+                   for grp in sum_groups(C, du, dv, k)
+                   for i1 in range(du[grp[0]]) for i2 in range(dv[grp[1]])]
             M[lo:hi, pos] = merge_matrix(C, wi, wj, k)
     M.setflags(write=False)
     C._cache[key] = M
@@ -496,12 +488,13 @@ def _letter_duality(C: MtcData, a: int):
     out = C._cache.get(key)
     if out is None:
         abar = int(C.dual[a])
-        Fa = C.f(a, abar, a, a, 0, 0)
+        # the unit channels come first in both channel bases
+        Fa = complex(C.fmat(a, abar, a, a)[0, 0])
         if abs(Fa) < C.thresholds.unit_channel:
             raise NonSovereignGauge(
                 f"F[{C.labels[a]},{C.labels[abar]},{C.labels[a]}] unit channel vanishes"
             )
-        phase = C.twist[a] * C.r(a, abar, 0)
+        phase = C.twist[a] * complex(C.rmat(a, abar, 0)[0, 0])
         out = (1.0 + 0j, 1.0 / Fa, phase, phase / Fa)
         C._cache[key] = out
     return out

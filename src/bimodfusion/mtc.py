@@ -24,6 +24,7 @@ Conventions baked into the symbol tables:
 """
 from __future__ import annotations
 
+import cmath
 import itertools
 import json
 import math
@@ -112,6 +113,10 @@ class _Channels(NamedTuple):
         """Index of the channel (x, i, j) among the channels of quad q."""
         return self.start[q, x] + i * self.inner[q, x] + j
 
+    def rows(self, q) -> np.ndarray:
+        """The channels (x, i, j) of quad q, as a (count, 3) view of ``chans``."""
+        return self.chans[4:, self.first[q]:self.first[q] + self.count[q]].T
+
 
 def _channels(N: np.ndarray, left: bool) -> _Channels:
     """The left (or right) channels of every quad of the fusion rules N."""
@@ -126,6 +131,7 @@ def _channels(N: np.ndarray, left: bool) -> _Channels:
     owner, off = _split(per.ravel())
     inner = n2.ravel()[owner]
     chans = np.stack([*np.unravel_index(owner, (n,) * 5), off // inner, off % inner])
+    chans.setflags(write=False)
     return _Channels(count, np.cumsum(per, axis=1) - per, n2, np.cumsum(count) - count, chans)
 
 
@@ -157,8 +163,10 @@ class MtcData:
     :meth:`left_channels` / :meth:`right_channels` (label-major,
     multiplicity-minor), with block offsets from N.  Unit blocks are
     identities and empty ones are empty.  The tables are allocated from N
-    on construction and filled once by :func:`load_mtc`; the accessors
-    return read-only views of them, and nothing is made later.
+    on construction and filled once by :func:`load_mtc`.  The accessors
+    return read-only views of them, and the channel accessors read-only
+    (count, 3) int array views of the channel bases, so nothing is made or
+    cached later.
     """
 
     labels: tuple[str, ...]
@@ -203,23 +211,19 @@ class MtcData:
         except ValueError:
             raise ParseError(f"unknown label {label!r}") from None
 
-    def left_channels(self, a: int, b: int, c: int, d: int) -> list[tuple[int, int, int]]:
-        """Canonical basis (e, mu, nu) of trees a(b) -> e -> d fusing c."""
-        return self._channel_list("L", self._left, a, b, c, d)
+    def left_channels(self, a: int, b: int, c: int, d: int) -> np.ndarray:
+        """Canonical basis (e, mu, nu) of trees a(b) -> e -> d fusing c: a
+        read-only (count, 3) int array view of the stored channels."""
+        return self._left.rows(_quad(self.rank, a, b, c, d))
 
-    def right_channels(self, a: int, b: int, c: int, d: int) -> list[tuple[int, int, int]]:
-        """Canonical basis (f, rho, sigma) of trees with b(c) -> f fused first."""
-        return self._channel_list("R", self._right, a, b, c, d)
+    def right_channels(self, a: int, b: int, c: int, d: int) -> np.ndarray:
+        """Canonical basis (f, rho, sigma) of trees with b(c) -> f fused
+        first: a read-only (count, 3) int array view of the stored channels."""
+        return self._right.rows(_quad(self.rank, a, b, c, d))
 
-    def _channel_list(self, kind: str, basis: _Channels, a, b, c, d) -> list:
-        key = (kind, a, b, c, d)
-        out = self._cache.get(key)
-        if out is None:
-            q = _quad(self.rank, a, b, c, d)
-            first = basis.first[q]
-            out = self._cache[key] = list(map(
-                tuple, basis.chans[4:, first:first + basis.count[q]].T.tolist()))
-        return out
+    def right_index(self, a: int, b: int, c: int, d: int, f: int, rho: int, sigma: int) -> int:
+        """Row of the right channel (f, rho, sigma) in :meth:`finv` of the quad."""
+        return int(self._right.index(_quad(self.rank, a, b, c, d), f, rho, sigma))
 
     # -- symbol access ---------------------------------------------------
     def fmat(self, a: int, b: int, c: int, d: int) -> np.ndarray:
@@ -237,21 +241,6 @@ class MtcData:
 
     def rinv(self, a: int, b: int, c: int) -> np.ndarray:
         return _block(self._Rinv, self._rpos[a, b, c], self.N[a, b, c], self.N[b, a, c])
-
-    def f(self, a, b, c, d, e, f, mu=0, nu=0, rho=0, sigma=0) -> complex:
-        left = self.left_channels(a, b, c, d)
-        right = self.right_channels(a, b, c, d)
-        try:
-            i = left.index((e, mu, nu))
-            j = right.index((f, rho, sigma))
-        except ValueError:
-            return 0j
-        return complex(self.fmat(a, b, c, d)[i, j])
-
-    def r(self, a, b, c, mu=0, nu=0) -> complex:
-        if mu >= self.N[a, b, c] or nu >= self.N[a, b, c]:
-            return 0j
-        return complex(self.rmat(a, b, c)[mu, nu])
 
 
 @dataclass(frozen=True)
@@ -288,7 +277,10 @@ def _as_complex(val, where: str) -> complex:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in val)
     ):
         raise ParseError(f"{where}: complex values must be [re, im] pairs, got {val!r}")
-    return complex(val[0], val[1])
+    z = complex(val[0], val[1])
+    if not cmath.isfinite(z):
+        raise ParseError(f"{where}: complex values must be finite, got {val!r}")
+    return z
 
 
 def _require(doc: dict, key: str):
@@ -729,7 +721,7 @@ def gauge_transform(C: MtcData, g: dict) -> MtcData:
         # take kron(g(first(x)), g(second(x)))
         out = np.zeros((len(chans), len(chans)), dtype=complex)
         i = 0
-        for x, _ in itertools.groupby(chans, key=lambda ch: ch[0]):
+        for x, _ in itertools.groupby(chans[:, 0].tolist()):
             blk = np.kron(gm(*first(x)), gm(*second(x)))
             out[i:i + len(blk), i:i + len(blk)] = blk
             i += len(blk)

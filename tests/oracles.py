@@ -5,8 +5,9 @@ tables and its own tiny JSON reader -- no imports from ``bimodfusion`` -- so
 that the main code paths are cross-checked against genuinely independent
 arithmetic.  The one exception, :func:`intertwiner_by_units`, is handed the
 engine module: it evaluates the module-map equations as composites of
-morphisms, one matrix unit at a time.  Frozen expected values live in
-``test_oracles.py`` and in the fixture/golden files.
+morphisms, one matrix unit at a time.  :func:`merge_by_moves` is handed the
+inverse F-matrices only, and finds their channels itself.  Frozen expected
+values live in ``test_oracles.py`` and in the fixture/golden files.
 """
 from __future__ import annotations
 
@@ -77,20 +78,10 @@ class RawCat:
 
     # -- tree-channel bookkeeping ----------------------------------------
     def _left_basis(self, a, b, c, d):
-        out = []
-        for e in range(len(self.labels)):
-            for mu in range(self.N[a, b, e]):
-                for nu in range(self.N[e, c, d]):
-                    out.append((e, mu, nu))
-        return out
+        return left_basis(self.N, a, b, c, d)
 
     def _right_basis(self, a, b, c, d):
-        out = []
-        for f in range(len(self.labels)):
-            for rho in range(self.N[b, c, f]):
-                for sigma in range(self.N[a, f, d]):
-                    out.append((f, rho, sigma))
-        return out
+        return right_basis(self.N, a, b, c, d)
 
     def fmat(self, a, b, c, d):
         left = self._left_basis(a, b, c, d)
@@ -108,6 +99,27 @@ class RawCat:
             for nu in range(m):
                 mat[mu, nu] = self.r(a, b, c, mu, nu)
         return mat
+
+
+def left_basis(N, a, b, c, d):
+    """Left channels (e, mu, nu) of the quad: ab -> e via mu, ec -> d via nu."""
+    out = []
+    for e in range(N.shape[0]):
+        for mu in range(N[a, b, e]):
+            for nu in range(N[e, c, d]):
+                out.append((e, mu, nu))
+    return out
+
+
+def right_basis(N, a, b, c, d):
+    """Right channels (f, rho, sigma) of the quad: bc -> f via rho, af -> d
+    via sigma."""
+    out = []
+    for f in range(N.shape[0]):
+        for rho in range(N[b, c, f]):
+            for sigma in range(N[a, f, d]):
+                out.append((f, rho, sigma))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +148,50 @@ def fusion_trees(N, w, k):
             for mu in range(N[e, w[-1], k]):
                 out.append(tree + ((k, mu),))
     return out
+
+
+def _pair_vector(N, finv, u, v, t1, k1, t2, k2, mu, k):
+    """The pair vector (t1 ⊗ t2) ∘ y^mu of Hom(k, u ⊗ v), for the trees t1
+    of u in sector k1 and t2 of v in k2 (:func:`fusion_trees`), as a dict
+    from left-comb trees of u + v to coefficients.
+
+    With v = v1 + (b,), t2 fuses v1 to q and then q ⊗ b -> k2 by its last
+    vertex nu: together with y^mu that is the right-comb channel
+    (k2, nu, mu) of the quad (k1, q, b; k).  Its row of ``finv`` turns it
+    into left-comb channels (e, rho, sigma): the pair vector of
+    (t1, t2 without its last vertex) in Hom(e, u ⊗ v1), joined to b by
+    vertex sigma."""
+    if len(v) == 1:
+        return {t1 + ((k, mu),): 1.0}
+    v1, b = v[:-1], v[-1]
+    q = t2[-2][0] if len(v1) > 1 else v1[0]
+    nu = t2[-1][1]
+    row = finv(k1, q, b, k)[right_basis(N, k1, q, b, k).index((k2, nu, mu))]
+    out = {}
+    for (e, rho, sigma), coeff in zip(left_basis(N, k1, q, b, k), row):
+        for tree, val in _pair_vector(N, finv, u, v1, t1, k1, t2[:-1], q, rho, e).items():
+            key = tree + ((k, sigma),)
+            out[key] = out.get(key, 0j) + coeff * val
+    return out
+
+
+def merge_by_moves(N, finv, u, v, k):
+    """The matrix from the pair basis of Hom(k, u ⊗ v) to the left-comb
+    trees of u + v in sector k, one column per pair vector
+    (:func:`_pair_vector`): columns by (k1, k2, mu) in label order, then
+    trees of u in k1, then trees of v in k2.  ``finv(a, b, c, d)`` is the
+    inverse F-matrix of the quad, rows right channels, columns left ones,
+    each in the order of :func:`right_basis` / :func:`left_basis`."""
+    rows = {t: i for i, t in enumerate(fusion_trees(N, u + v, k))}
+    cols = []
+    for k1, k2 in itertools.product(range(N.shape[0]), repeat=2):
+        for mu, t1, t2 in itertools.product(range(N[k1, k2, k]), fusion_trees(N, u, k1),
+                                            fusion_trees(N, v, k2)):
+            col = np.zeros(len(rows), dtype=complex)
+            for tree, val in _pair_vector(N, finv, u, v, t1, k1, t2, k2, mu, k).items():
+                col[rows[tree]] += val
+            cols.append(col)
+    return np.array(cols, dtype=complex).reshape(len(cols), len(rows)).T
 
 
 def backspin_smatrix(N, twist, dims):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bimodfusion import mtc
-from bimodfusion.catalog import CATALOG_NAMES
+from bimodfusion.catalog import CATALOG_NAMES, catalog_document
 from bimodfusion.cli import main
 
 from conftest import FIXTURES, fixture_path, load_fixture, load_golden
@@ -240,6 +240,52 @@ def test_boolean_algebra_multiplicity_exits_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "multiplicity" in err
+
+
+def _nan_f_cell(cat, alg):
+    ent = next(ent for ent in cat["F"]
+               if [ent[k] for k in "abcdef"] == ["t", "t", "t", "1", "t", "t"])
+    ent["val"] = [float("nan"), 0.0]
+
+
+def _nan_twist(cat, alg):
+    cat["twist"]["t"] = [float("nan"), 0.0]
+
+
+def _inf_m_value(cat, alg):
+    alg["m"][3]["val"] = [1.0, float("-inf")]
+
+
+@pytest.mark.parametrize("name, edit, command, where", [
+    ("fibonacci", _nan_f_cell, "validate", "F[t,t,t;1]"),
+    ("fibonacci", _nan_twist, "validate", "twist[t]"),
+    ("toric_code", _inf_m_value, "algebra-check", "m entry"),
+])
+def test_non_finite_value_exits_2(capsys, tmp_path, name, edit, command, where):
+    """A NaN or infinite part of a complex value is a parse error."""
+    cat, alg = catalog_document(name), load_fixture("ze.alg.json")
+    edit(cat, alg)
+    cat_path, alg_path = tmp_path / "cat.json", tmp_path / "alg.json"
+    cat_path.write_text(json.dumps(cat))
+    alg_path.write_text(json.dumps(alg))
+    code, out, err = run(capsys, command, "--cat", str(cat_path), "--alg", str(alg_path),
+                         "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {where}: complex values must be finite")
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--cat", "catalog:fibonacci"],
+    ["validate", fixture_path("broken_pentagon.cat.json")],   # an error report
+])
+def test_unwritable_out_exits_2(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, *argv, "--format", "json", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write report to {target}: ")
+    assert not target.exists()
 
 
 def test_malformed_document_exits_2(capsys, tmp_path):

@@ -8,6 +8,7 @@ import pytest
 
 from bimodfusion import engine as E
 from bimodfusion import frobenius as F
+from bimodfusion import mtc
 from bimodfusion.errors import TypeMismatch
 
 import oracles
@@ -19,6 +20,27 @@ CATS = ["vec_z3", "fibonacci", "ising", "toric_code", "su2_2"]
 #: and D-even (su2_4)
 ALGEBRA_OBJECTS = {"toric_code-ze": ("toric_code", "ze.alg.json"),
                    "su2_4-deven": ("su2_4", "su2_4_deven.alg.json")}
+
+
+def rep_a4_random():
+    """The fusion rules of Rep(A4) (N[3, 3, 3] = 2) with seeded random
+    invertible F- and R-blocks on the non-unit quads and triples,
+    identities on the unit ones, and F⁻¹: not a category (the pentagon and
+    hexagons fail), but data on which every multiplicity index of the
+    merge matrices and of the braiding is used."""
+    C = rep_a4_fusion()
+    rng = np.random.default_rng(29)
+
+    def fill(blk, unit):
+        m = len(blk)
+        blk[:] = np.eye(m) if unit else rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+
+    for quad in itertools.product(range(C.rank), repeat=4):
+        fill(C.fmat(*quad), 0 in quad[:3])
+    for triple in itertools.product(range(C.rank), repeat=3):
+        fill(C.rmat(*triple), 0 in triple[:2])
+    mtc._inverses(C._F, C._Finv, C._fpos, C._left.count, C._right.count, "f-invertibility")
+    return C
 
 
 def rand_morph(C, S, T, rng):
@@ -73,6 +95,19 @@ def test_tree_index_matches_enumeration(name):
                         for mu in range(N[e, b, k]):
                             assert pos.pop(t + ((k, mu),)) == starts[e] + i * N[e, b, k] + mu
                 assert not pos
+
+
+@pytest.mark.parametrize("u", ["3", "33", "13"])
+@pytest.mark.parametrize("v", ["3", "33", "32", "333"])
+def test_merge_matrix_at_multiplicity_two(u, v):
+    """merge_matrix against F⁻¹ moves on tree tuples, where N[3, 3, 3] = 2
+    makes the joining vertex mu and the last vertex nu of v run to 2."""
+    C = rep_a4_random()
+    u, v = tuple(map(int, u)), tuple(map(int, v))
+    for k in range(C.rank):
+        if E.word_dims(C, u + v)[k]:
+            want = oracles.merge_by_moves(C.N, C.finv, u, v, k)
+            np.testing.assert_allclose(E.merge_matrix(C, u, v, k), want, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +233,9 @@ def braid_objects(name):
     return C, ((r - 1,), (min(1, r - 1),)), ((r - 1, min(1, r - 1)),)
 
 
-@pytest.mark.parametrize("name", CATS)
+@pytest.mark.parametrize("name", CATS + ["rep_a4_random"])
 def test_braid_two_letters_is_r_matrix(name):
-    C = get_catalog(name).data
+    C = rep_a4_random() if name == "rep_a4_random" else get_catalog(name).data
     r = C.rank
     for a in range(r):
         for b in range(r):

@@ -58,7 +58,8 @@ def test_loaded_data_is_immutable():
     # every accessor returns a read-only view, on unit blocks too
     for view in (data.fmat(1, 1, 1, 1), data.fmat(0, 1, 1, 0), data.finv(1, 1, 1, 1),
                  data.finv(1, 0, 1, 0), data.rmat(1, 1, 1), data.rmat(0, 1, 1),
-                 data.rinv(1, 1, 0), data.rinv(1, 0, 1)):
+                 data.rinv(1, 1, 0), data.rinv(1, 0, 1),
+                 data.left_channels(1, 1, 1, 1), data.right_channels(0, 1, 1, 0)):
         with pytest.raises(ValueError):
             view[0, 0] = 2.0
 
@@ -72,7 +73,8 @@ def test_fibonacci_f_values():
         [1 / math.sqrt(phi), -1 / phi],
     ])
     np.testing.assert_allclose(got, want, atol=1e-12)
-    assert abs(data.f(1, 1, 1, 0, 1, 1) - 1.0) < 1e-12
+    # F[t,t,t;1] has one channel each side: e = f = t
+    assert abs(data.fmat(1, 1, 1, 0)[0, 0] - 1.0) < 1e-12
     # unit-gauge F-matrices materialize as identities
     np.testing.assert_allclose(data.fmat(0, 1, 1, 0), np.eye(1), atol=0)
 
@@ -80,10 +82,10 @@ def test_fibonacci_f_values():
 def test_ising_r_values():
     data = get_catalog("ising").data
     s, p = 1, 2
-    assert abs(data.r(s, s, 0) - np.exp(-1j * np.pi / 8)) < 1e-12
-    assert abs(data.r(s, s, p) - np.exp(3j * np.pi / 8)) < 1e-12
-    assert abs(data.r(s, p, s) - (-1j)) < 1e-12
-    assert abs(data.r(p, p, 0) - (-1.0)) < 1e-12
+    assert abs(data.rmat(s, s, 0)[0, 0] - np.exp(-1j * np.pi / 8)) < 1e-12
+    assert abs(data.rmat(s, s, p)[0, 0] - np.exp(3j * np.pi / 8)) < 1e-12
+    assert abs(data.rmat(s, p, s)[0, 0] - (-1j)) < 1e-12
+    assert abs(data.rmat(p, p, 0)[0, 0] - (-1.0)) < 1e-12
 
 
 def _perturbed_f_doc():
@@ -126,14 +128,15 @@ def _random_rep_a4_doc():
     doc["F"], doc["R"] = [], []
     for a, b, c, d in itertools.product(range(1, 4), range(1, 4), range(1, 4), range(4)):
         left, right = base.left_channels(a, b, c, d), base.right_channels(a, b, c, d)
-        if not left:
+        if not len(left):
             continue
         real, imag = (rng.standard_normal((len(left), len(right))) for _ in range(2))
         doc["F"] += [
             {"a": labels[a], "b": labels[b], "c": labels[c], "d": labels[d],
              "e": labels[e], "f": labels[f], "mu": mu, "nu": nu, "rho": rho, "sigma": sigma,
              "val": [real[i, j], imag[i, j]]}
-            for i, (e, mu, nu) in enumerate(left) for j, (f, rho, sigma) in enumerate(right)
+            for i, (e, mu, nu) in enumerate(left.tolist())
+            for j, (f, rho, sigma) in enumerate(right.tolist())
         ]
     for a, b, c in itertools.product(range(1, 4), range(1, 4), range(4)):
         if N[a, b, c]:
@@ -319,12 +322,14 @@ def test_document_round_trip():
 @pytest.mark.parametrize("name, alg", [("ising", None), ("su2_4", "su2_4_deven.alg.json")])
 def test_symbol_tables_hold_only_document_entries(name, alg):
     """Use makes no symbol matrix and changes no table: the cache holds no
-    F or R matrices, and the four tables equal those of a fresh load."""
+    F or R matrices, no channel lists and no word-level inverse merge
+    matrices, and the four tables equal those of a fresh load."""
     data = catalog(name).data
     mtc.s_matrix(data)
     A = F.trivial_algebra(data) if alg is None else F.parse_algebra(data, load_fixture(alg))
     assert FA.verify_theorem_o(data, F.normalize_counit(data, A)).passed
-    assert not {key[0] for key in data._cache} & {"Fmat", "Finv", "Rmat", "Rinv"}
+    kinds = {key[0] for key in data._cache}
+    assert not kinds & {"Fmat", "Finv", "Rmat", "Rinv", "L", "R", "mergeinv"}
     fresh = catalog(name).data
     for table in ("_F", "_Finv", "_R", "_Rinv"):
         assert getattr(data, table).tobytes() == getattr(fresh, table).tobytes(), table
