@@ -202,6 +202,17 @@ def _triples(value: str):
     return count
 
 
+def _seed(value: str) -> int:
+    """--seed: a non-negative integer."""
+    try:
+        seed = int(value)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value!r}")
+    return seed
+
+
 def _cmd_catalog(args):
     entries = []
     for name in CATALOG_NAMES:
@@ -224,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=mtc.DEFAULT_TOL,
                         help="numerical tolerance, positive and at most 1e-4 (default 1e-9)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for all randomized steps (default 0)")
+    common.add_argument("--seed", type=_seed, default=0,
+                        help="seed for all randomized steps, a non-negative integer (default 0)")
     common.add_argument("--format", choices=("table", "json"), default="table",
                         help="output format (default table)")
     common.add_argument("--cat",

@@ -21,12 +21,17 @@ for Hom(k, S ⊗ T) of two sum objects, from a grouped basis with one kron
 block Hom(k1, S) ⊗ Hom(k2, T) per joining vertex (k1, k2, mu); the pair
 basis is that layout for two words, and :func:`sum_groups` builds both from
 the sector dimensions.  The sum merge is assembled from the word-level
-merge matrices, its inverse is the matrix inverse of that forward sum merge
-(no word-level inverses are made), and both are cached per (S, T, k).
-:func:`tensor` and :func:`braid` both multiply whole sector blocks
-through them and never loop over word pairs: a braiding is read off by
-naturality from the R-matrices of the joining vertices,
-c_{S,T} ∘ (t1 ⊗ t2) ∘ y = (t2 ⊗ t1) ∘ c_{k1,k2} ∘ y.
+merge matrices, and its inverse is the matrix inverse of that forward sum
+merge (no word-level inverses are made).  :func:`tensor` and :func:`braid`
+both multiply whole sector blocks through them and never loop over word
+pairs: a braiding is read off by naturality from the R-matrices of the
+joining vertices, c_{S,T} ∘ (t1 ⊗ t2) ∘ y = (t2 ⊗ t1) ∘ c_{k1,k2} ∘ y.
+
+Each structural map is cached in ``C._cache`` under what it depends on:
+merge matrices per (word_dims(u), v, k), sum merges and their inverses per
+(word_dims of each word of S, T, k), the layout of tensor and braid per
+signature (S, T, S', T') of S ⊗ T -> S' ⊗ T' (and whether the target groups
+are crossed), braidings per (S, T, inverse) and duality maps per word.
 """
 from __future__ import annotations
 
@@ -296,8 +301,13 @@ def merge_matrix(C: MtcData, u: Word, v: Word, k: int) -> np.ndarray:
     v1, tree i2p of v1 there and vertex nu of N[q, b, k2], in that order.
     The inverse F-move at (k1, q, b; k) rewrites each pair-basis column as
     columns of merge_matrix(u, v1, e), each extended by a vertex (e, b; k).
+
+    Nothing here reads the letters of u, only its sector dimensions, so the
+    cache is keyed by (word_dims(u), v, k): words with equal dimensions, such
+    as u and u with unit letters added, share one matrix.  The empty u is no
+    exception, because F-matrices with a unit letter are identities.
     """
-    key = ("merge", u, v, k)
+    key = ("merge", word_dims(C, u), v, k)
     M = C._cache.get(key)
     if M is not None:
         return M
@@ -358,9 +368,12 @@ def sum_merge(C: MtcData, S: SumObject, T: SumObject, k: int,
     (S[i], T[j]) is grouped column G + (o_i + i1)·dT[k2] + o_j + i2, with G
     the group's first column in S ⊗ T and o_i, o_j the offsets of the words
     in sectors k1 of S and k2 of T.  The inverse is the inverse of this
-    forward matrix; both are cached.
+    forward matrix.  Like :func:`merge_matrix`, both depend on S only
+    through the sector dimensions of its words, so both are cached per
+    (word_dims of each word of S, T, k).
     """
-    key = ("summergeinv" if inverse else "summerge", S, T, k)
+    key = ("summergeinv" if inverse else "summerge",
+           tuple(word_dims(C, w) for w in S), T, k)
     M = C._cache.get(key)
     if M is not None:
         return M
@@ -369,7 +382,8 @@ def sum_merge(C: MtcData, S: SumObject, T: SumObject, k: int,
     else:
         dT = obj_dims(C, T)
         groups = sum_groups(C, obj_dims(C, S), dT, k)
-        off = obj_offsets(C, tensor_obj(S, T), k)
+        off = list(itertools.accumulate(
+            (word_dims(C, wi + wj)[k] for wi in S for wj in T), initial=0))
         M = np.zeros((off[-1], off[-1]), dtype=complex)
         for p, ((i, wi), (j, wj)) in enumerate(itertools.product(enumerate(S), enumerate(T))):
             lo, hi = off[p], off[p + 1]
@@ -396,34 +410,63 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
-def _through_merge(C: MtcData, S: SumObject, T: SumObject, Sp: SumObject,
-                   Tp: SumObject, pieces) -> Morphism:
-    """The morphism S ⊗ T -> Sp ⊗ Tp whose sector-k block is
-    M_tgt · middle · M_src⁻¹, with the sum merge matrices of Sp ⊗ Tp and S ⊗ T.
+def _plan(C: MtcData, S: SumObject, T: SumObject, Sp: SumObject, Tp: SumObject,
+          crossed: bool) -> tuple:
+    """Layout of the maps S ⊗ T -> Sp ⊗ Tp of :func:`_through_merge`,
+    cached per signature and ``crossed``: (S ⊗ T, Sp ⊗ Tp, sectors), with
+    one entry (k, pairs, M_tgt, M_src⁻¹) per sector k where a pair below
+    matches, and the sum merge matrices of Sp ⊗ Tp and S ⊗ T.
 
-    ``pieces(k, grp)`` lists, for a source group grp = (k1, k2, mu) of
-    :func:`sum_groups`, the (target group, block) pairs that middle holds in
-    the source group's columns.
+    pairs has one entry (row, col, k1, k2, n) per pair of sectors of S and T
+    joined in k by n = N[k1, k2, k] vertices whose target groups are
+    present: the source groups (k1, k2, mu) of :func:`sum_groups` follow
+    each other from column col, and the target groups (k1, k2, nu), or
+    (k2, k1, nu) if ``crossed``, from row row.
     """
+    key = ("plan", S, T, Sp, Tp, crossed)
+    plan = C._cache.get(key)
+    if plan is not None:
+        return plan
     src, tgt = tensor_obj(S, T), tensor_obj(Sp, Tp)
     ds_all, dt_all = obj_dims(C, src), obj_dims(C, tgt)
     dS, dT, dSp, dTp = (obj_dims(C, X) for X in (S, T, Sp, Tp))
-    blocks = {}
+    sectors = []
     for k in range(C.rank):
         if ds_all[k] == 0 or dt_all[k] == 0:
             continue
         tgroups = sum_groups(C, dSp, dTp, k)
-        sgroups = sum_groups(C, dS, dT, k)
-        middle = None
-        for grp, col in sgroups.items():
-            for tgrp, blk in pieces(k, grp):
-                row = tgroups[tgrp]
-                if middle is None:
-                    middle = np.zeros((dt_all[k], ds_all[k]), dtype=complex)
-                middle[row:row + blk.shape[0], col:col + blk.shape[1]] = blk
-        if middle is not None:
-            blocks[k] = (sum_merge(C, Sp, Tp, k) @ middle
-                         @ sum_merge(C, S, T, k, inverse=True))
+        pairs = []
+        for (k1, k2, mu), col in sum_groups(C, dS, dT, k).items():
+            row = tgroups.get((k2, k1, 0) if crossed else (k1, k2, 0))
+            if mu == 0 and row is not None:
+                pairs.append((row, col, k1, k2, int(C.N[k1, k2, k])))
+        if pairs:
+            sectors.append((k, tuple(pairs), sum_merge(C, Sp, Tp, k),
+                            sum_merge(C, S, T, k, inverse=True)))
+    plan = C._cache[key] = (src, tgt, tuple(sectors))
+    return plan
+
+
+def _through_merge(C: MtcData, S: SumObject, T: SumObject, Sp: SumObject,
+                   Tp: SumObject, pieces, crossed: bool = False) -> Morphism:
+    """The morphism S ⊗ T -> Sp ⊗ Tp whose sector-k block is
+    M_tgt · middle · M_src⁻¹, with the sum merge matrices of Sp ⊗ Tp and S ⊗ T.
+
+    ``pieces(k, k1, k2, n)`` lists, for the source groups (k1, k2, mu) of
+    :func:`sum_groups`, the (nu, mu, block) triples that middle holds in the
+    rows of target group (k1, k2, nu), or (k2, k1, nu) if ``crossed``, and
+    the columns of source group (k1, k2, mu).  The layout comes from
+    :func:`_plan`; each call only places the blocks and multiplies.
+    """
+    src, tgt, sectors = _plan(C, S, T, Sp, Tp, crossed)
+    blocks = {}
+    for k, pairs, merge_tgt, merge_src_inv in sectors:
+        middle = np.zeros((merge_tgt.shape[1], merge_src_inv.shape[0]), dtype=complex)
+        for row, col, k1, k2, n in pairs:
+            for nu, mu, blk in pieces(k, k1, k2, n):
+                h, w = blk.shape
+                middle[row + nu * h:row + (nu + 1) * h, col + mu * w:col + (mu + 1) * w] = blk
+        blocks[k] = merge_tgt @ middle @ merge_src_inv
     return Morphism(C, src, tgt, blocks)
 
 
@@ -431,19 +474,16 @@ def tensor(C: MtcData, f: Morphism, g: Morphism) -> Morphism:
     """Tensor product f ⊗ g on sum objects (summand pairs in row-major order).
 
     In :func:`_through_merge`, middle pairs each source group (k1, k2, mu)
-    with the target group of the same key by kron(f_k1, g_k2), unless f or g
-    has no block there (then the target lacks the group).
+    with the target group of the same key by kron(f_k1, g_k2).  The target
+    lacks the group exactly where f or g has no block.
     """
     krons = {}
 
-    def pieces(k, grp):
-        k1, k2 = grp[:2]
-        if k1 not in f.blocks or k2 not in g.blocks:
-            return ()
+    def pieces(k, k1, k2, n):
         kr = krons.get((k1, k2))
         if kr is None:
             kr = krons[(k1, k2)] = _kron(f.blocks[k1], g.blocks[k2])
-        return ((grp, kr),)
+        return [(mu, mu, kr) for mu in range(n)]
 
     return _through_merge(C, f.src, g.src, f.tgt, g.tgt, pieces)
 
@@ -459,13 +499,18 @@ def braid(C: MtcData, S: SumObject, T: SumObject, inverse: bool = False) -> Morp
     for t1 in Hom(k1, S) and t2 in Hom(k2, T), so middle sends the group
     (k1, k2, mu) of S ⊗ T to each group (k2, k1, nu) of T ⊗ S as
     R^{k1 k2}_k[nu, mu] (Rinv^{k2 k1}_k for the inverse) times the swap of
-    the two kron factors.
+    the two kron factors.  The result is cached per (S, T, inverse) as its
+    objects and read-only blocks; each call returns a new Morphism on them.
     """
+    key = ("braid", S, T, inverse)
+    hit = C._cache.get(key)
+    if hit is not None:
+        src, tgt, blocks = hit
+        return Morphism(C, src, tgt, dict(blocks))
     dS, dT = obj_dims(C, S), obj_dims(C, T)
     swaps = {}
 
-    def pieces(k, grp):
-        k1, k2, mu = grp
+    def pieces(k, k1, k2, n):
         sw = swaps.get((k1, k2))
         if sw is None:
             n1, n2 = dS[k1], dT[k2]
@@ -473,9 +518,14 @@ def braid(C: MtcData, S: SumObject, T: SumObject, inverse: bool = False) -> Morp
             cols = np.arange(n1 * n2).reshape(n1, n2).T.ravel()
             sw = swaps[(k1, k2)] = np.eye(n1 * n2)[cols]
         Rm = C.rinv(k2, k1, k) if inverse else C.rmat(k1, k2, k)
-        return [((k2, k1, nu), Rm[nu, mu] * sw) for nu in range(Rm.shape[0])]
+        return [(nu, mu, Rm[nu, mu] * sw) for mu in range(n) for nu in range(Rm.shape[0])]
 
-    return _through_merge(C, S, T, T, S, pieces)
+    out = _through_merge(C, S, T, T, S, pieces, crossed=True)
+    for blk in out.blocks.values():
+        blk.setflags(write=False)
+    # the parts, not the Morphism: see _word_duality
+    C._cache[key] = (out.src, out.tgt, dict(out.blocks))
+    return out
 
 
 # ---------------------------------------------------------------------------

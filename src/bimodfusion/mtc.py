@@ -277,7 +277,10 @@ def _as_complex(val, where: str) -> complex:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in val)
     ):
         raise ParseError(f"{where}: complex values must be [re, im] pairs, got {val!r}")
-    z = complex(val[0], val[1])
+    try:
+        z = complex(val[0], val[1])
+    except OverflowError:  # an integer beyond the float range
+        z = cmath.inf
     if not cmath.isfinite(z):
         raise ParseError(f"{where}: complex values must be finite, got {val!r}")
     return z

@@ -194,10 +194,13 @@ def test_injected_violations_fail_at_the_largest_tolerance(capsys, argv, axiom):
     ["z", "--cat", "catalog:fibonacci", "--alg", FIXTURES],   # a directory
     *[["defect-check", "--cat", "catalog:su2_4", "--alg", fixture_path("su2_4_deven.alg.json"),
        "--triples", count] for count in ("abc", "0", "-3")],
+    *[["verify-o", "--cat", "catalog:fibonacci", "--alg", "trivial", "--seed", seed]
+      for seed in ("-1", "abc")],                              # bad seed
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
+    assert out == ""
 
 
 def test_bad_triples_exit_2_before_reading_documents(capsys):
@@ -256,10 +259,15 @@ def _inf_m_value(cat, alg):
     alg["m"][3]["val"] = [1.0, float("-inf")]
 
 
+def _huge_int_twist(cat, alg):
+    cat["twist"]["t"] = [10**400, 0]
+
+
 @pytest.mark.parametrize("name, edit, command, where", [
     ("fibonacci", _nan_f_cell, "validate", "F[t,t,t;1]"),
     ("fibonacci", _nan_twist, "validate", "twist[t]"),
     ("toric_code", _inf_m_value, "algebra-check", "m entry"),
+    ("fibonacci", _huge_int_twist, "validate", "twist[t]"),
 ])
 def test_non_finite_value_exits_2(capsys, tmp_path, name, edit, command, where):
     """A NaN or infinite part of a complex value is a parse error."""

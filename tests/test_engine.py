@@ -9,6 +9,7 @@ import pytest
 from bimodfusion import engine as E
 from bimodfusion import frobenius as F
 from bimodfusion import mtc
+from bimodfusion.catalog import catalog
 from bimodfusion.errors import TypeMismatch
 
 import oracles
@@ -108,6 +109,27 @@ def test_merge_matrix_at_multiplicity_two(u, v):
         if E.word_dims(C, u + v)[k]:
             want = oracles.merge_by_moves(C.N, C.finv, u, v, k)
             np.testing.assert_allclose(E.merge_matrix(C, u, v, k), want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("v", ["3", "33", "32", "333"])
+def test_merge_matrix_depends_on_u_only_through_its_dimensions(v):
+    """u = (3,) and the unit-padded (0, 3, 0) have the same word_dims: built
+    on separate categories their merge matrices are bitwise equal, each
+    matches the F⁻¹ moves on its own word's trees, and on one category they
+    are one cached matrix."""
+    v = tuple(map(int, v))
+    u, padded = (3,), (0, 3, 0)
+    first, second = rep_a4_random(), rep_a4_random()
+    assert E.word_dims(first, u) == E.word_dims(first, padded)
+    for k in range(first.rank):
+        if not E.word_dims(first, u + v)[k]:
+            continue
+        plain, pad = E.merge_matrix(first, u, v, k), E.merge_matrix(second, padded, v, k)
+        assert np.array_equal(plain, pad)
+        for word, got in ((u, plain), (padded, pad)):
+            want = oracles.merge_by_moves(first.N, first.finv, word, v, k)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert E.merge_matrix(first, padded, v, k) is plain
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +239,40 @@ def test_project_inject_partition():
         assert ((prj @ inj) - E.identity(C, (S[i],))).norm() < 1e-12
         total = total + inj @ prj
     assert (total - E.identity(C, S)).norm() < 1e-12
+
+
+def fresh_deven():
+    """A freshly loaded su2_4, with an empty engine cache, and the object
+    of its D-even algebra."""
+    C = catalog("su2_4").data
+    return C, F.parse_algebra(C, load_fixture("su2_4_deven.alg.json")).obj
+
+
+def test_cached_layouts_hold_no_data():
+    """tensor on a signature already used with other blocks, and braid on a
+    signature already used by tensor, equal the results on a fresh category:
+    the per-signature plan holds layout only.  A cached braiding is returned
+    as a new Morphism on read-only blocks."""
+    rng = np.random.default_rng(5)
+    used, A = fresh_deven()
+    W = ((1,), (3, 1))
+    f1, f2 = rand_morph(used, A, W, rng), rand_morph(used, A, W, rng)
+    g1, g2 = rand_morph(used, W, A, rng), rand_morph(used, W, A, rng)
+    E.tensor(used, f1, g1)   # the same signature as braid(A, W)
+    got = [E.tensor(used, f2, g2), E.braid(used, A, W)]
+    fresh, _ = fresh_deven()
+    want = [E.tensor(fresh, *(E.Morphism(fresh, h.src, h.tgt, dict(h.blocks)) for h in (f2, g2))),
+            E.braid(fresh_deven()[0], A, W)]
+    for m, w in zip(got, want):
+        assert (m.src, m.tgt) == (w.src, w.tgt) and m.blocks.keys() == w.blocks.keys()
+        assert all(np.array_equal(m.blocks[k], w.blocks[k]) for k in m.blocks)
+    braided = got[1]
+    k = next(iter(braided.blocks))
+    with pytest.raises(ValueError):
+        braided.blocks[k][0, 0] = 1.0
+    braided.blocks.clear()
+    again = E.braid(used, A, W)
+    assert again is not braided and again.blocks.keys() == want[1].blocks.keys()
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from bimodfusion import bimodules as B
 from bimodfusion import engine as E
 from bimodfusion import frobenius as F
 from bimodfusion import fusion_algebra as FA
-from bimodfusion import mtc
+from bimodfusion import mtc, reports
 from bimodfusion.catalog import CATALOG_NAMES, catalog
 from bimodfusion.errors import (
     NonIntegerStructureConstant,
@@ -376,6 +376,20 @@ def test_report_content_independent_of_seed(toric, ze, ze_report):
     assert np.array_equal(other.z, ze_report.z)
     assert np.array_equal(other.fusion_direct, ze_report.fusion_direct)
     assert other.P == ze_report.P and other.n == ze_report.n
+
+
+@pytest.mark.parametrize("name, alg", [("toric_code", "ze.alg.json"),
+                                       ("su2_4", "su2_4_deven.alg.json")])
+def test_json_report_independent_of_cache_history(name, alg):
+    """The --format json report on a category whose engine cache an A = 1
+    run filled first is byte-identical to the report on a fresh category."""
+    def report(C):
+        A = F.normalize_counit(C, F.parse_algebra(C, load_fixture(alg)))
+        return reports.to_json(FA.verify_theorem_o(C, A, seed=0).to_dict())
+
+    used = catalog(name).data
+    FA.verify_theorem_o(used, F.normalize_counit(used, F.trivial_algebra(used)), seed=0)
+    assert report(used) == report(catalog(name).data)
 
 
 # -- the linked-loop identity --------------------------------------------------
