@@ -58,10 +58,6 @@ def _algebra(args, C: mtc.MtcData, normalized: bool = True) -> F.AlgebraSpec:
     return F.normalize_counit(C, A) if normalized else A
 
 
-def _profile(C: mtc.MtcData, X: B.Bimodule) -> list:
-    return [E.obj_dim(C, X.obj, k) for k in range(C.rank)]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -113,7 +109,7 @@ def _cmd_simples(args):
         "count": len(simples),
         "labels": list(C.labels),
         "simples": [
-            {"index": t, "profile": _profile(C, X)}
+            {"index": t, "profile": E.obj_dims(C, X.obj)}
             for t, X in enumerate(simples)
         ],
     }

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import engine as E
 from .errors import NotSpecial, ParseError, ShapeError
-from .mtc import MtcData, _as_complex, read_document
+from .mtc import MtcData, _as_complex, _entry_list, read_document
 
 
 @dataclass(frozen=True)
@@ -67,22 +67,22 @@ def _copy_position(C: MtcData, mult: dict, i: int, a: int) -> int:
 
 def _entries(C: MtcData, doc: dict, name: str, labels: tuple, ints: tuple):
     """Each entry of the section ``name``: its label fields as indices, then
-    its integer fields, then its raw ``val``."""
-    entries = doc.get(name, [])
-    if not isinstance(entries, list):
-        raise ParseError(f"algebra section {name!r} must be a list of entries")
-    for pos, ent in enumerate(entries):
+    its integer fields, then its raw ``val``.  A cell (all fields but
+    ``val``) given twice raises ParseError."""
+    first: dict = {}
+    for pos, ent in enumerate(_entry_list(doc.get(name, []), name)):
         where = f"{name} entry {pos}"
-        if not isinstance(ent, dict):
-            raise ParseError(f"{where} must be an object, got {ent!r}")
         for key in (*labels, *ints, "val"):
             if key not in ent:
                 raise ParseError(f"{where} is missing the field {key!r}")
         for key in ints:
             if not isinstance(ent[key], int) or isinstance(ent[key], bool):
                 raise ParseError(f"{where}: field {key}={ent[key]!r} is not an integer")
-        yield (*(C.index(str(ent[key])) for key in labels),
-               *(ent[key] for key in ints), ent["val"])
+        cell = (*(C.index(str(ent[key])) for key in labels), *(ent[key] for key in ints))
+        if cell in first:
+            raise ParseError(f"{where} gives the cell of {name} entry {first[cell]} again")
+        first[cell] = pos
+        yield (*cell, ent["val"])
 
 
 def _product_blocks(C: MtcData, mult: dict, obj: tuple, doc: dict, name: str) -> dict:

@@ -89,7 +89,6 @@ class Thresholds:
         self.special_scale = 1e-12  # |scale of m∘Δ| below it: not special
         self.unit_channel = 1e-30   # |F^{aāa}_a unit entry| below it: no duality maps
         self.pairing_rank = 1e-9    # rank cutoff of the duality pairing (nondegeneracy)
-        self.iso_rank = None        # rank cutoff of an intertwiner: numpy's σ_max·max(M,N)·eps
         self.pinv_rcond = 1e-15     # numpy's pinv cutoff, relative to σ_max (derived Δ)
 
 
@@ -292,6 +291,16 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _entry_list(entries, name: str) -> list:
+    """``entries``, the section ``name`` of a document, checked to be a list of objects."""
+    if not isinstance(entries, list):
+        raise ParseError(f"section {name!r} must be a list of entries")
+    for pos, ent in enumerate(entries):
+        if not isinstance(ent, dict):
+            raise ParseError(f"{name} entry {pos} must be an object, got {ent!r}")
+    return entries
+
+
 def _mult_index(ent: dict, key: str, bound: int, where: str) -> int:
     v = ent.get(key, 0)
     if not isinstance(v, int) or isinstance(v, bool) or v < 0:
@@ -328,7 +337,7 @@ def load_mtc(doc: dict, tol: float = DEFAULT_TOL) -> MtcData:
 
     def lab_index(ent, key, where):
         lab = ent.get(key)
-        if lab not in index:
+        if lab not in labels:
             raise ParseError(f"{where}: unknown label {lab!r}")
         return index[lab]
 
@@ -337,19 +346,23 @@ def load_mtc(doc: dict, tol: float = DEFAULT_TOL) -> MtcData:
         raise ParseError("dual must map every label to a label")
     dual = np.zeros(n, dtype=int)
     for lab, dlab in dual_map.items():
-        if dlab not in index:
+        if dlab not in labels:
             raise ParseError(f"dual: unknown label {dlab!r}")
         dual[index[lab]] = index[dlab]
     if dual[0] != 0 or any(dual[dual[i]] != i for i in range(n)):
         raise ParseError("dual must be an involution fixing the unit")
 
     N = np.zeros((n, n, n), dtype=int)
-    for ent in _require(doc, "fusion"):
+    given = np.zeros((n, n, n), dtype=bool)
+    for ent in _entry_list(_require(doc, "fusion"), "fusion"):
         a, b, c = (lab_index(ent, k, "fusion") for k in ("a", "b", "c"))
+        if given[a, b, c]:
+            raise ParseError(f"fusion entry ({labels[a]},{labels[b]},{labels[c]}) is given twice")
         mult = ent.get("mult")
         if not isinstance(mult, int) or isinstance(mult, bool) or mult < 0:
             raise ParseError(f"fusion: mult must be a non-negative integer, got {mult!r}")
         N[a, b, c] = mult
+        given[a, b, c] = True
 
     coherence = Thresholds(float(tol)).coherence
     residuals: dict[str, float] = {}
@@ -371,7 +384,7 @@ def load_mtc(doc: dict, tol: float = DEFAULT_TOL) -> MtcData:
                    twist=np.ones(n, dtype=complex), tol=float(tol))
     left, right = data._left, data._right
     cells, vals = [], []
-    for ent in _require(doc, "F"):
+    for ent in _entry_list(_require(doc, "F"), "F"):
         a, b, c, d, e, f = (
             lab_index(ent, k, "F") for k in ("a", "b", "c", "d", "e", "f")
         )
@@ -395,7 +408,7 @@ def load_mtc(doc: dict, tol: float = DEFAULT_TOL) -> MtcData:
         np.array(vals, dtype=complex), f_entry)
 
     cells, vals = [], []
-    for ent in _require(doc, "R"):
+    for ent in _entry_list(_require(doc, "R"), "R"):
         a, b, c = (lab_index(ent, k, "R") for k in ("a", "b", "c"))
         where = f"R[{labels[a]},{labels[b]};{labels[c]}]"
         cells.append(((a * n + b) * n + c, _mult_index(ent, "mu", N[b, a, c], where),

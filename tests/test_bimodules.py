@@ -149,7 +149,7 @@ def test_tensor_unit_constraint_left(toric, ze):
         X = B.alpha_induce(toric, ze, i, +1)
         T, _ = B.tensor_over_A(toric, reg, X)
         assert B.is_isomorphic(toric, T, X) or len(B.hom_bimodule(toric, T, X)) > 0
-        assert B._sector_profile(toric, T) == B._sector_profile(toric, X)
+        assert E.obj_dims(toric, T.obj) == E.obj_dims(toric, X.obj)
 
 
 def test_tensor_unit_constraint_right(toric, ze):
@@ -190,7 +190,7 @@ def test_simples_toric(toric, ze):
     golden = load_golden("bimod_toric_ze.json")
     simples = B.simple_bimodules(toric, ze, seed=0)
     assert len(simples) == 4
-    profiles = [list(map(int, B._sector_profile(toric, S))) for S in simples]
+    profiles = [list(map(int, E.obj_dims(toric, S.obj))) for S in simples]
     assert profiles == golden["simple_profiles"]
     for S in simples:
         assert len(B.hom_bimodule(toric, S, S)) == 1
@@ -209,7 +209,7 @@ def test_simples_su24(su24, deven):
     golden = load_golden("bimod_su2_4_deven.json")
     simples = B.simple_bimodules(su24, deven, seed=0)
     assert len(simples) == 8
-    profiles = [list(map(int, B._sector_profile(su24, S))) for S in simples]
+    profiles = [list(map(int, E.obj_dims(su24, S.obj))) for S in simples]
     assert profiles == golden["simple_profiles"]
 
 
@@ -220,6 +220,29 @@ def test_alpha_m_chiralities_not_isomorphic(toric, ze):
     assert len(B.hom_bimodule(toric, Xm, Xm)) == 1
     assert len(B.hom_bimodule(toric, Xp, Xm)) == 0
     assert not B.is_isomorphic(toric, Xp, Xm)
+
+
+def test_isomorphism_test_makes_at_most_one_hom_solve(toric, ze, monkeypatch):
+    """For a simple X, Schur's lemma decides X ≅ Y from Hom(X, Y) alone:
+    one solve on an isomorphic pair, none when the sector profiles differ."""
+    calls = []
+    solve = E.nullspace_morphisms
+    monkeypatch.setattr(E, "nullspace_morphisms",
+                        lambda *args: calls.append(args) or solve(*args))
+    reg = B.regular_bimodule(toric, ze)
+    Xp = B.alpha_induce(toric, ze, 2, +1)
+    Xm = B.alpha_induce(toric, ze, 2, -1)
+    for X, Y, iso, solves in [
+        (B.alpha_induce(toric, ze, 0, +1), reg, True, 1),
+        (B.alpha_induce(toric, ze, 0, -1), reg, True, 1),
+        (Xp, reg, False, 0),
+        (Xp, Xm, False, 1),
+        (Xm, Xp, False, 1),
+    ]:
+        calls.clear()
+        assert B.is_isomorphic(toric, X, Y) is iso
+        assert len(calls) == solves
+    assert E.obj_dims(toric, Xp.obj) != E.obj_dims(toric, reg.obj)
 
 
 def test_artin_wedderburn_count(toric, ze):
@@ -280,8 +303,8 @@ def test_hom_dims_invariant_under_conjugation(toric, ze):
 
 
 def test_simples_deterministic_across_seeds(toric, ze):
-    p0 = [B._sector_profile(toric, S) for S in B.simple_bimodules(toric, ze, seed=0)]
-    p5 = [B._sector_profile(toric, S) for S in B.simple_bimodules(toric, ze, seed=5)]
+    p0 = [E.obj_dims(toric, S.obj) for S in B.simple_bimodules(toric, ze, seed=0)]
+    p5 = [E.obj_dims(toric, S.obj) for S in B.simple_bimodules(toric, ze, seed=5)]
     assert p0 == p5
 
 

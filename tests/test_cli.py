@@ -296,6 +296,36 @@ def test_unwritable_out_exits_2(capsys, tmp_path, argv):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("section, edit, message", [
+    ("m", lambda ents: ents.insert(0, dict(ents[0], val=[5.0, 0.0])),
+     "m entry 1 gives the cell of m entry 0 again"),
+    ("eta", lambda ents: ents.append(dict(ents[0])),
+     "eta entry 1 gives the cell of eta entry 0 again"),
+], ids=["m", "eta"])
+def test_repeated_algebra_cell_exits_2(capsys, tmp_path, section, edit, message):
+    """A repeated cell is a parse error, not last-wins, even with an equal value."""
+    doc = load_fixture("ze.alg.json")
+    edit(doc[section])
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "algebra-check", "--cat", "catalog:toric_code",
+                         "--alg", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+
+
+def test_category_section_not_a_list_of_objects_exits_2(capsys, tmp_path):
+    doc = catalog_document("fibonacci")
+    doc["F"] = [1]
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", "--cat", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: F entry 0 must be an object")
+
+
 def test_malformed_document_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")

@@ -239,20 +239,24 @@ def test_missing_r_entry_raises():
         mtc.load_mtc(doc)
 
 
-@pytest.mark.parametrize("section, pick, message", [
+@pytest.mark.parametrize("section, pick, wrong, message", [
     ("F", lambda ent: (ent["a"], ent["b"], ent["c"], ent["d"], ent["e"], ent["f"])
-     == ("t", "t", "t", "t", "1", "1"),
+     == ("t", "t", "t", "t", "1", "1"), {"val": [5.0, 0.0]},
      "F[t,t,t;t] entry (e=1,mu=0,nu=0;f=1,rho=0,sigma=0) is given twice"),
-    ("R", lambda ent: (ent["a"], ent["b"], ent["c"]) == ("t", "t", "1"),
+    ("R", lambda ent: (ent["a"], ent["b"], ent["c"]) == ("t", "t", "1"), {"val": [5.0, 0.0]},
      "R[t,t;1] entry (mu=0,nu=0) is given twice"),
-], ids=["F", "R"])
-def test_duplicate_cells_rejected(section, pick, message):
+    ("fusion", lambda ent: (ent["a"], ent["b"], ent["c"]) == ("t", "t", "t"), {"mult": 2},
+     "fusion entry (t,t,t) is given twice"),
+    ("fusion", lambda ent: (ent["a"], ent["b"], ent["c"]) == ("t", "t", "t"), {},
+     "fusion entry (t,t,t) is given twice"),
+], ids=["F", "R", "fusion", "fusion-same-value"])
+def test_duplicate_cells_rejected(section, pick, wrong, message):
     """A cell given twice is an error, not last-wins: here a wrong copy
-    comes first and the right one after it."""
+    (or an equal one) comes first and the right one after it."""
     doc = catalog_document("fibonacci")
     cells = doc[section]
     i = next(i for i, ent in enumerate(cells) if pick(ent))
-    cells.insert(i, dict(cells[i], val=[5.0, 0.0]))
+    cells.insert(i, dict(cells[i], **wrong))
     with pytest.raises(ParseError, match=re.escape(message)):
         mtc.load_mtc(doc)
 
@@ -276,6 +280,13 @@ def test_duplicate_cells_rejected(section, pick, message):
     lambda d: d["R"][0].__setitem__("nu", False),
     lambda d: d["F"][0].__setitem__("val", [True, 0.0]),
     lambda d: d["R"][0].__setitem__("val", [0.5, False]),
+    # a section that is not a list of objects, or a label that is no string
+    lambda d: d.__setitem__("F", [1]),
+    lambda d: d.__setitem__("R", "x"),
+    lambda d: d.__setitem__("F", {"a": 1}),
+    lambda d: d.__setitem__("fusion", [1]),
+    lambda d: d["fusion"][0].__setitem__("a", [1]),
+    lambda d: d["dual"].__setitem__("t", ["t"]),
 ])
 def test_malformed_documents_raise_parse_error(mangle):
     doc = catalog_document("fibonacci")
