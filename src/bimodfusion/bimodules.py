@@ -196,7 +196,7 @@ def split_idempotent(C: MtcData, X: Bimodule, P: E.Morphism) -> RetractPair:
         emb_blocks[k] = V[:, sel]
         res_blocks[k] = np.linalg.inv(V)[sel, :]
         mults[k] = int(np.sum(sel))
-    new_obj = tuple((k,) for k in sorted(mults) for _ in range(mults[k]))
+    new_obj = tuple(E.obj(k)[0] for k in sorted(mults) for _ in range(mults[k]))
     embed = E.Morphism(C, new_obj, X.obj, emb_blocks)
     restrict = E.Morphism(C, X.obj, new_obj, res_blocks)
     id_a = E.identity(C, X.alg.obj)

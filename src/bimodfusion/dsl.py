@@ -272,7 +272,10 @@ def evaluate(C: MtcData, expr, bindings: dict | None = None) -> engine.Morphism:
     """Evaluate a DiagramExpr (or DSL text) to a Morphism.
 
     Closed diagrams come back as unit-to-unit morphisms; use ``.scalar()``
-    to read the number off.
+    to read the number off.  Words are built by :func:`engine.obj`, which
+    drops the unit label: ``id(1,a)`` evaluates to ``id(a)`` and ``b(1)`` to
+    the identity of the unit, while the static check of
+    :func:`parse_diagram` compares words as written.
     """
     if isinstance(expr, str):
         expr = parse_diagram(expr)
@@ -284,21 +287,24 @@ def evaluate(C: MtcData, expr, bindings: dict | None = None) -> engine.Morphism:
         except ParseError:
             raise TypeMismatch(f"unknown label {name!r} in diagram") from None
 
+    def obj(*names: str) -> tuple:
+        return engine.obj(*(lab(x) for x in names))
+
     def run(node) -> engine.Morphism:
         if isinstance(node, Id):
-            return engine.identity(C, (tuple(lab(x) for x in node.word),))
+            return engine.identity(C, obj(*node.word))
         if isinstance(node, Braid):
-            return engine.braid(C, ((lab(node.i),),), ((lab(node.j),),))
+            return engine.braid(C, obj(node.i), obj(node.j))
         if isinstance(node, BraidInv):
-            return engine.braid(C, ((lab(node.i),),), ((lab(node.j),),), inverse=True)
+            return engine.braid(C, obj(node.i), obj(node.j), inverse=True)
         if isinstance(node, Cup):
-            return engine.cup(C, (lab(node.i),))
+            return engine.cup(C, obj(node.i)[0])
         if isinstance(node, Cap):
-            return engine.cap(C, (lab(node.i),))
+            return engine.cap(C, obj(node.i)[0])
         if isinstance(node, CupTilde):
-            return engine.cup_tilde(C, (lab(node.i),))
+            return engine.cup_tilde(C, obj(node.i)[0])
         if isinstance(node, CapTilde):
-            return engine.cap_tilde(C, (lab(node.i),))
+            return engine.cap_tilde(C, obj(node.i)[0])
         if isinstance(node, Named):
             try:
                 return env[node.symbol]

@@ -1,10 +1,13 @@
 """Morphism calculus in fusion-tree bases.
 
 Objects are formal direct sums of tensor words of simple labels: a ``Word``
-is a tuple of label indices (the empty tuple is the tensor unit) and a
-``SumObject`` is a tuple of words.  A morphism between sum objects is stored
-as one complex block per total sector k: the matrix of the map on
-Hom(U_k, -) in the canonical fusion-tree bases.
+is a tuple of label indices and a ``SumObject`` is a tuple of words.  The
+tensor unit is strict: words never contain the unit label 0, because
+:func:`obj` drops it, so the unit is the empty word and ``obj(0)`` is
+``UNIT``; concatenating or dualizing such words gives such words again.
+A morphism between sum objects is stored as one complex block per total
+sector k: the matrix of the map on Hom(U_k, -) in the canonical fusion-tree
+bases.
 
 The canonical basis of Hom(U_k, x_1 ⊗ ... ⊗ x_n) is the set of left-comb
 fusion trees, and both its size and its order follow from the fusion rules
@@ -50,8 +53,8 @@ UNIT: SumObject = ((),)
 
 
 def obj(*letters: int) -> SumObject:
-    """Sum object with a single word."""
-    return (tuple(letters),)
+    """Sum object with a single word: the letters without the unit label."""
+    return (tuple(x for x in letters if x),)
 
 
 def dual_word(C: MtcData, w: Word) -> Word:
@@ -303,9 +306,9 @@ def merge_matrix(C: MtcData, u: Word, v: Word, k: int) -> np.ndarray:
     columns of merge_matrix(u, v1, e), each extended by a vertex (e, b; k).
 
     Nothing here reads the letters of u, only its sector dimensions, so the
-    cache is keyed by (word_dims(u), v, k): words with equal dimensions, such
-    as u and u with unit letters added, share one matrix.  The empty u is no
-    exception, because F-matrices with a unit letter are identities.
+    cache is keyed by (word_dims(u), v, k): words with equal dimensions share
+    one matrix.  The empty u is no exception, because F-matrices with a unit
+    letter are identities.
     """
     key = ("merge", word_dims(C, u), v, k)
     M = C._cache.get(key)
@@ -694,7 +697,7 @@ def duality(C: MtcData) -> DualityData:
     zig = 0.0
     sov = 0.0
     for a in range(C.rank):
-        w = (a,)
+        (w,) = obj(a)
         bs[a], ds[a] = cup(C, w), cap(C, w)
         bts[a], dts[a] = cup_tilde(C, w), cap_tilde(C, w)
         ida = identity(C, obj(a))

@@ -1,9 +1,10 @@
 """Algebras inside a category: axioms, counit normalization, nondegeneracy.
 
 An algebra is presented in a decomposition basis A ≅ ⊕_i n_i·U_i: the
-underlying sum object lists one single-letter word per multiplicity copy
-(label-ascending, copies consecutive), and the product/unit/coproduct are
-morphisms between the corresponding sum objects.  The document schema gives
+underlying sum object lists one word per multiplicity copy (label-ascending,
+copies consecutive), the single letter i for a copy of U_i and the empty
+word for a copy of the unit, and the product/unit/coproduct are morphisms
+between the corresponding sum objects.  The document schema gives
 the product componentwise: an ``m`` entry with fields (i, a, j, b, k, c, mu)
 is the coefficient of the channel-mu fusion U_i ⊗ U_j -> U_k from copies
 (a, b) into copy c.
@@ -35,7 +36,8 @@ class AlgebraSpec:
     @property
     def dim(self) -> complex:
         """Quantum dimension of the underlying object."""
-        return sum(E.dim(self.cat, w[0]) for w in self.obj)
+        mult = self.mult
+        return sum(E.dim(self.cat, i) for i in sorted(mult) for _ in range(mult[i]))
 
 
 @dataclass
@@ -48,12 +50,9 @@ class NondegReport:
 
 
 def algebra_object(C: MtcData, mult: dict) -> tuple:
-    """Sum object of an algebra: one single-letter word per copy."""
-    words = []
-    for i in sorted(mult):
-        for _ in range(mult[i]):
-            words.append((i,))
-    return tuple(words)
+    """Sum object of an algebra: one word per copy, the letter of its label
+    or, for a copy of the unit, the empty word."""
+    return tuple(E.obj(i)[0] for i in sorted(mult) for _ in range(mult[i]))
 
 
 def _copy_position(C: MtcData, mult: dict, i: int, a: int) -> int:
@@ -130,8 +129,9 @@ def parse_algebra(C: MtcData, doc: dict) -> AlgebraSpec:
     for lab, n in raw_mult.items():
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ParseError(f"multiplicity of {lab!r} must be a non-negative integer")
+        i = C.index(lab)
         if n:
-            mult[C.index(lab)] = n
+            mult[i] = n
     if not mult:
         raise ParseError("algebra has no nonzero multiplicities")
     obj = algebra_object(C, mult)

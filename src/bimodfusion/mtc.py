@@ -354,6 +354,7 @@ def load_mtc(doc: dict, tol: float = DEFAULT_TOL) -> MtcData:
 
     N = np.zeros((n, n, n), dtype=int)
     given = np.zeros((n, n, n), dtype=bool)
+    top = int(np.iinfo(N.dtype).max)
     for ent in _entry_list(_require(doc, "fusion"), "fusion"):
         a, b, c = (lab_index(ent, k, "fusion") for k in ("a", "b", "c"))
         if given[a, b, c]:
@@ -361,6 +362,8 @@ def load_mtc(doc: dict, tol: float = DEFAULT_TOL) -> MtcData:
         mult = ent.get("mult")
         if not isinstance(mult, int) or isinstance(mult, bool) or mult < 0:
             raise ParseError(f"fusion: mult must be a non-negative integer, got {mult!r}")
+        if mult > top:
+            raise ParseError(f"fusion: mult must be at most {top}, got {mult!r}")
         N[a, b, c] = mult
         given[a, b, c] = True
 
@@ -790,7 +793,7 @@ def s_matrix(C: MtcData) -> SMatrix:
     s = np.zeros((n, n), dtype=complex)
     for i in range(n):
         for j in range(n):
-            wi, wj = ((i,),), ((j,),)
+            wi, wj = engine.obj(i), engine.obj(j)
             monodromy = engine.braid(C, wi, wj) @ engine.braid(C, wj, wi)
             s[j, i] = engine.trace(C, monodromy)
     s.setflags(write=False)

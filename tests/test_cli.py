@@ -245,6 +245,31 @@ def test_boolean_algebra_multiplicity_exits_2(capsys, tmp_path):
     assert "multiplicity" in err
 
 
+@pytest.mark.parametrize("mult", [0, 1])
+def test_unknown_algebra_label_exits_2_whatever_its_multiplicity(capsys, tmp_path, mult):
+    doc = load_fixture("ze.alg.json")
+    doc["mult"]["q"] = mult
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "algebra-check", "--cat", "catalog:toric_code",
+                         "--alg", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: unknown label 'q'")
+
+
+def test_fusion_mult_beyond_integer_range_exits_2(capsys, tmp_path):
+    doc = catalog_document("fibonacci")
+    doc["fusion"][0]["mult"] = 10**30
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", "--cat", str(path), "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: fusion: mult must be at most 9223372036854775807, "
+                          f"got {10**30}")
+
+
 def _nan_f_cell(cat, alg):
     ent = next(ent for ent in cat["F"]
                if [ent[k] for k in "abcdef"] == ["t", "t", "t", "1", "t", "t"])

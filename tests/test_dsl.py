@@ -108,6 +108,23 @@ def test_evaluate_identity_and_symbols():
         evaluate(C, "g", {"f": f})
 
 
+def test_evaluation_drops_unit_letters():
+    """Words are built without the unit label, as in the engine; the static
+    check still compares words as written."""
+    C = get_catalog("ising").data
+    m = evaluate(C, "id(1,sigma)")
+    assert (m.src, m.tgt) == (((1,),), ((1,),))
+    assert (m - evaluate(C, "id(sigma)")).norm() == 0
+    for text in ("b(1)", "d(1)", "bt(1)", "dt(1)", "id(1,1)"):
+        assert (evaluate(C, text) - E.identity(C, E.UNIT)).norm() == 0
+    for text in ("c(1,sigma)", "cinv(sigma,1)"):
+        assert (evaluate(C, text) - evaluate(C, "id(sigma)")).norm() < 1e-12
+    f = evaluate(C, "c(sigma,sigma)")
+    assert (evaluate(C, "id(1,sigma,sigma) ; f", {"f": f}) - f).norm() == 0
+    with pytest.raises(TypeMismatch):
+        parse_diagram("id(1,sigma) ; id(sigma)")
+
+
 def test_evaluate_unknown_label():
     C = get_catalog("fibonacci").data
     with pytest.raises(TypeMismatch):

@@ -136,6 +136,31 @@ def test_merge_matrix_depends_on_u_only_through_its_dimensions(v):
 # composition and tensor
 # ---------------------------------------------------------------------------
 
+def test_unit_label_is_dropped_from_words():
+    """The tensor unit is strict: obj leaves the unit label out of a word,
+    so U_0 is the empty word, and the trivial algebra's object is UNIT."""
+    C = get_catalog("ising").data
+    assert E.obj(0) == E.UNIT == ((),)
+    assert E.obj(0, 1, 0, 2, 0) == E.obj(1, 2) == ((1, 2),)
+    assert F.trivial_algebra(C).obj == E.UNIT
+
+
+@pytest.mark.parametrize("name", CATS + list(ALGEBRA_OBJECTS))
+def test_tensor_with_unit_identity_is_bitwise_unchanged(name):
+    """f ⊗ id_1 and id_1 ⊗ f are f itself, bit for bit: tensoring with the
+    empty word leaves the words, and the sum merges are identities."""
+    C, objects = duality_objects(name)
+    if name not in ALGEBRA_OBJECTS:
+        r = C.rank
+        objects = [E.UNIT + E.obj(r - 1), E.obj(r - 1, min(1, r - 1))]
+    S, T = objects[-1], objects[0]
+    f = rand_morph(C, S, T, np.random.default_rng(8))
+    unit = E.identity(C, E.UNIT)
+    for g in (E.tensor(C, f, unit), E.tensor(C, unit, f)):
+        assert (g.src, g.tgt) == (f.src, f.tgt) and g.blocks.keys() == f.blocks.keys()
+        assert all(np.array_equal(g.blocks[k], f.blocks[k]) for k in f.blocks)
+
+
 @pytest.mark.parametrize("name", CATS)
 def test_identity_tensor_identity(name):
     C = get_catalog(name).data

@@ -27,7 +27,7 @@ def ze_doc():
 
 def test_parse_shapes(toric, ze_doc):
     A = F.parse_algebra(toric, ze_doc)
-    assert A.obj == ((0,), (1,))
+    assert A.obj == ((), (1,))
     assert A.mult == {0: 1, 1: 1}
     assert abs(A.dim - 2.0) < 1e-12
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -281,8 +282,11 @@ def test_trace_closed_defect_matrices_match_cup_cap_loop(
 # -- rejected inputs ----------------------------------------------------------
 
 def test_defect_map_rejects_wrong_signature(toric, ze, ze_simples):
-    with pytest.raises(NotIntertwiner):
-        FA.D_map(toric, ze, ze_simples[0], 0, 0, E.identity(toric, ze.obj))
+    # U_e ⊗ A ⊗ U_1 is not A; the pair (0, 0) would give A itself
+    W = B.sandwich(toric, 1, B.regular_bimodule(toric, ze), 0)
+    assert W.obj != ze.obj
+    with pytest.raises(NotIntertwiner, match="must map"):
+        FA.D_map(toric, ze, ze_simples[0], 1, 0, E.identity(toric, ze.obj))
 
 
 def test_defect_map_rejects_non_intertwiner(toric, ze, ze_simples):
@@ -392,6 +396,35 @@ def test_json_report_independent_of_cache_history(name, alg):
     assert report(used) == report(catalog(name).data)
 
 
+def _key_words(key) -> list:
+    """The words in an engine cache key, by its kind."""
+    kind = key[0]
+    if kind in ("wdims", "cup", "cap", "cupt", "capt"):
+        return [key[1]]
+    if kind == "merge":
+        return [key[2]]
+    if kind in ("dims", "offsets"):
+        return list(key[1])
+    if kind in ("summerge", "summergeinv"):
+        return list(key[2])
+    if kind in ("plan", "braid"):
+        return [w for X in key[1:-1] for w in X]
+    assert kind in ("sumgroups", "dualcoef", "smatrix"), key
+    return []
+
+
+@pytest.mark.parametrize("name, alg", [("ising", None), ("toric_code", "ze.alg.json")])
+def test_cache_keys_hold_no_unit_letters(name, alg):
+    """After verify-o, no word in a key of the engine cache contains the
+    unit label: the unit is the empty word, so padded words never arise."""
+    C = catalog(name).data
+    A = F.trivial_algebra(C) if alg is None else F.parse_algebra(C, load_fixture(alg))
+    FA.verify_theorem_o(C, F.normalize_counit(C, A), seed=0)
+    words = [w for key in C._cache for w in _key_words(key)]
+    assert words and any(len(w) > 2 for w in words)
+    assert not [w for w in words if 0 in w]
+
+
 # -- the linked-loop identity --------------------------------------------------
 
 def test_defect_identity_fibonacci_all_triples(fib, fib_triv, fib_simples, fib_direct):
@@ -444,7 +477,8 @@ def test_defect_identity_builds_one_s_matrix(monkeypatch):
     trace = E.trace
 
     def counted(C, f):
-        if len(f.src) == 1 and len(f.src[0]) == 2:  # c_{U_j,U_i} ∘ c_{U_i,U_j}
+        # the traces of c_{U_j,U_i} ∘ c_{U_i,U_j} are the ones s_matrix takes
+        if sys._getframe(1).f_code is mtc.s_matrix.__code__:
             monodromies.append(f.src)
         return trace(C, f)
 
