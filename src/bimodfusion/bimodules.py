@@ -168,9 +168,9 @@ def split_idempotent(C: MtcData, X: Bimodule, P: E.Morphism) -> RetractPair:
 
     P must commute with the actions (callers produce it as a polynomial
     in endomorphisms, or from the separability element, so this holds by
-    construction).  Eigenvalues are required to cluster at 0 and 1; an
-    eigenvalue stuck in between means P was not actually idempotent to
-    working precision.
+    construction).  Eigenvalues are required to lie within ``residual`` of
+    0 or 1, and those nearer 1 span the image; an eigenvalue stuck in between
+    means P was not actually idempotent to working precision.
     """
     band = C.thresholds.residual
     idem = (P @ P - P).norm()
@@ -190,7 +190,7 @@ def split_idempotent(C: MtcData, X: Bimodule, P: E.Morphism) -> RetractPair:
             raise IdempotentSplitFailure(
                 f"sector {k}: idempotent eigenvalue {bad:.6g} is neither 0 nor 1"
             )
-        sel = np.abs(w - 1.0) < C.thresholds.image
+        sel = np.abs(w - 1.0) < np.abs(w)
         if not np.any(sel):
             continue
         emb_blocks[k] = V[:, sel]
@@ -206,6 +206,15 @@ def split_idempotent(C: MtcData, X: Bimodule, P: E.Morphism) -> RetractPair:
         rho_r = restrict @ X.rho_r @ E.tensor(C, embed, id_a)
     target = Bimodule(C, X.alg, new_obj, rho_l, rho_r)
     return RetractPair(embed=embed, restrict=restrict, target=target)
+
+
+def separability_idempotent(C: MtcData, X: Bimodule, Y: Bimodule) -> E.Morphism:
+    """P = (ρ_r ⊗ ρ_l) ∘ (id_X ⊗ Δ∘η ⊗ id_Y) on X⊗Y, whose image is X ⊗_A Y;
+    an idempotent when the algebra is special (m∘Δ = id)."""
+    sep = X.alg.delta @ X.alg.eta            # 1 -> A⊗A
+    return (E.tensor(C, X.rho_r, Y.rho_l)
+            @ E.tensor(C, E.identity(C, X.obj),
+                       E.tensor(C, sep, E.identity(C, Y.obj))))
 
 
 def tensor_over_A(C: MtcData, X: Bimodule, Y: Bimodule) -> tuple:
@@ -225,17 +234,12 @@ def tensor_over_A(C: MtcData, X: Bimodule, Y: Bimodule) -> tuple:
     if special > C.thresholds.identity:
         raise NotSpecial(f"m∘Δ deviates from id by {special:.3g}; "
                          "normalize the counit first")
-    sep = A.delta @ A.eta            # 1 -> A⊗A
-    id_x = E.identity(C, X.obj)
-    id_y = E.identity(C, Y.obj)
-    P = (E.tensor(C, X.rho_r, Y.rho_l)
-         @ E.tensor(C, id_x, E.tensor(C, sep, id_y)))
     outer = Bimodule(
         C, A, E.tensor_obj(X.obj, Y.obj),
-        E.tensor(C, X.rho_l, id_y),
-        E.tensor(C, id_x, Y.rho_r),
+        E.tensor(C, X.rho_l, E.identity(C, Y.obj)),
+        E.tensor(C, E.identity(C, X.obj), Y.rho_r),
     )
-    pair = split_idempotent(C, outer, P)
+    pair = split_idempotent(C, outer, separability_idempotent(C, X, Y))
     return pair.target, pair
 
 
@@ -279,47 +283,44 @@ def _spectral_projector(C: MtcData, X: Bimodule, T: E.Morphism,
     return P
 
 
-def _decompose(C: MtcData, X: Bimodule, rng, depth: int = 0,
-               _ends: list | None = None) -> list:
-    """Split X into simple pieces by refining along random endomorphisms."""
-    if not X.obj:
-        return []
-    ends = hom_bimodule(C, X, X) if _ends is None else _ends
+def _decompose(C: MtcData, X: Bimodule, ends: list, rng) -> list:
+    """Split X, with End basis ``ends``, into simple pieces along one random
+    endomorphism.  Modules over a special algebra are semisimple, so End(X) ≅
+    ⊕ M_{m_i}(ℂ) (Artin–Wedderburn) and a generic element has Σ m_i distinct
+    eigenvalues, each cluster's projector splitting off one simple summand;
+    the Σm² count of :func:`_collect_simples` checks that it did."""
     if len(ends) == 0:
         raise DecompositionIncomplete(
             "nonzero module with zero-dimensional endomorphism algebra"
         )
     if len(ends) == 1:
         return [X]
-    if depth > 8:
-        raise DecompositionIncomplete(
-            f"refinement did not terminate (dim End = {len(ends)})"
-        )
-    for _ in range(3):
-        T = _random_endomorphism(C, ends, rng)
-        centers = _eigenvalue_clusters(T)
-        if len(centers) >= 2:
-            break
-    else:
+    T = _random_endomorphism(C, ends, rng)
+    centers = _eigenvalue_clusters(T)
+    if len(centers) < 2:
         raise DecompositionIncomplete(
             f"no splitting endomorphism found (dim End = {len(ends)})"
         )
-    pieces = []
-    for c in centers:
-        pair = split_idempotent(C, X, _spectral_projector(C, X, T, c, centers))
-        pieces.extend(_decompose(C, pair.target, rng, depth + 1))
-    return pieces
+    return [split_idempotent(C, X, _spectral_projector(C, X, T, c, centers)).target
+            for c in centers]
 
 
 def _collect_simples(C: MtcData, generators, rng) -> list:
     """Decompose each generator, dedup up to isomorphism, and check the
-    Artin–Wedderburn count Σ m² = dim End per generator."""
+    Artin–Wedderburn count Σ m² = dim End per generator.
+
+    The count certifies the pieces of :func:`_decompose`.  A piece that is
+    not simple (two eigenvalues in one cluster) is isomorphic to no simple
+    piece, so it leaves Σ m² short of dim End and the check raises; only
+    several such pieces with equal sector profiles could make up the
+    shortfall.  A generator that passes has thus met the "X simple"
+    precondition of :func:`is_isomorphic` for each piece.
+    """
     reps: list = []
     for G in generators:
         ends = hom_bimodule(C, G, G)
-        pieces = _decompose(C, G, rng, _ends=ends)
         local: dict = {}
-        for S in pieces:
+        for S in _decompose(C, G, ends, rng):
             for t, R in enumerate(reps):
                 if is_isomorphic(C, S, R):
                     local[t] = local.get(t, 0) + 1

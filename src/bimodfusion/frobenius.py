@@ -11,7 +11,6 @@ is the coefficient of the channel-mu fusion U_i ⊗ U_j -> U_k from copies
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -194,8 +193,7 @@ def _pairing_flipped(C: MtcData, A: AlgebraSpec, eps: E.Morphism) -> E.Morphism:
 
 
 def _blockwise_inv(f: E.Morphism, pinv: bool = True) -> E.Morphism:
-    rcond = f.cat.thresholds.pinv_rcond
-    inv = functools.partial(np.linalg.pinv, rcond=rcond) if pinv else np.linalg.inv
+    inv = np.linalg.pinv if pinv else np.linalg.inv
     return E.Morphism(
         f.cat, f.tgt, f.src, {k: inv(blk) for k, blk in f.blocks.items()}
     )

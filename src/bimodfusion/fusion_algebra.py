@@ -397,10 +397,7 @@ def defect_identity(C: MtcData, A: AlgebraSpec, kappa: int, kappa_p: int,
     idempotent, around a U_j ribbon, and compare the trace against
     Σ_{κ″,i} N[κ,κ′,κ″]·dim Hom(U_i, Ẋ_κ″)·s_{ij}."""
     X, Y = simples[kappa], simples[kappa_p]
-    sep = A.delta @ A.eta
-    P = (E.tensor(C, X.rho_r, Y.rho_l)
-         @ E.tensor(C, E.identity(C, X.obj),
-                    E.tensor(C, sep, E.identity(C, Y.obj))))
+    P = B.separability_idempotent(C, X, Y)
     W = E.tensor_obj(X.obj, Y.obj)
     U = E.obj(j)
     mono = E.braid(C, U, W) @ E.braid(C, W, U)

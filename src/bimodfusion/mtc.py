@@ -52,8 +52,8 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 
 #: largest accepted tolerance: it keeps ``residual`` (10³·tol, here 0.1)
-#: below ``image`` (0.5), so ½·id is not taken for an idempotent, and keeps
-#: axiom violations of order 0.1 failing
+#: below ½, so an idempotent's eigenvalue bands at 0 and 1 stay disjoint,
+#: and keeps axiom violations of order 0.1 failing
 MAX_TOL = 1e-4
 
 
@@ -85,11 +85,9 @@ class Thresholds:
         self.unit_map = 1e-9        # verify-o: ‖D_A − id‖ below it
         self.sigma_min = 1e-6       # verify-o: σ_min(d) above it
         self.cluster = 1e-6         # eigenvalues closer than it form one cluster
-        self.image = 0.5            # idempotent eigenvalue this close to 1: in the image
         self.special_scale = 1e-12  # |scale of m∘Δ| below it: not special
         self.unit_channel = 1e-30   # |F^{aāa}_a unit entry| below it: no duality maps
         self.pairing_rank = 1e-9    # rank cutoff of the duality pairing (nondegeneracy)
-        self.pinv_rcond = 1e-15     # numpy's pinv cutoff, relative to σ_max (derived Δ)
 
 
 # ---------------------------------------------------------------------------

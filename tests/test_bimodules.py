@@ -245,24 +245,48 @@ def test_isomorphism_test_makes_at_most_one_hom_solve(toric, ze, monkeypatch):
     assert E.obj_dims(toric, Xp.obj) != E.obj_dims(toric, reg.obj)
 
 
-def test_artin_wedderburn_count(toric, ze):
-    reg = B.regular_bimodule(toric, ze)
-    W = B.sandwich(toric, 2, reg, 2)
-    ends = B.hom_bimodule(toric, W, W)
-    rng = np.random.default_rng(3)
-    pieces = B._decompose(toric, W, rng, _ends=ends)
-    # group the pieces by isomorphism and compare against dim End
-    groups: list = []
-    counts: list = []
-    for S in pieces:
-        for t, R in enumerate(groups):
-            if B.is_isomorphic(toric, S, R):
-                counts[t] += 1
-                break
-        else:
-            groups.append(S)
-            counts.append(1)
-    assert sum(m * m for m in counts) == len(ends)
+def test_artin_wedderburn_count(toric, ze, su24, deven, monkeypatch):
+    """One random endomorphism splits a sandwich into simple pieces with no
+    Hom solve of its own, and the pieces satisfy Σm² = dim End."""
+    calls = []
+    solve = E.nullspace_morphisms
+    monkeypatch.setattr(E, "nullspace_morphisms",
+                        lambda *args: calls.append(args) or solve(*args))
+    ising = get_catalog("ising").data
+    for C, A, i, dim_end, n_pieces in [
+        (toric, ze, 2, 1, 1),     # dim End 1: never split
+        (su24, deven, 2, 6, 4),   # 1 + 1 + 2², an m = 2 pair among the pieces
+        (ising, F.normalize_counit(ising, F.trivial_algebra(ising)), 1, 2, 2),  # 1 ⊕ ψ
+    ]:
+        W = B.sandwich(C, i, B.regular_bimodule(C, A), i)
+        ends = B.hom_bimodule(C, W, W)
+        assert len(ends) == dim_end
+        calls.clear()
+        pieces = B._decompose(C, W, ends, np.random.default_rng(3))
+        assert calls == []
+        assert len(pieces) == n_pieces
+        assert all(len(B.hom_bimodule(C, S, S)) == 1 for S in pieces)
+        # group the pieces by isomorphism and compare against dim End
+        groups: list = []
+        counts: list = []
+        for S in pieces:
+            for t, R in enumerate(groups):
+                if B.is_isomorphic(C, S, R):
+                    counts[t] += 1
+                    break
+            else:
+                groups.append(S)
+                counts.append(1)
+        assert sum(m * m for m in counts) == len(ends)
+
+
+def test_artin_wedderburn_count_catches_an_unsplit_piece(monkeypatch):
+    """A piece that is not simple makes Σm² fall short of dim End."""
+    C = get_catalog("ising").data
+    A = F.normalize_counit(C, F.trivial_algebra(C))
+    monkeypatch.setattr(B, "_decompose", lambda C, G, *args, **kwargs: [G])
+    with pytest.raises(DecompositionIncomplete, match="Σm² = 1 but dim End = 2"):
+        B.simple_bimodules(C, A)
 
 
 def test_left_module_count_equals_z_trace(toric, ze, su24, deven):

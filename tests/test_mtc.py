@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import re
 
 import numpy as np
@@ -219,6 +220,19 @@ def test_non_finite_tolerance_rejected(tol):
     # would pass; above MAX_TOL the derived thresholds make checks vacuous
     with pytest.raises(InvalidTolerance):
         mtc.load_mtc(catalog_document("ising"), tol=tol)
+
+
+def test_tolerance_table_names_every_threshold():
+    """The Tolerances table of docs/reports.md lists exactly the attributes
+    of ``mtc.Thresholds`` (``null_rtol`` and ``null_atol`` share a row)."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "reports.md")
+    with open(path, encoding="utf-8") as fh:
+        section = fh.read().split("## Tolerances", 1)[1].split("\n## ", 1)[0]
+    names = set()
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            names.update(re.findall(r"`(\w+)`", line.split("|")[1]))
+    assert names == set(vars(mtc.Thresholds(1e-9)))
 
 
 def test_missing_f_entry_raises():
