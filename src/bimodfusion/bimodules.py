@@ -8,6 +8,11 @@ the commutation matrix z measures.
 
 Left modules reuse the same container with ``rho_r=None``; every
 function that touches the right action skips it in that case.
+
+Modules on one object can be stacked (:func:`stack`): one container whose
+action blocks carry a leading batch axis, which the engine broadcasts
+over.  :func:`relative_products` and the defect layer use this to build
+each structural map once per object rather than once per module.
 """
 from __future__ import annotations
 
@@ -60,6 +65,33 @@ class ZMatrix:
     def pair_count(self) -> int:
         """tr(zᵗz), the number of simple bimodules."""
         return int(np.sum(self.entries * self.entries))
+
+
+def _items(f: E.Morphism, t) -> E.Morphism:
+    """Item t of a stack of morphisms, or the stack of items t for a list t."""
+    return E.Morphism(f.cat, f.src, f.tgt, {k: blk[t] for k, blk in f.blocks.items()})
+
+
+def _stack_maps(C: MtcData, fs: list) -> E.Morphism:
+    f = fs[0]
+    return E.Morphism(C, f.src, f.tgt, {k: np.stack([g.blocks[k] for g in fs]) for k in f.blocks})
+
+
+def stack(C: MtcData, modules: list) -> Bimodule:
+    """The modules, which share one object, as one whose action blocks
+    carry a leading batch axis: item t is ``modules[t]``."""
+    X = modules[0]
+    rho_r = None if X.rho_r is None else _stack_maps(C, [Y.rho_r for Y in modules])
+    return Bimodule(C, X.alg, X.obj, _stack_maps(C, [Y.rho_l for Y in modules]), rho_r)
+
+
+def stacks(C: MtcData, modules: list) -> list:
+    """``[(indices, stack)]``: the modules grouped by object, in order of
+    first appearance, each group stacked by :func:`stack`."""
+    groups: dict = {}
+    for t, X in enumerate(modules):
+        groups.setdefault(X.obj, []).append(t)
+    return [(idx, stack(C, [modules[t] for t in idx])) for idx in groups.values()]
 
 
 def regular_bimodule(C: MtcData, A: AlgebraSpec) -> Bimodule:
@@ -135,23 +167,29 @@ def intertwiner_matrix(C: MtcData, X: Bimodule, Y: Bimodule) -> np.ndarray:
     A = X.alg.obj
     M = E.action_matrix(C, A, X.rho_l, Y.rho_l, left=True)
     if X.rho_r is not None and Y.rho_r is not None:
-        M = np.vstack([M, E.action_matrix(C, A, X.rho_r, Y.rho_r, left=False)])
+        M = np.concatenate([M, E.action_matrix(C, A, X.rho_r, Y.rho_r, left=False)], axis=-2)
     return M
+
+
+def module_maps(C: MtcData, S: tuple, T: tuple, M: np.ndarray) -> list:
+    """Basis of the maps S -> T in the null space of an intertwiner matrix
+    M; NonIntegerDim when its singular-value gap leaves the dimension
+    ambiguous."""
+    sols, gap = E.nullspace_morphisms(C, S, T, M)
+    if gap < C.thresholds.hom_gap:
+        raise NonIntegerDim(
+            f"Hom({S}, {T}): singular-value gap {gap:.3g} leaves the "
+            f"hom dimension ambiguous"
+        )
+    return sols
 
 
 def hom_bimodule(C: MtcData, X: Bimodule, Y: Bimodule) -> list:
     """Basis of maps intertwining both actions (left action only for left
-    modules), the null space of :func:`intertwiner_matrix`; NonIntegerDim
-    when its singular-value gap leaves the dimension ambiguous."""
+    modules): the null space of :func:`intertwiner_matrix`, by :func:`module_maps`."""
     if E.hom_dim(C, X.obj, Y.obj) == 0:
         return []
-    sols, gap = E.nullspace_morphisms(C, X.obj, Y.obj, intertwiner_matrix(C, X, Y))
-    if gap < C.thresholds.hom_gap:
-        raise NonIntegerDim(
-            f"Hom({X.obj}, {Y.obj}): singular-value gap {gap:.3g} leaves the "
-            f"hom dimension ambiguous"
-        )
-    return sols
+    return module_maps(C, X.obj, Y.obj, intertwiner_matrix(C, X, Y))
 
 
 def z_matrix(C: MtcData, A: AlgebraSpec) -> ZMatrix:
@@ -163,7 +201,7 @@ def z_matrix(C: MtcData, A: AlgebraSpec) -> ZMatrix:
                             dtype=np.int64))
 
 
-def split_idempotent(C: MtcData, X: Bimodule, P: E.Morphism) -> RetractPair:
+def split_idempotent(C: MtcData, X: Bimodule, P: E.Morphism):
     """Split a bimodule idempotent P on X into embed/restrict maps.
 
     P must commute with the actions (callers produce it as a polynomial
@@ -171,41 +209,59 @@ def split_idempotent(C: MtcData, X: Bimodule, P: E.Morphism) -> RetractPair:
     construction).  Eigenvalues are required to lie within ``residual`` of
     0 or 1, and those nearer 1 span the image; an eigenvalue stuck in between
     means P was not actually idempotent to working precision.
+
+    A stack P on a stack X (:func:`stack`) is split as a whole and gives
+    one RetractPair per item: one eigendecomposition per sector, then the
+    items are grouped by the multiplicities of their image, and the actions
+    are restricted once per group.  A single P is split as a stack of one.
     """
     band = C.thresholds.residual
     idem = (P @ P - P).norm()
     if idem > band:
         raise IdempotentSplitFailure(f"not idempotent: ||P∘P - P|| = {idem:.3g}")
-    emb_blocks: dict = {}
-    res_blocks: dict = {}
-    mults: dict = {}
+    eigs: dict = {}
     for k in E.obj_sectors(C, X.obj):
         blk = P.blocks.get(k)
         if blk is None:
             continue
-        w, V = np.linalg.eig(blk)
+        w, V = np.linalg.eig(blk.reshape(-1, *blk.shape[-2:]))
         off = np.minimum(np.abs(w), np.abs(w - 1.0))
         if np.any(off > band):
-            bad = w[int(np.argmax(off))]
+            bad = w.flat[int(np.argmax(off))]
             raise IdempotentSplitFailure(
                 f"sector {k}: idempotent eigenvalue {bad:.6g} is neither 0 nor 1"
             )
         sel = np.abs(w - 1.0) < np.abs(w)
-        if not np.any(sel):
-            continue
-        emb_blocks[k] = V[:, sel]
-        res_blocks[k] = np.linalg.inv(V)[sel, :]
-        mults[k] = int(np.sum(sel))
-    new_obj = tuple(E.obj(k)[0] for k in sorted(mults) for _ in range(mults[k]))
-    embed = E.Morphism(C, new_obj, X.obj, emb_blocks)
-    restrict = E.Morphism(C, X.obj, new_obj, res_blocks)
+        if np.any(sel):
+            eigs[k] = (V, sel, np.linalg.inv(V))
+    items = P.batch[0] if P.batch else 1
+    groups: dict = {}
+    for t in range(items):
+        mults = tuple((k, int(np.sum(sel[t]))) for k, (_, sel, _) in eigs.items() if sel[t].any())
+        groups.setdefault(mults, []).append(t)
     id_a = E.identity(C, X.alg.obj)
-    rho_l = restrict @ X.rho_l @ E.tensor(C, id_a, embed)
-    rho_r = None
-    if X.rho_r is not None:
-        rho_r = restrict @ X.rho_r @ E.tensor(C, embed, id_a)
-    target = Bimodule(C, X.alg, new_obj, rho_l, rho_r)
-    return RetractPair(embed=embed, restrict=restrict, target=target)
+    out: list = [None] * items
+    for mults, idx in groups.items():
+        new_obj = tuple(E.obj(k)[0] for k, m in mults for _ in range(m))
+        emb_blocks, res_blocks = {}, {}
+        for k, _ in mults:
+            V, sel, Vinv = eigs[k]
+            emb_blocks[k] = np.stack([V[t][:, sel[t]] for t in idx])
+            res_blocks[k] = np.stack([Vinv[t][sel[t], :] for t in idx])
+        embed = E.Morphism(C, new_obj, X.obj, emb_blocks)
+        restrict = E.Morphism(C, X.obj, new_obj, res_blocks)
+        def group(f: E.Morphism) -> E.Morphism:
+            return _items(f, idx) if f.batch else f
+
+        rho_l = restrict @ group(X.rho_l) @ E.tensor(C, id_a, embed)
+        rho_r = None
+        if X.rho_r is not None:
+            rho_r = restrict @ group(X.rho_r) @ E.tensor(C, embed, id_a)
+        for j, t in enumerate(idx):
+            target = Bimodule(C, X.alg, new_obj, _items(rho_l, j),
+                              None if rho_r is None else _items(rho_r, j))
+            out[t] = RetractPair(_items(embed, j), _items(restrict, j), target)
+    return out if P.batch else out[0]
 
 
 def separability_idempotent(C: MtcData, X: Bimodule, Y: Bimodule) -> E.Morphism:
@@ -217,16 +273,17 @@ def separability_idempotent(C: MtcData, X: Bimodule, Y: Bimodule) -> E.Morphism:
                        E.tensor(C, sep, E.identity(C, Y.obj))))
 
 
-def tensor_over_A(C: MtcData, X: Bimodule, Y: Bimodule) -> tuple:
-    """Relative tensor product X ⊗_A Y as a split idempotent on X⊗Y.
+def relative_products(C: MtcData, pairs: list) -> list:
+    """Relative tensor products X ⊗_A Y, each as a split idempotent on X⊗Y:
+    ``(X ⊗_A Y, RetractPair)`` for each pair (X, Y).
 
     The idempotent inserts the separability element Δ∘η between the two
     factors and multiplies it in; this is a projection exactly when the
-    algebra is normalized so that m∘Δ = id, which we verify up front.
-
-    Returns ``(X ⊗_A Y, RetractPair)``.
+    algebra is normalized so that m∘Δ = id, which we verify up front.  The
+    pairs on the same two objects are stacked, so that their idempotent is
+    built and split once (:func:`split_idempotent`).
     """
-    A = X.alg
+    A = pairs[0][0].alg
     if A.delta is None:
         raise NotSpecial("tensor_over_A needs an algebra with a coproduct "
                          "(normalize the counit first)")
@@ -234,13 +291,28 @@ def tensor_over_A(C: MtcData, X: Bimodule, Y: Bimodule) -> tuple:
     if special > C.thresholds.identity:
         raise NotSpecial(f"m∘Δ deviates from id by {special:.3g}; "
                          "normalize the counit first")
-    outer = Bimodule(
-        C, A, E.tensor_obj(X.obj, Y.obj),
-        E.tensor(C, X.rho_l, E.identity(C, Y.obj)),
-        E.tensor(C, E.identity(C, X.obj), Y.rho_r),
-    )
-    pair = split_idempotent(C, outer, separability_idempotent(C, X, Y))
-    return pair.target, pair
+    groups: dict = {}
+    for t, (X, Y) in enumerate(pairs):
+        groups.setdefault((X.obj, Y.obj), []).append(t)
+    out: list = [None] * len(pairs)
+    for idx in groups.values():
+        X = stack(C, [pairs[t][0] for t in idx])
+        Y = stack(C, [pairs[t][1] for t in idx])
+        outer = Bimodule(
+            C, A, E.tensor_obj(X.obj, Y.obj),
+            E.tensor(C, X.rho_l, E.identity(C, Y.obj)),
+            E.tensor(C, E.identity(C, X.obj), Y.rho_r),
+        )
+        split = split_idempotent(C, outer, separability_idempotent(C, X, Y))
+        for t, pair in zip(idx, split):
+            out[t] = (pair.target, pair)
+    return out
+
+
+def tensor_over_A(C: MtcData, X: Bimodule, Y: Bimodule) -> tuple:
+    """Relative tensor product X ⊗_A Y as a split idempotent on X⊗Y:
+    ``(X ⊗_A Y, RetractPair)``, :func:`relative_products` of one pair."""
+    return relative_products(C, [(X, Y)])[0]
 
 
 def is_isomorphic(C: MtcData, X: Bimodule, Y: Bimodule) -> bool:

@@ -30,6 +30,13 @@ both multiply whole sector blocks through them and never loop over word
 pairs: a braiding is read off by naturality from the R-matrices of the
 joining vertices, c_{S,T} ∘ (t1 ⊗ t2) ∘ y = (t2 ⊗ t1) ∘ c_{k1,k2} ∘ y.
 
+A morphism's blocks may carry leading batch axes: a stack of morphisms
+with one signature, such as the actions of several modules on one object.
+Composition, sums, scalar multiples, :func:`tensor` and the ρ_X side of
+:func:`action_matrix` broadcast over them, so the structural maps are read
+once for the whole stack, and :func:`trace` of a stack is one value per
+item.  A single morphism is the case with no batch axes.
+
 Each structural map is cached in ``C._cache`` under what it depends on:
 merge matrices per (word_dims(u), v, k), sum merges and their inverses per
 (word_dims of each word of S, T, k), the layout of tensor and braid per
@@ -136,31 +143,40 @@ def obj_sectors(C: MtcData, S: SumObject) -> list:
 class Morphism:
     """A morphism src -> tgt, one block per total sector.
 
-    blocks[k] has shape (dim_k(tgt), dim_k(src)); every sector with both
-    dimensions positive has an entry (possibly a zero matrix).
+    blocks[k] has shape batch + (dim_k(tgt), dim_k(src)); every sector with
+    both dimensions positive has an entry (possibly a zero matrix).  The
+    leading ``batch`` axes, () for a single morphism, hold a stack of
+    morphisms with one signature; every operation broadcasts over them.
     """
 
     cat: MtcData = field(repr=False)
     src: SumObject
     tgt: SumObject
     blocks: dict
+    batch: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dims = zip(obj_dims(self.cat, self.src), obj_dims(self.cat, self.tgt))
+        missing = []
+        lead = ()
         for k, (ds, dt) in enumerate(dims):
             if ds == 0 or dt == 0:
                 self.blocks.pop(k, None)
                 continue
             blk = self.blocks.get(k)
             if blk is None:
-                self.blocks[k] = np.zeros((dt, ds), dtype=complex)
-            else:
-                blk = np.asarray(blk, dtype=complex)
-                if blk.shape != (dt, ds):
-                    raise TypeMismatch(
-                        f"sector {k} block has shape {blk.shape}, expected {(dt, ds)}"
-                    )
-                self.blocks[k] = blk
+                missing.append((k, dt, ds))
+                continue
+            blk = np.asarray(blk, dtype=complex)
+            if blk.shape[-2:] != (dt, ds):
+                raise TypeMismatch(
+                    f"sector {k} block has shape {blk.shape}, expected {(dt, ds)}"
+                )
+            lead = blk.shape[:-2]
+            self.blocks[k] = blk
+        for k, dt, ds in missing:
+            self.blocks[k] = np.zeros(lead + (dt, ds), dtype=complex)
+        self.batch = lead
 
     # -- algebra ----------------------------------------------------------
     def __matmul__(self, other: "Morphism") -> "Morphism":
@@ -408,9 +424,16 @@ def sum_merge(C: MtcData, S: SumObject, T: SumObject, k: int,
 # ---------------------------------------------------------------------------
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two matrices, without its generic-rank overhead."""
-    out = a[:, None, :, None] * b[None, :, None, :]
-    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    """np.kron of the last two axes, broadcast over the leading ones.
+
+    numpy rounds a complex product by one of several loops, chosen by the
+    operands' layout; given equal ranks, each item of a stack is formed by
+    the loop its own pair of matrices would take."""
+    if a.ndim != b.ndim:
+        rank = max(a.ndim, b.ndim)
+        a, b = (x.reshape((1,) * (rank - x.ndim) + x.shape) for x in (a, b))
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
 def _plan(C: MtcData, S: SumObject, T: SumObject, Sp: SumObject, Tp: SumObject,
@@ -451,9 +474,11 @@ def _plan(C: MtcData, S: SumObject, T: SumObject, Sp: SumObject, Tp: SumObject,
 
 
 def _through_merge(C: MtcData, S: SumObject, T: SumObject, Sp: SumObject,
-                   Tp: SumObject, pieces, crossed: bool = False) -> Morphism:
+                   Tp: SumObject, pieces, crossed: bool = False,
+                   lead: tuple = ()) -> Morphism:
     """The morphism S ⊗ T -> Sp ⊗ Tp whose sector-k block is
-    M_tgt · middle · M_src⁻¹, with the sum merge matrices of Sp ⊗ Tp and S ⊗ T.
+    M_tgt · middle · M_src⁻¹, with the sum merge matrices of Sp ⊗ Tp and S ⊗ T;
+    middle, and so the result, carries the batch axes ``lead`` of the pieces.
 
     ``pieces(k, k1, k2, n)`` lists, for the source groups (k1, k2, mu) of
     :func:`sum_groups`, the (nu, mu, block) triples that middle holds in the
@@ -464,11 +489,12 @@ def _through_merge(C: MtcData, S: SumObject, T: SumObject, Sp: SumObject,
     src, tgt, sectors = _plan(C, S, T, Sp, Tp, crossed)
     blocks = {}
     for k, pairs, merge_tgt, merge_src_inv in sectors:
-        middle = np.zeros((merge_tgt.shape[1], merge_src_inv.shape[0]), dtype=complex)
+        middle = np.zeros(lead + (merge_tgt.shape[1], merge_src_inv.shape[0]), dtype=complex)
         for row, col, k1, k2, n in pairs:
             for nu, mu, blk in pieces(k, k1, k2, n):
-                h, w = blk.shape
-                middle[row + nu * h:row + (nu + 1) * h, col + mu * w:col + (mu + 1) * w] = blk
+                h, w = blk.shape[-2:]
+                middle[..., row + nu * h:row + (nu + 1) * h,
+                       col + mu * w:col + (mu + 1) * w] = blk
         blocks[k] = merge_tgt @ middle @ merge_src_inv
     return Morphism(C, src, tgt, blocks)
 
@@ -478,7 +504,8 @@ def tensor(C: MtcData, f: Morphism, g: Morphism) -> Morphism:
 
     In :func:`_through_merge`, middle pairs each source group (k1, k2, mu)
     with the target group of the same key by kron(f_k1, g_k2).  The target
-    lacks the group exactly where f or g has no block.
+    lacks the group exactly where f or g has no block.  A stack broadcasts
+    against a single morphism or a stack of the same batch shape.
     """
     krons = {}
 
@@ -488,7 +515,8 @@ def tensor(C: MtcData, f: Morphism, g: Morphism) -> Morphism:
             kr = krons[(k1, k2)] = _kron(f.blocks[k1], g.blocks[k2])
         return [(mu, mu, kr) for mu in range(n)]
 
-    return _through_merge(C, f.src, g.src, f.tgt, g.tgt, pieces)
+    return _through_merge(C, f.src, g.src, f.tgt, g.tgt, pieces,
+                          lead=max(f.batch, g.batch, key=len))
 
 
 # ---------------------------------------------------------------------------
@@ -655,14 +683,24 @@ def cap_tilde_obj(C: MtcData, S: SumObject) -> Morphism:
     return _sum_duality(C, S, "capt")
 
 
-def trace(C: MtcData, f: Morphism) -> complex:
-    """Categorical trace of an endomorphism (fast sector-sum form)."""
+def trace(C: MtcData, f: Morphism):
+    """Categorical trace of an endomorphism (fast sector-sum form): a complex
+    number, or for a stack an array of one value per item."""
     if f.src != f.tgt:
         raise TypeMismatch("trace requires an endomorphism")
-    total = 0j
+    re = im = 0.0
     for k, blk in f.blocks.items():
-        total += dim(C, k) * np.trace(blk)
-    return complex(total)
+        d, t = dim(C, k), np.trace(blk, axis1=-2, axis2=-1)
+        # d·t by parts: numpy's vectorized complex product rounds otherwise
+        # (fused multiply-adds) than its scalar one, and each item of a stack
+        # must trace exactly as it would on its own
+        re = re + (d.real * t.real - d.imag * t.imag)
+        im = im + (d.real * t.imag + d.imag * t.real)
+    if not f.batch:
+        return complex(re, im)
+    out = np.empty(f.batch, dtype=complex)
+    out.real, out.imag = re, im
+    return out
 
 
 def trace_right(C: MtcData, f: Morphism) -> complex:
@@ -752,7 +790,8 @@ def action_matrix(C: MtcData, A: SumObject, rho_x: Morphism, rho_y: Morphism,
 
     In sector k the first term is kron(I, ρ_X,kᵀ) and the second, as in
     :func:`tensor`, ρ_Y,k · M_tgt · middle · M_src⁻¹ with middle kron(I, f_k2)
-    (kron(f_k1, I)) on each group (k1, k2, mu): one einsum per group.
+    (kron(f_k1, I)) on each group (k1, k2, mu): one einsum per group.  A
+    stack ρ_X gives one matrix per item, sharing the second term.
     """
     S, T = rho_x.tgt, rho_y.tgt
     pair = (lambda X: (A, X)) if left else (lambda X: (X, A))
@@ -762,11 +801,12 @@ def action_matrix(C: MtcData, A: SumObject, rho_x: Morphism, rho_y: Morphism,
     dTL, dTR = (obj_dims(C, X) for X in pair(T))
     cols = list(itertools.accumulate((t * s for t, s in zip(dT, dS)), initial=0))
     rows = list(itertools.accumulate((t * s for t, s in zip(dT, dsrc)), initial=0))
-    M = np.zeros((rows[-1], cols[-1]), dtype=complex)
+    M = np.zeros(rho_x.batch + (rows[-1], cols[-1]), dtype=complex)
     for k, blk in rho_x.blocks.items():
-        M[rows[k]:rows[k + 1], cols[k]:cols[k + 1]] = _kron(np.eye(dT[k]), blk.T)
+        blk_t = np.swapaxes(blk, -1, -2)
+        M[..., rows[k]:rows[k + 1], cols[k]:cols[k + 1]] = _kron(np.eye(dT[k]), blk_t)
     for k, blk in rho_y.blocks.items():
-        out = M[rows[k]:rows[k + 1]]
+        out = M[..., rows[k]:rows[k + 1], :]
         if not out.size:
             continue
         P = blk @ sum_merge(C, *pair(T), k)
@@ -780,7 +820,7 @@ def action_matrix(C: MtcData, A: SumObject, rho_x: Morphism, rho_y: Morphism,
             kf = k2 if left else k1
             p = P[:, tg:tg + dTL[k1] * dTR[k2]].reshape(-1, dTL[k1], dTR[k2])
             q = Q[g:g + dSL[k1] * dSR[k2]].reshape(dSL[k1], dSR[k2], -1)
-            out[:, cols[kf]:cols[kf + 1]] -= np.einsum(spec, p, q).reshape(len(out), -1)
+            out[..., cols[kf]:cols[kf + 1]] -= np.einsum(spec, p, q).reshape(out.shape[-2], -1)
     return M
 
 

@@ -14,13 +14,18 @@ Each matrix element of D_X is the categorical trace of an endomorphism
 of X, the X-loop closed as a trace (``defect_matrices``); ``D_map`` is
 the full-morphism form, with the loop opened by a cup and closed by a cap̃.
 
+Both routes take the bimodules that share an object as one stack
+(:func:`bimodules.stacks`): the relative products, the intertwiner
+matrices of their Hom counts, and the defect operators of the simples and
+of the products are each evaluated once per object, with one Hom solve
+per Hom space as before.
+
 Both routes must produce the same non-negative integer table; checking
 that (plus the dimension bookkeeping against the z-matrix) is what
 ``verify_theorem_o`` reports.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,25 +75,37 @@ def _unit_index(C: MtcData, A: AlgebraSpec, simples: list) -> int:
     raise SingularD("the regular bimodule does not appear among the simples")
 
 
-def _relative_products(C: MtcData, simples: list):
-    """(a, b) -> X_a ⊗_A X_b, each product computed once, on first use."""
-    return functools.cache(lambda a, b: B.tensor_over_A(C, simples[a], simples[b])[0])
+def _pairs(k: int) -> list:
+    return [(a, b) for a in range(k) for b in range(k)]
+
+
+def _relative_products(C: MtcData, simples: list) -> dict:
+    """(a, b) -> X_a ⊗_A X_b for every pair of simples."""
+    pairs = _pairs(len(simples))
+    products = B.relative_products(C, [(simples[a], simples[b]) for a, b in pairs])
+    return {p: T for p, (T, _) in zip(pairs, products)}
 
 
 def fusion_table_direct(C: MtcData, A: AlgebraSpec, simples: list, *,
                         _products=None, _unit: int | None = None) -> FusionTable:
-    """table[a, b, c] = dim Hom(X_a ⊗_A X_b, X_c), counted one pair at a time.
+    """table[a, b, c] = dim Hom(X_a ⊗_A X_b, X_c).
 
-    ``_products`` shares the relative products with the homomorphism
-    residual; ``_unit`` passes in the unit index the d-matrix already found.
+    The products on one object are stacked, so each simple X_c takes one
+    stacked intertwiner matrix per product object, and one Hom solve
+    (:func:`bimodules.module_maps`) per product.  ``_products`` shares the
+    relative products with the homomorphism residual; ``_unit`` passes in
+    the unit index the d-matrix already found.
     """
     products = _products or _relative_products(C, simples)
     k = len(simples)
+    pairs = _pairs(k)
     table = np.zeros((k, k, k), dtype=np.int64)
-    for a in range(k):
-        for b in range(k):
-            for c in range(k):
-                table[a, b, c] = len(B.hom_bimodule(C, products(a, b), simples[c]))
+    for idx, T in B.stacks(C, [products[p] for p in pairs]):
+        for c, Xc in enumerate(simples):
+            if E.hom_dim(C, T.obj, Xc.obj) == 0:
+                continue
+            for t, M in zip(idx, B.intertwiner_matrix(C, T, Xc)):
+                table[pairs[t] + (c,)] = len(B.module_maps(C, T.obj, Xc.obj, M))
     return FusionTable(table, _unit_index(C, A, simples) if _unit is None else _unit)
 
 
@@ -157,6 +174,8 @@ def defect_matrices(C: MtcData, A: AlgebraSpec, X: B.Bimodule,
     h, hbar of DMatrix: M[α, β] = ε ∘ D_X(h_β) ∘ h̄_α ∘ η.  Each element is
     the categorical trace of an endomorphism of X (see _open_strand),
     tr((absorb ⊗ ε∘h_β) ∘ pre(i, j) ∘ (h̄_α∘η ⊗ id_X)), absorb = (ε ⊗ id_X) ∘ emit.
+    For a stack X (:func:`bimodules.stack`) each M has one matrix per item,
+    M[t] that of item t, and the strands are built once for the stack.
     """
     pre, emit = _open_strand(C, A, X)
     id_x = E.identity(C, X.obj)
@@ -166,7 +185,8 @@ def defect_matrices(C: MtcData, A: AlgebraSpec, X: B.Bimodule,
         strand = pre(*key)
         opened = [strand @ E.tensor(C, hb @ A.eta, id_x) for hb in hbar[key]]
         closes = [E.tensor(C, absorb, A.eps @ hb) for hb in hs]
-        out[key] = np.array([[E.trace(C, c @ o) for c in closes] for o in opened])
+        vals = np.array([[E.trace(C, c @ o) for c in closes] for o in opened])
+        out[key] = np.moveaxis(vals, (0, 1), (-2, -1))
     return out
 
 
@@ -230,9 +250,10 @@ def d_matrix(C: MtcData, A: AlgebraSpec, simples: list) -> DMatrix:
             h, hbar = _hom_block_bases(C, A, i, j)
             if h:
                 hs[(i, j)], hbars[(i, j)] = h, hbar
-    mats = [defect_matrices(C, A, X, hs, hbars) for X in simples]
-    blocks = {key: np.array([m[key] for m in mats], dtype=complex).reshape(k, len(h), len(h))
-              for key, h in hs.items()}
+    blocks = {key: np.zeros((k, len(h), len(h)), dtype=complex) for key, h in hs.items()}
+    for idx, X in B.stacks(C, simples):
+        for key, blk in defect_matrices(C, A, X, hs, hbars).items():
+            blocks[key][idx] = blk
     cols = [blk.reshape(k, -1) for blk in blocks.values()]
     matrix = np.concatenate(cols, axis=1) if cols else np.zeros((k, 0))
     if matrix.shape[1] != k:
@@ -315,20 +336,22 @@ class TheoremOReport:
 
 def _lemma2_residual(C: MtcData, A: AlgebraSpec, simples: list, d: DMatrix,
                      seed: int, products=None) -> float:
-    """Worst deviation of D_X ∘ D_Y from D_{X⊗_A Y} over sampled pairs."""
+    """Worst deviation of D_X ∘ D_Y from D_{X⊗_A Y} over sampled pairs, the
+    operators of the products on one object taken as one stack."""
     products = products or _relative_products(C, simples)
     k = len(simples)
-    pairs = [(a, b) for a in range(k) for b in range(k)]
+    pairs = _pairs(k)
     if k > 12:
         rng = np.random.default_rng(seed)
         idx = rng.choice(len(pairs), size=100, replace=False)
         pairs = [pairs[t] for t in idx]
     worst = 0.0
-    for a, b in pairs:
-        mats = defect_matrices(C, A, products(a, b), d.h, d.hbar)
+    for idx, X in B.stacks(C, [products[p] for p in pairs]):
+        mats = defect_matrices(C, A, X, d.h, d.hbar)
+        a, b = np.array([pairs[t] for t in idx]).T
         for key, blk in d.blocks.items():
-            diff = blk[a] @ blk[b] - mats[key]
-            worst = max(worst, float(np.max(np.abs(diff))))
+            diff = np.abs(blk[a] @ blk[b] - mats[key])
+            worst = max(worst, *np.max(diff, axis=(-2, -1)).tolist())
     return worst
 
 

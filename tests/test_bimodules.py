@@ -379,7 +379,8 @@ def test_ambiguous_hom_dimension_raises(monkeypatch):
     """Every Hom solve checks its singular-value gap, which is finite unless
     the equations are all zero: with hom_gap = inf no gap passes, in the
     left-module decomposition (on toric_code 1⊕e) as in the direct table
-    (on toric_code 1⊕e and su2_4 D-even)."""
+    (on toric_code 1⊕e and su2_4 D-even), whose stacked count names the
+    relative product and the simple of the Hom space it could not count."""
     C = catalog("toric_code").data
     A = F.normalize_counit(C, F.parse_algebra(C, load_fixture("ze.alg.json")))
     monkeypatch.setattr(C.thresholds, "hom_gap", np.inf)
@@ -391,6 +392,9 @@ def test_ambiguous_hom_dimension_raises(monkeypatch):
         C = catalog(name).data
         A = F.normalize_counit(C, F.parse_algebra(C, load_fixture(fixture)))
         simples = B.simple_bimodules(C, A, seed=0)
+        products = {T.obj for T, _ in B.relative_products(
+            C, [(X, Y) for X in simples for Y in simples])}
         monkeypatch.setattr(C.thresholds, "hom_gap", np.inf)
-        with pytest.raises(NonIntegerDim):
+        with pytest.raises(NonIntegerDim) as err:
             FA.fusion_table_direct(C, A, simples)
+        assert any(f"Hom({P}, {X.obj})" in str(err.value) for P in products for X in simples)

@@ -546,3 +546,119 @@ def test_nullspace_returns_basis_and_gap():
         assert isinstance(basis, list) and isinstance(gap, float)
         assert len(basis) == (1 if T == S else 0)
     assert E.nullspace_morphisms(C, S, S, np.diag([1.0, 1e-20]))[1] == 1e20
+
+
+# ---------------------------------------------------------------------------
+# stacks: blocks with a leading batch axis
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def deven_stacks():
+    """su2_4, its normalized D-even algebra, and the actions (ρ_l, ρ_r) of
+    the simple bimodules on each object that carries two or more of them."""
+    from bimodfusion import bimodules as B
+    C = get_catalog("su2_4").data
+    A = F.normalize_counit(C, F.parse_algebra(C, load_fixture("su2_4_deven.alg.json")))
+    groups: dict = {}
+    for X in B.simple_bimodules(C, A, seed=0):
+        groups.setdefault(X.obj, []).append((X.rho_l, X.rho_r))
+    stacks = [list(zip(*g)) for g in groups.values() if len(g) > 1]
+    assert stacks
+    return C, A, stacks
+
+
+def stacked(fs):
+    f = fs[0]
+    return E.Morphism(f.cat, f.src, f.tgt,
+                      {k: np.stack([g.blocks[k] for g in fs]) for k in f.blocks})
+
+
+def assert_items_equal(stack, items):
+    """Item t of the stack is bitwise the morphism items[t]."""
+    assert stack.batch == (len(items),)
+    for t, f in enumerate(items):
+        assert (stack.src, stack.tgt) == (f.src, f.tgt)
+        assert stack.blocks.keys() == f.blocks.keys()
+        assert all(np.array_equal(stack.blocks[k][t], f.blocks[k]) for k in f.blocks)
+
+
+def test_stacked_tensor_matches_items(deven_stacks):
+    """tensor of a stack with a stack, with a single morphism on either side,
+    and of a stack of one, gives item by item what tensor gives on the items."""
+    C, A, stacks = deven_stacks
+    id_a = E.identity(C, A.obj)
+    for rls, rrs in stacks:
+        assert_items_equal(E.tensor(C, stacked(rls), stacked(rrs)),
+                           [E.tensor(C, f, g) for f, g in zip(rls, rrs)])
+        assert_items_equal(E.tensor(C, stacked(rls), id_a), [E.tensor(C, f, id_a) for f in rls])
+        assert_items_equal(E.tensor(C, id_a, stacked(rrs)), [E.tensor(C, id_a, g) for g in rrs])
+        one = stacked(rls[:1])
+        assert_items_equal(E.tensor(C, one, stacked(rrs[:1])), [E.tensor(C, rls[0], rrs[0])])
+        assert_items_equal(E.tensor(C, one, id_a), [E.tensor(C, rls[0], id_a)])
+        assert_items_equal(E.tensor(C, id_a, one), [E.tensor(C, id_a, rls[0])])
+
+
+def test_stack_of_one_tensor_rounds_as_its_item():
+    """numpy picks its complex-product loop, and so the rounding, by the
+    operands' layout; a stack of one 1×1 block against a single 1×1 block
+    is the case where a plain broadcast would take another loop."""
+    C = get_catalog("ising").data
+    rng = np.random.default_rng(17)
+    S, T = E.obj(1), E.obj(2)
+    for _ in range(20):
+        f, g = rand_morph(C, S, S, rng), rand_morph(C, T, T, rng)
+        assert_items_equal(E.tensor(C, stacked([f]), g), [E.tensor(C, f, g)])
+        assert_items_equal(E.tensor(C, g, stacked([f])), [E.tensor(C, g, f)])
+
+
+def test_stacked_algebra_and_trace_match_items(deven_stacks):
+    """Composition (stack with stack and with a single morphism), sums,
+    scalar multiples and the trace of a stack, item by item."""
+    C, A, stacks = deven_stacks
+    id_a = E.identity(C, A.obj)
+    rng = np.random.default_rng(11)
+    for rls, rrs in stacks:
+        X = rls[0].tgt
+        id_x = E.identity(C, X)
+        u = rand_morph(C, E.UNIT, A.obj, rng)
+        rev = rls[::-1]
+        sl = stacked(rls)
+        assert_items_equal(sl @ E.tensor(C, id_a, sl),
+                           [f @ E.tensor(C, id_a, f) for f in rls])
+        assert_items_equal(sl @ E.tensor(C, A.m, id_x), [f @ E.tensor(C, A.m, id_x) for f in rls])
+        assert_items_equal(id_x @ sl, [id_x @ f for f in rls])
+        assert_items_equal(sl + stacked(rev), [f + g for f, g in zip(rls, rev)])
+        counit = E.tensor(C, A.eps, id_x)
+        assert_items_equal(sl - counit, [f - counit for f in rls])
+        z = complex(rng.standard_normal(), rng.standard_normal())
+        assert_items_equal(z * sl, [z * f for f in rls])
+        ends = [g @ E.tensor(C, id_x, u) @ f @ E.tensor(C, u, id_x) for f, g in zip(rls, rrs)]
+        got = E.trace(C, stacked(ends))
+        assert isinstance(got, np.ndarray) and got.shape == (len(ends),)
+        assert np.array_equal(got, np.array([E.trace(C, f) for f in ends]))
+        assert isinstance(E.trace(C, ends[0]), complex)
+
+
+def test_stacked_action_matrix_matches_items(deven_stacks):
+    """A stack ρ_X gives one intertwiner matrix per item, for left and right
+    actions, against the actions of another simple."""
+    C, A, stacks = deven_stacks
+    rho_y = stacks[-1][0][0], stacks[-1][1][0]
+    for rls, rrs in stacks:
+        for left, fs, ry in ((True, rls, rho_y[0]), (False, rrs, rho_y[1])):
+            got = E.action_matrix(C, A.obj, stacked(fs), ry, left)
+            want = [E.action_matrix(C, A.obj, f, ry, left) for f in fs]
+            assert got.shape == (len(fs),) + want[0].shape
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_morphism_checks_only_the_matrix_axes():
+    """A block may carry leading axes; the last two must fit the sectors, and
+    a missing block is a zero of the stack's shape."""
+    C = get_catalog("ising").data
+    S, T = ((1, 1),), ((0,), (2,))
+    f = E.Morphism(C, S, T, {0: np.ones((3, 1, 1))})
+    assert f.batch == (3,) and f.blocks[2].shape == (3, 1, 1) and not f.blocks[2].any()
+    with pytest.raises(TypeMismatch):
+        E.Morphism(C, S, T, {0: np.ones((1, 3))})
+    assert E.Morphism(C, S, T, {}).batch == ()

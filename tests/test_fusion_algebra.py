@@ -279,6 +279,83 @@ def test_trace_closed_defect_matrices_match_cup_cap_loop(
         _assert_loop_closures_agree(su24, A1, X, d)
 
 
+# -- stacks: one engine pass per object --------------------------------------
+
+def _assert_morphisms_equal(f, g):
+    assert (f.src, f.tgt) == (g.src, g.tgt) and f.blocks.keys() == g.blocks.keys()
+    assert all(np.array_equal(f.blocks[k], g.blocks[k]) for k in f.blocks)
+
+
+@pytest.mark.parametrize("which", ["toric", "deven"])
+def test_stacked_relative_products_match_each_pair(which, request):
+    """relative_products stacks the pairs on the same two objects and splits
+    them at once; each result is bitwise what tensor_over_A gives for its
+    pair alone, also in a group whose products lie on different objects
+    (on su2_4 D-even).  tensor_over_A returns (bimodule, RetractPair) with
+    restrict∘embed = id."""
+    C, A, simples = (request.getfixturevalue(n) for n in (
+        ("toric", "ze", "ze_simples") if which == "toric" else ("su24", "deven", "deven_simples")))
+    pairs = [(X, Y) for X in simples for Y in simples]
+    got = B.relative_products(C, pairs)
+    groups: dict = {}
+    for (X, Y), (T, _) in zip(pairs, got):
+        groups.setdefault((X.obj, Y.obj), set()).add(T.obj)
+    # on toric_code 1⊕e each group has a single image object
+    assert any(len(objs) > 1 for objs in groups.values()) == (which == "deven")
+    for (X, Y), (T, pair) in zip(pairs, got):
+        T1, pair1 = B.tensor_over_A(C, X, Y)
+        assert isinstance(T1, B.Bimodule) and isinstance(pair1, B.RetractPair)
+        assert pair1.target is T1 and pair.target is T
+        assert (pair1.restrict @ pair1.embed - E.identity(C, T1.obj)).norm() < 1e-10
+        assert T.obj == T1.obj
+        for f, g in ((T.rho_l, T1.rho_l), (T.rho_r, T1.rho_r),
+                     (pair.embed, pair1.embed), (pair.restrict, pair1.restrict)):
+            _assert_morphisms_equal(f, g)
+
+
+@pytest.mark.parametrize("which", ["toric", "deven"])
+def test_stacked_defect_matrices_match_each_bimodule(which, request):
+    """defect_matrices of a stack of bimodules on one object (simples and
+    relative products) is bitwise, item by item, that of each bimodule."""
+    C, A, simples, d = (request.getfixturevalue(n) for n in (
+        ("toric", "ze", "ze_simples", "ze_d") if which == "toric"
+        else ("su24", "deven", "deven_simples", "deven_d")))
+    mods = simples + [T for T, _ in B.relative_products(
+        C, [(X, Y) for X in simples for Y in simples])]
+    stacks = B.stacks(C, mods)
+    assert any(len(idx) > 1 for idx, _ in stacks)
+    for idx, X in stacks:
+        got = FA.defect_matrices(C, A, X, d.h, d.hbar)
+        for j, t in enumerate(idx):
+            want = FA.defect_matrices(C, A, mods[t], d.h, d.hbar)
+            assert got.keys() == want.keys()
+            assert all(np.array_equal(got[key][j], want[key]) for key in want)
+
+
+def test_verify_runs_the_engine_once_per_object(monkeypatch):
+    """On su2_4 D-even (fresh category, seed 12) the relative products, their
+    Hom counts and the defect operators are built once per object: at most
+    1,000 tensor products (3,653 when each bimodule took its own pass), and
+    the Hom solves stay exactly one per Hom space, 326."""
+    C = catalog("su2_4").data
+    A = F.normalize_counit(C, F.parse_algebra(C, load_fixture("su2_4_deven.alg.json")))
+    calls = {"tensor": 0, "nullspace_morphisms": 0}
+
+    def counting(name):
+        fn = getattr(E, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(E, name, counting(name))
+    assert FA.verify_theorem_o(C, A, seed=12).passed
+    assert calls["tensor"] <= 1000
+    assert calls["nullspace_morphisms"] == 326
+
+
 # -- rejected inputs ----------------------------------------------------------
 
 def test_defect_map_rejects_wrong_signature(toric, ze, ze_simples):
