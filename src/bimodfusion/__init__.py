@@ -6,8 +6,6 @@ The pieces, bottom to top:
   twists), document parsing, axiom checks, the S-matrix.
 - :mod:`bimodfusion.engine` — morphisms between sums of tensor words and
   the string-diagram moves on them (compose, tensor, braid, duals, traces).
-- :mod:`bimodfusion.dsl` — a small text language for writing composite
-  diagrams; mostly a debugging and documentation aid.
 - :mod:`bimodfusion.frobenius` — symmetric special Frobenius algebras:
   parsing, validation, costructure derivation, basis changes.
 - :mod:`bimodfusion.bimodules` — two-sided modules, induction, Hom

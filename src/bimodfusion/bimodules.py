@@ -285,8 +285,8 @@ def relative_products(C: MtcData, pairs: list) -> list:
     """
     A = pairs[0][0].alg
     if A.delta is None:
-        raise NotSpecial("tensor_over_A needs an algebra with a coproduct "
-                         "(normalize the counit first)")
+        raise NotSpecial("the relative product X ⊗_A Y needs an algebra with a "
+                         "coproduct (normalize the counit first)")
     special = (A.m @ A.delta - E.identity(C, A.obj)).norm()
     if special > C.thresholds.identity:
         raise NotSpecial(f"m∘Δ deviates from id by {special:.3g}; "

@@ -21,7 +21,6 @@ from .catalog import CATALOG_NAMES, catalog
 from .errors import (
     AxiomViolation,
     BimodfusionError,
-    DiagramSyntaxError,
     InvalidTolerance,
     MissingSymbol,
     ParseError,
@@ -34,7 +33,6 @@ _DOCUMENT_ERRORS = (
     ParseError,
     ShapeError,
     MissingSymbol,
-    DiagramSyntaxError,
     UnknownCatalogName,
 )
 

@@ -265,20 +265,6 @@ def project(C: MtcData, S: SumObject, i: int) -> Morphism:
     return Morphism(C, S, w, blocks)
 
 
-def y_vertex(C: MtcData, a: int, b: int, e: int, mu: int = 0) -> Morphism:
-    """The splitting vertex Hom(e, a ⊗ b), multiplicity mu."""
-    col = np.zeros((C.N[a, b, e], 1), dtype=complex)
-    col[mu, 0] = 1.0
-    return Morphism(C, obj(e), obj(a, b), {e: col})
-
-
-def y_covertex(C: MtcData, a: int, b: int, e: int, mu: int = 0) -> Morphism:
-    """The fusion covertex (a ⊗ b) -> e dual to y_vertex (y' ∘ y = delta)."""
-    row = np.zeros((1, C.N[a, b, e]), dtype=complex)
-    row[0, mu] = 1.0
-    return Morphism(C, obj(a, b), obj(e), {e: row})
-
-
 # ---------------------------------------------------------------------------
 # merge matrices: Hom(k, u ⊗ v) pair basis -> tree basis of the joined word
 # ---------------------------------------------------------------------------
@@ -591,10 +577,10 @@ def dim(C: MtcData, a: int) -> complex:
 #: the left, last letter peeled); a cup nests the word's map inside the
 #: peeled letter's, a cap the letter's inside the word's
 _DUALITY_KINDS = {
-    "cup": (0, False, False),
-    "cap": (1, True, False),
-    "cupt": (2, True, True),
-    "capt": (3, False, True),
+    "cup": (0, False, False),   # b_w  : 1 -> w ⊗ w∨
+    "cap": (1, True, False),    # d_w  : w∨ ⊗ w -> 1
+    "cupt": (2, True, True),    # b~_w : 1 -> w∨ ⊗ w
+    "capt": (3, False, True),   # d~_w : w ⊗ w∨ -> 1
 }
 
 
@@ -630,26 +616,6 @@ def _word_duality(C: MtcData, kind: str, w: Word) -> Morphism:
     # put C in a reference cycle, which only a full garbage collection frees
     C._cache[key] = (out.src, out.tgt, out.blocks)
     return out
-
-
-def cup(C: MtcData, w: Word) -> Morphism:
-    """b_w : 1 -> w ⊗ w∨."""
-    return _word_duality(C, "cup", w)
-
-
-def cap(C: MtcData, w: Word) -> Morphism:
-    """d_w : w∨ ⊗ w -> 1."""
-    return _word_duality(C, "cap", w)
-
-
-def cup_tilde(C: MtcData, w: Word) -> Morphism:
-    """b~_w : 1 -> w∨ ⊗ w."""
-    return _word_duality(C, "cupt", w)
-
-
-def cap_tilde(C: MtcData, w: Word) -> Morphism:
-    """d~_w : w ⊗ w∨ -> 1."""
-    return _word_duality(C, "capt", w)
 
 
 def _sum_duality(C: MtcData, S: SumObject, kind: str) -> Morphism:
@@ -736,8 +702,8 @@ def duality(C: MtcData) -> DualityData:
     sov = 0.0
     for a in range(C.rank):
         (w,) = obj(a)
-        bs[a], ds[a] = cup(C, w), cap(C, w)
-        bts[a], dts[a] = cup_tilde(C, w), cap_tilde(C, w)
+        bs[a], ds[a] = _word_duality(C, "cup", w), _word_duality(C, "cap", w)
+        bts[a], dts[a] = _word_duality(C, "cupt", w), _word_duality(C, "capt", w)
         ida = identity(C, obj(a))
         idabar = identity(C, obj(int(C.dual[a])))
         z1 = tensor(C, ida, ds[a]) @ tensor(C, bs[a], ida)

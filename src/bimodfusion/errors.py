@@ -53,23 +53,7 @@ class UnknownCatalogName(BimodfusionError):
 
 
 class TypeMismatch(BimodfusionError):
-    """Morphisms or diagram nodes have incompatible source/target words."""
-
-
-class DiagramSyntaxError(BimodfusionError):
-    """The diagram DSL text does not parse.
-
-    Carries the 1-based ``line`` and ``col`` of the offending token.
-    """
-
-    def __init__(self, message: str, line: int, col: int):
-        self.line = line
-        self.col = col
-        super().__init__(f"{message} (line {line}, col {col})")
-
-
-class UnboundSymbol(BimodfusionError):
-    """A named morphism in a diagram has no binding in the environment."""
+    """Morphisms have incompatible source/target words."""
 
 
 class NonSovereignGauge(BimodfusionError):

@@ -133,6 +133,11 @@ def parse_algebra(C: MtcData, doc: dict) -> AlgebraSpec:
             mult[i] = n
     if not mult:
         raise ParseError("algebra has no nonzero multiplicities")
+    # the unit law m∘(η⊗id) = id puts an m entry into every copy
+    entries = len(_entry_list(doc.get("m", []), "m"))
+    if sum(mult.values()) > entries:
+        raise ParseError(f"algebra multiplicities total {sum(mult.values())}, more than "
+                         f"the {entries} entries of 'm': no unit law is possible")
     obj = algebra_object(C, mult)
     obj2 = E.tensor_obj(obj, obj)
 

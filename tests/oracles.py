@@ -3,9 +3,10 @@
 Everything in this module is written with explicit loops over raw symbol
 tables and its own tiny JSON reader -- no imports from ``bimodfusion`` -- so
 that the main code paths are cross-checked against genuinely independent
-arithmetic.  The one exception, :func:`intertwiner_by_units`, is handed the
-engine module: it evaluates the module-map equations as composites of
-morphisms, one matrix unit at a time.  :func:`merge_by_moves` is handed the
+arithmetic.  The exceptions are handed the engine module:
+:func:`intertwiner_by_units` evaluates the module-map equations as
+composites of morphisms, one matrix unit at a time, and :func:`y_vertex`
+and :func:`y_covertex` write a single fusion vertex as a morphism.  :func:`merge_by_moves` is handed the
 inverse F-matrices only, and finds their channels itself.  Frozen expected
 values live in ``test_oracles.py`` and in the fixture/golden files.
 """
@@ -605,6 +606,24 @@ def smatrix_vec_zn(n):
     else:
         q = cmath.exp(2j * cmath.pi / n)
     return np.array([[q ** (a * b) for b in range(n)] for a in range(n)])
+
+
+# ---------------------------------------------------------------------------
+# fusion vertices
+# ---------------------------------------------------------------------------
+
+def y_vertex(E, C, a, b, e, mu=0):
+    """The splitting vertex Hom(e, a ⊗ b), multiplicity mu."""
+    col = np.zeros((C.N[a, b, e], 1), dtype=complex)
+    col[mu, 0] = 1.0
+    return E.Morphism(C, E.obj(e), E.obj(a, b), {e: col})
+
+
+def y_covertex(E, C, a, b, e, mu=0):
+    """The fusion covertex (a ⊗ b) -> e dual to y_vertex (y' ∘ y = delta)."""
+    row = np.zeros((1, C.N[a, b, e]), dtype=complex)
+    row[0, mu] = 1.0
+    return E.Morphism(C, E.obj(a, b), E.obj(e), {e: row})
 
 
 # ---------------------------------------------------------------------------

@@ -173,7 +173,7 @@ def test_tensor_retract_is_split(su24, deven):
 def test_tensor_requires_normalized_algebra(toric):
     A = F.parse_algebra(toric, load_fixture("ze.alg.json"))  # no coproduct yet
     reg = B.regular_bimodule(toric, A)
-    with pytest.raises(NotSpecial):
+    with pytest.raises(NotSpecial, match="relative product"):
         B.tensor_over_A(toric, reg, reg)
 
 

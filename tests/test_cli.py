@@ -245,6 +245,19 @@ def test_boolean_algebra_multiplicity_exits_2(capsys, tmp_path):
     assert "multiplicity" in err
 
 
+def test_algebra_multiplicity_beyond_its_product_entries_exits_2(capsys, tmp_path):
+    """Each copy needs an m entry for the unit law, so 10**30 copies of e
+    are a parse error, found before one word per copy is built."""
+    doc = load_fixture("ze.alg.json")
+    doc["mult"]["e"] = 10**30
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "z", "--cat", "catalog:toric_code", "--alg", str(path))
+    assert code == 2
+    assert out == ""
+    assert "multiplicities total" in err
+
+
 @pytest.mark.parametrize("mult", [0, 1])
 def test_unknown_algebra_label_exits_2_whatever_its_multiplicity(capsys, tmp_path, mult):
     doc = load_fixture("ze.alg.json")

@@ -249,8 +249,8 @@ def test_vertex_covertex_duality():
             for b in range(C.rank):
                 if C.N[a, b, e] == 0:
                     continue
-                y = E.y_vertex(C, a, b, e, 0)
-                yc = E.y_covertex(C, a, b, e, 0)
+                y = oracles.y_vertex(E, C, a, b, e, 0)
+                yc = oracles.y_covertex(E, C, a, b, e, 0)
                 assert ((yc @ y) - E.identity(C, E.obj(e))).norm() < 1e-12
 
 
@@ -487,10 +487,45 @@ def test_quantum_dims_positive(name):
 def test_trace_of_projector_counts_unit():
     C = get_catalog("fibonacci").data
     # tr over (t,t) of the projector onto the unit channel = dim(unit) = 1
-    y = E.y_vertex(C, 1, 1, 0)
-    yc = E.y_covertex(C, 1, 1, 0)
+    y = oracles.y_vertex(E, C, 1, 1, 0)
+    yc = oracles.y_covertex(E, C, 1, 1, 0)
     proj = y @ yc
     assert abs(E.trace(C, proj) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("name, label, want", [
+    ("fibonacci", "t", (1 + np.sqrt(5)) / 2),
+    ("ising", "sigma", np.sqrt(2)),
+], ids=["fibonacci", "ising"])
+def test_closed_loop_gives_quantum_dimension(name, label, want):
+    """The loop d~ ∘ b on a letter is its quantum dimension."""
+    C = get_catalog(name).data
+    S = E.obj(C.index(label))
+    assert abs((E.cap_tilde_obj(C, S) @ E.cup_obj(C, S)).scalar() - want) < 1e-12
+
+
+@pytest.mark.parametrize("name", CATS)
+def test_monodromy_diagram_matches_s_matrix(name):
+    """The closed diagram of two loops a and b linked once, cups, the double
+    braiding c_{b,a} ∘ c_{a,b} on the strands a ⊗ b, and the two caps d~, is
+    S[a, b] of mtc.s_matrix; in fibonacci S[t, t] = −1."""
+    C = get_catalog(name).data
+    ident = lambda S: E.identity(C, S)
+
+    def linked_loops(a, b):
+        A, B = E.obj(a), E.obj(b)
+        Ad, Bd = E.dual_obj(C, A), E.dual_obj(C, B)
+        cups = E.tensor(C, ident(A), E.tensor(C, E.cup_obj(C, B), ident(Ad))) @ E.cup_obj(C, A)
+        monodromy = E.tensor(C, E.braid(C, B, A) @ E.braid(C, A, B),
+                             ident(E.tensor_obj(Bd, Ad)))
+        caps = (E.cap_tilde_obj(C, A)
+                @ E.tensor(C, ident(A), E.tensor(C, E.cap_tilde_obj(C, B), ident(Ad))))
+        return (caps @ monodromy @ cups).scalar()
+
+    got = np.array([[linked_loops(a, b) for b in range(C.rank)] for a in range(C.rank)])
+    np.testing.assert_allclose(got, mtc.s_matrix(C).entries, rtol=0, atol=1e-10)
+    if name == "fibonacci":
+        assert abs(got[1, 1] - (-1.0)) < 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from bimodfusion import engine as E
 from bimodfusion import frobenius as F
-from bimodfusion.errors import NotSpecial, ShapeError
+from bimodfusion.errors import NotSpecial, ParseError, ShapeError
 
 from conftest import get_catalog, load_fixture
 
@@ -121,14 +121,27 @@ def test_normalized_counit_is_trace_form(toric, ze_doc):
 
 
 def test_zero_product_not_special(toric):
+    # one explicit zero entry into each copy: fewer entries do not parse
+    zero = {"a": 0, "b": 0, "c": 0, "mu": 0, "val": [0.0, 0.0]}
     doc = {
         "mult": {"1": 1, "e": 1},
-        "m": [],
+        "m": [dict(zero, i="1", j="1", k="1"), dict(zero, i="1", j="e", k="e")],
         "eta": [{"k": "1", "c": 0, "val": [1.0, 0.0]}],
     }
     A = F.parse_algebra(toric, doc)
+    assert A.m.norm() == 0
     with pytest.raises(NotSpecial):
         F.normalize_counit(toric, A)
+
+
+@pytest.mark.parametrize("entries", [0, 3])
+def test_parse_rejects_more_copies_than_product_entries(toric, ze_doc, entries):
+    """The unit law puts an m entry into each copy, so two copies need
+    two entries and 1 ⊕ 3·e needs four."""
+    mult = {"1": 1, "e": 1} if entries == 0 else {"1": 1, "e": 3}
+    doc = dict(ze_doc, mult=mult, m=ze_doc["m"][:entries])
+    with pytest.raises(ParseError, match="multiplicities total"):
+        F.parse_algebra(toric, doc)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,21 @@
-"""The benchmark's per-layer tracer finds the functions it wraps by module
+"""Names that point into the code from outside it, each of which must exist:
+the benchmark's per-layer tracer finds the functions it wraps by module
 attribute name (perfbench/spans.py), so a renamed package function would
-drop out of its metrics without an error: each traced target must exist."""
+drop out of its metrics without an error; and the README and the package
+docstring name modules and documents that a deletion can leave behind."""
 from __future__ import annotations
 
 import importlib
 import inspect
+import re
 from pathlib import Path
 
+import bimodfusion
 from bimodfusion import engine as E
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def test_traced_targets_are_package_functions(monkeypatch):
@@ -21,3 +27,27 @@ def test_traced_targets_are_package_functions(monkeypatch):
         mod = importlib.import_module(f"{layers.PACKAGE}.{module}")
         fn = getattr(mod, name, None)
         assert inspect.isfunction(fn) and fn.__module__ == mod.__name__, f"{module}.{name}"
+
+
+def test_readme_layout_lists_the_package_modules():
+    """The Layout block names each module of src/bimodfusion/ (not the
+    dunder files) and no other."""
+    block = README.split("## Layout", 1)[1].split("```")[1]
+    listed = set(re.findall(r"\b\w+\.py\b", block))
+    modules = {p.name for p in (ROOT / "src" / "bimodfusion").glob("*.py")
+               if not p.name.startswith("_")}
+    assert listed == modules
+
+
+def test_readme_doc_links_exist():
+    links = re.findall(r"\]\((docs/[^)#\s]+\.md)", README)
+    assert links
+    for link in links:
+        assert (ROOT / link).is_file(), link
+
+
+def test_package_docstring_modules_import():
+    names = re.findall(r":mod:`([\w.]+)`", bimodfusion.__doc__)
+    assert names
+    for name in names:
+        importlib.import_module(name)
