@@ -34,8 +34,9 @@ A morphism's blocks may carry leading batch axes: a stack of morphisms
 with one signature, such as the actions of several modules on one object.
 Composition, sums, scalar multiples, :func:`tensor` and the ρ_X side of
 :func:`action_matrix` broadcast over them, so the structural maps are read
-once for the whole stack, and :func:`trace` of a stack is one value per
-item.  A single morphism is the case with no batch axes.
+once for the whole stack, and :func:`trace` of a stack, like ``scalar()``
+of a stack of closed morphisms, is one value per item.  A single morphism
+is the case with no batch axes.
 
 Each structural map is cached in ``C._cache`` under what it depends on:
 merge matrices per (word_dims(u), v, k), sum merges and their inverses per
@@ -221,11 +222,14 @@ class Morphism:
         vals = [np.max(np.abs(blk)) for blk in self.blocks.values() if blk.size]
         return float(max(vals)) if vals else 0.0
 
-    def scalar(self) -> complex:
-        """The value of an endomorphism of the tensor unit."""
+    def scalar(self):
+        """The value of an endomorphism of the tensor unit: a complex
+        number, or for a stack an array of one value per item."""
         if self.src != UNIT or self.tgt != UNIT:
             raise TypeMismatch("scalar() requires a closed (unit-to-unit) morphism")
         blk = self.blocks.get(0)
+        if self.batch:
+            return blk[..., 0, 0].copy()
         return complex(blk[0, 0]) if blk is not None else 0j
 
 
@@ -557,7 +561,7 @@ def _letter_duality(C: MtcData, a: int):
         abar = int(C.dual[a])
         # the unit channels come first in both channel bases
         Fa = complex(C.fmat(a, abar, a, a)[0, 0])
-        if abs(Fa) < C.thresholds.unit_channel:
+        if Fa == 0:
             raise NonSovereignGauge(
                 f"F[{C.labels[a]},{C.labels[abar]},{C.labels[a]}] unit channel vanishes"
             )
@@ -681,44 +685,6 @@ def trace_left(C: MtcData, f: Morphism) -> complex:
     S = f.src
     m = cap_obj(C, S) @ tensor(C, identity(C, dual_obj(C, S)), f) @ cup_tilde_obj(C, S)
     return m.scalar()
-
-
-@dataclass
-class DualityData:
-    """Single-label duality maps with their coherence diagnostics."""
-
-    b: dict
-    d: dict
-    b_tilde: dict
-    d_tilde: dict
-    zigzag_residual: float
-    sovereignty_residual: float
-
-
-def duality(C: MtcData) -> DualityData:
-    """All single-label cups/caps; raises NonSovereignGauge on bad input data."""
-    bs, ds, bts, dts = {}, {}, {}, {}
-    zig = 0.0
-    sov = 0.0
-    for a in range(C.rank):
-        (w,) = obj(a)
-        bs[a], ds[a] = _word_duality(C, "cup", w), _word_duality(C, "cap", w)
-        bts[a], dts[a] = _word_duality(C, "cupt", w), _word_duality(C, "capt", w)
-        ida = identity(C, obj(a))
-        idabar = identity(C, obj(int(C.dual[a])))
-        z1 = tensor(C, ida, ds[a]) @ tensor(C, bs[a], ida)
-        z2 = tensor(C, ds[a], idabar) @ tensor(C, idabar, bs[a])
-        z3 = tensor(C, dts[a], ida) @ tensor(C, ida, bts[a])
-        z4 = tensor(C, idabar, dts[a]) @ tensor(C, bts[a], idabar)
-        zig = max(zig, (z1 - ida).norm(), (z2 - idabar).norm(),
-                  (z3 - ida).norm(), (z4 - idabar).norm())
-        sov = max(sov, abs(trace_left(C, ida) - trace_right(C, ida)))
-    if max(zig, sov) > C.thresholds.residual:
-        raise NonSovereignGauge(
-            f"duality data inconsistent: zig-zag residual {zig:.3e}, "
-            f"left/right trace residual {sov:.3e}"
-        )
-    return DualityData(bs, ds, bts, dts, zigzag_residual=zig, sovereignty_residual=sov)
 
 
 # ---------------------------------------------------------------------------

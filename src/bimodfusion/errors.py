@@ -57,7 +57,7 @@ class TypeMismatch(BimodfusionError):
 
 
 class NonSovereignGauge(BimodfusionError):
-    """Left and right traces of identities disagree; duality data unusable."""
+    """The unit channel of F^{a ā a}_a vanishes."""
 
 
 class NotSpecial(BimodfusionError):

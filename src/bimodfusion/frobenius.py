@@ -229,7 +229,7 @@ def with_costructure(C: MtcData, A: AlgebraSpec) -> AlgebraSpec:
 # axiom checks
 # ---------------------------------------------------------------------------
 
-def _special_scale(C: MtcData, A: AlgebraSpec) -> tuple:
+def _md_scale(C: MtcData, A: AlgebraSpec) -> tuple:
     """(λ, ‖m∘Δ − λ·id‖) with λ = tr(m∘Δ)/dim, for A with its costructure."""
     md = A.m @ A.delta
     total_dim = sum(blk.shape[0] for blk in md.blocks.values())
@@ -258,8 +258,8 @@ def validate_algebra(C: MtcData, A: AlgebraSpec) -> dict:
 
     sym = (_pairing(C, A, eps) - _pairing_flipped(C, A, eps)).norm()
 
-    lam, special = _special_scale(C, A)
-    if abs(lam) < C.thresholds.special_scale:
+    lam, special = _md_scale(C, A)
+    if abs(lam) < C.thresholds.identity:
         special = max(special, 1.0)
 
     from . import bimodules
@@ -279,7 +279,7 @@ def validate_algebra(C: MtcData, A: AlgebraSpec) -> dict:
     return {
         "residuals": residuals,
         "simple_dim": simple_dim,
-        "pass": bool(max(residuals.values()) <= C.thresholds.algebra),
+        "pass": bool(max(residuals.values()) <= C.thresholds.identity),
     }
 
 
@@ -287,7 +287,7 @@ def normalize_counit(C: MtcData, A: AlgebraSpec) -> AlgebraSpec:
     """Rescale (ε, Δ) so that m∘Δ = id and ε∘η = dim(A)."""
     tol = C.thresholds.identity
     A = with_costructure(C, A)
-    lam, residual = _special_scale(C, A)
+    lam, residual = _md_scale(C, A)
     if abs(lam) < tol or residual > tol * max(1.0, abs(lam)):
         raise NotSpecial(
             f"m∘Δ is not an invertible multiple of the identity "
@@ -318,9 +318,7 @@ def nondegeneracy(C: MtcData, A: AlgebraSpec) -> NondegReport:
         ((psi @ phi) - E.identity(C, A.obj)).norm(),
         ((phi @ psi) - E.identity(C, Ad)).norm(),
     )
-    rank = sum(
-        int(np.linalg.matrix_rank(blk, tol=th.pairing_rank)) for blk in phi.blocks.values()
-    )
+    rank = sum(int(np.linalg.matrix_rank(blk)) for blk in phi.blocks.values())
     full = E.hom_dim(C, A.obj, Ad)
     return NondegReport(iso_residual=res, rank=rank, passed=bool(res < th.identity and rank == full))
 

@@ -74,9 +74,8 @@ class Thresholds:
                 f"tolerance must be finite, positive and at most {MAX_TOL:g}, got {tol!r}")
         self.coherence = tol                  # category axioms; S invertible (modular)
         self.integer = 100.0 * tol            # structure constant vs its nearest integer
-        self.algebra = tol * 1e3              # algebra-check residuals
-        self.identity = max(tol * 1e3, 1e-9)  # m∘Δ = id, ε∘η = dim A, pairing inverse, D_map input
-        self.residual = max(tol * 1e3, 1e-6)  # report gates, zig-zags, idempotent eigenvalues
+        self.identity = max(tol * 1e3, 1e-9)  # algebra-check, m∘Δ = id, ε∘η = dim A, pairing inverse, D_map
+        self.residual = max(tol * 1e3, 1e-6)  # report gates, idempotent eigenvalues
         self.null_rtol = max(tol, 1e-12)      # Hom solve: σ ≤ max(null_atol, null_rtol·σ_max) is 0
         self.null_atol = 1e-10
         self.d_rtol = max(tol * 1e2, 1e-10)   # d singular: σ_min ≤ d_rtol·σ_max
@@ -85,9 +84,6 @@ class Thresholds:
         self.unit_map = 1e-9        # verify-o: ‖D_A − id‖ below it
         self.sigma_min = 1e-6       # verify-o: σ_min(d) above it
         self.cluster = 1e-6         # eigenvalues closer than it form one cluster
-        self.special_scale = 1e-12  # |scale of m∘Δ| below it: not special
-        self.unit_channel = 1e-30   # |F^{aāa}_a unit entry| below it: no duality maps
-        self.pairing_rank = 1e-9    # rank cutoff of the duality pairing (nondegeneracy)
 
 
 # ---------------------------------------------------------------------------

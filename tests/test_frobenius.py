@@ -1,6 +1,8 @@
 """Algebra axioms, counit normalization, and the nondegeneracy pairing."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,18 @@ def test_zero_product_not_special(toric):
     }
     A = F.parse_algebra(toric, doc)
     assert A.m.norm() == 0
+    with pytest.raises(NotSpecial):
+        F.normalize_counit(toric, A)
+
+
+def test_zero_scale_fails_both_checks(toric, ze_doc):
+    """m∘Δ = 1e-8·id is not special: algebra-check and the counit
+    normalization apply one rule to the scale of m∘Δ."""
+    A = F.normalize_counit(toric, F.parse_algebra(toric, ze_doc))
+    A = replace(A, delta=1e-8 * A.delta, eps=1e8 * A.eps)
+    rep = F.validate_algebra(toric, A)
+    assert rep["residuals"]["special"] == 1.0
+    assert not rep["pass"]
     with pytest.raises(NotSpecial):
         F.normalize_counit(toric, A)
 

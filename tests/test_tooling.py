@@ -12,6 +12,7 @@ from pathlib import Path
 
 import bimodfusion
 from bimodfusion import engine as E
+from bimodfusion import mtc
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -51,3 +52,14 @@ def test_package_docstring_modules_import():
     assert names
     for name in names:
         importlib.import_module(name)
+
+
+def test_every_threshold_has_a_reader():
+    """Each constant of mtc.Thresholds is read somewhere in the package, on
+    a ``thresholds`` attribute, a local ``th`` or a fresh ``Thresholds(…)``
+    (``Thresholds.__init__`` writes them on ``self``): a constant that has
+    lost its last reader fails here."""
+    source = "\n".join(p.read_text(encoding="utf-8")
+                       for p in (ROOT / "src" / "bimodfusion").glob("*.py"))
+    for name in vars(mtc.Thresholds(1e-9)):
+        assert re.search(rf"(?:\bthresholds|\bth|\))\.{name}\b", source), name
