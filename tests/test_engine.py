@@ -441,20 +441,36 @@ def letters(C):
     return [E.obj(a) for a in range(C.rank)]
 
 
+def assert_zigzags(C, S):
+    """The four zig-zags of S's duality maps are identities."""
+    ids, idd = E.identity(C, S), E.identity(C, E.dual_obj(C, S))
+    b, d = E.cup_obj(C, S), E.cap_obj(C, S)
+    bt, dt = E.cup_tilde_obj(C, S), E.cap_tilde_obj(C, S)
+    for zigzag, want in [
+        (E.tensor(C, ids, d) @ E.tensor(C, b, ids), ids),
+        (E.tensor(C, d, idd) @ E.tensor(C, idd, b), idd),
+        (E.tensor(C, dt, ids) @ E.tensor(C, ids, bt), ids),
+        (E.tensor(C, idd, dt) @ E.tensor(C, bt, idd), idd),
+    ]:
+        assert (zigzag - want).norm() < 1e-10
+
+
+@pytest.mark.parametrize("name", CATS + ["su2_4", "vec_z4"])
+def test_duality_coherence(name):
+    """Every letter's duality maps satisfy the zig-zags, and its left and
+    right traces of the identity (its dimension) agree."""
+    C = get_catalog(name).data
+    for S in letters(C):
+        assert_zigzags(C, S)
+        ident = E.identity(C, S)
+        assert abs(E.trace_left(C, ident) - E.trace_right(C, ident)) < 1e-10
+
+
 @pytest.mark.parametrize("name", CATS + ["su2_4", "vec_z4"] + list(ALGEBRA_OBJECTS))
 def test_word_zigzags(name):
     C, objects = duality_objects(name)
-    for S in objects + letters(C):
-        ids, idd = E.identity(C, S), E.identity(C, E.dual_obj(C, S))
-        b, d = E.cup_obj(C, S), E.cap_obj(C, S)
-        bt, dt = E.cup_tilde_obj(C, S), E.cap_tilde_obj(C, S)
-        for zigzag, want in [
-            (E.tensor(C, ids, d) @ E.tensor(C, b, ids), ids),
-            (E.tensor(C, d, idd) @ E.tensor(C, idd, b), idd),
-            (E.tensor(C, dt, ids) @ E.tensor(C, ids, bt), ids),
-            (E.tensor(C, idd, dt) @ E.tensor(C, bt, idd), idd),
-        ]:
-            assert (zigzag - want).norm() < 1e-10
+    for S in objects:
+        assert_zigzags(C, S)
 
 
 @pytest.mark.parametrize("name", CATS + ["su2_4", "vec_z4"] + list(ALGEBRA_OBJECTS))
@@ -468,9 +484,6 @@ def test_traces_agree(name):
         tf = E.trace(C, f)
         assert abs(tl - tr) < 1e-9
         assert abs(tf - tl) < 1e-9
-    for S in letters(C):
-        ident = E.identity(C, S)
-        assert abs(E.trace_left(C, ident) - E.trace_right(C, ident)) < 1e-10
 
 
 def test_vanishing_unit_channel_is_non_sovereign():
