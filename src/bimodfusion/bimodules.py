@@ -141,25 +141,6 @@ def sandwich(C: MtcData, i: int, X: Bimodule, j: int) -> Bimodule:
     return Bimodule(C, A, E.tensor_obj(U, E.tensor_obj(X.obj, V)), rho_l, rho_r)
 
 
-def module_residuals(C: MtcData, X: Bimodule) -> dict:
-    """Max-entry residuals of the module axioms (and action commutation)."""
-    A = X.alg
-    id_a = E.identity(C, A.obj)
-    id_x = E.identity(C, X.obj)
-    res = {
-        "left-assoc": (X.rho_l @ E.tensor(C, A.m, id_x)
-                       - X.rho_l @ E.tensor(C, id_a, X.rho_l)).norm(),
-        "left-unit": (X.rho_l @ E.tensor(C, A.eta, id_x) - id_x).norm(),
-    }
-    if X.rho_r is not None:
-        res["right-assoc"] = (X.rho_r @ E.tensor(C, id_x, A.m)
-                              - X.rho_r @ E.tensor(C, X.rho_r, id_a)).norm()
-        res["right-unit"] = (X.rho_r @ E.tensor(C, id_x, A.eta) - id_x).norm()
-        res["commute"] = (X.rho_l @ E.tensor(C, id_a, X.rho_r)
-                          - X.rho_r @ E.tensor(C, X.rho_l, id_a)).norm()
-    return res
-
-
 def intertwiner_matrix(C: MtcData, X: Bimodule, Y: Bimodule) -> np.ndarray:
     """Matrix on vec(f), f in Hom(X, Y), whose null space is the module
     maps: the rows of f∘ρ_l − ρ_l∘(id_A⊗f) and, when both have a right

@@ -198,6 +198,8 @@ class Morphism:
         return Morphism(self.cat, other.src, self.tgt, blocks)
 
     def __add__(self, other: "Morphism") -> "Morphism":
+        if other.cat is not self.cat:
+            raise TypeMismatch("morphisms live in different categories")
         if (other.src, other.tgt) != (self.src, self.tgt):
             raise TypeMismatch("cannot add morphisms with different signatures")
         return Morphism(
@@ -227,10 +229,10 @@ class Morphism:
         number, or for a stack an array of one value per item."""
         if self.src != UNIT or self.tgt != UNIT:
             raise TypeMismatch("scalar() requires a closed (unit-to-unit) morphism")
-        blk = self.blocks.get(0)
+        blk = self.blocks[0]
         if self.batch:
             return blk[..., 0, 0].copy()
-        return complex(blk[0, 0]) if blk is not None else 0j
+        return complex(blk[0, 0])
 
 
 def identity(C: MtcData, S: SumObject) -> Morphism:
@@ -497,6 +499,8 @@ def tensor(C: MtcData, f: Morphism, g: Morphism) -> Morphism:
     lacks the group exactly where f or g has no block.  A stack broadcasts
     against a single morphism or a stack of the same batch shape.
     """
+    if f.cat is not C or g.cat is not C:
+        raise TypeMismatch("morphisms live in different categories")
     krons = {}
 
     def pieces(k, k1, k2, n):
@@ -671,20 +675,6 @@ def trace(C: MtcData, f: Morphism):
     out = np.empty(f.batch, dtype=complex)
     out.real, out.imag = re, im
     return out
-
-
-def trace_right(C: MtcData, f: Morphism) -> complex:
-    """tr(f) via the closed diagram d~ ∘ (f ⊗ id) ∘ b."""
-    S = f.src
-    m = cap_tilde_obj(C, S) @ tensor(C, f, identity(C, dual_obj(C, S))) @ cup_obj(C, S)
-    return m.scalar()
-
-
-def trace_left(C: MtcData, f: Morphism) -> complex:
-    """tr(f) via the closed diagram d ∘ (id ⊗ f) ∘ b~."""
-    S = f.src
-    m = cap_obj(C, S) @ tensor(C, identity(C, dual_obj(C, S)), f) @ cup_tilde_obj(C, S)
-    return m.scalar()
 
 
 # ---------------------------------------------------------------------------

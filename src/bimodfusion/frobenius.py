@@ -1,4 +1,4 @@
-"""Algebras inside a category: axioms, counit normalization, nondegeneracy.
+"""Algebras inside a category: axioms, counit normalization, basis changes.
 
 An algebra is presented in a decomposition basis A ≅ ⊕_i n_i·U_i: the
 underlying sum object lists one word per multiplicity copy (label-ascending,
@@ -37,15 +37,6 @@ class AlgebraSpec:
         """Quantum dimension of the underlying object."""
         mult = self.mult
         return sum(E.dim(self.cat, i) for i in sorted(mult) for _ in range(mult[i]))
-
-
-@dataclass
-class NondegReport:
-    """Outcome of the duality-pairing invertibility check."""
-
-    iso_residual: float
-    rank: int
-    passed: bool
 
 
 def algebra_object(C: MtcData, mult: dict) -> tuple:
@@ -302,25 +293,6 @@ def normalize_counit(C: MtcData, A: AlgebraSpec) -> AlgebraSpec:
             "not a special Frobenius algebra in this normalization"
         )
     return out
-
-
-def nondegeneracy(C: MtcData, A: AlgebraSpec) -> NondegReport:
-    """Invertibility of the duality pairing A -> A∨, with explicit inverse."""
-    th = C.thresholds
-    A = with_costructure(C, A)
-    Ad = E.dual_obj(C, A.obj)
-    phi = _pairing(C, A, A.eps)
-    coprod_unit = A.delta @ A.eta
-    psi = E.tensor(C, E.cap_obj(C, A.obj), E.identity(C, A.obj)) @ E.tensor(
-        C, E.identity(C, Ad), coprod_unit
-    )
-    res = max(
-        ((psi @ phi) - E.identity(C, A.obj)).norm(),
-        ((phi @ psi) - E.identity(C, Ad)).norm(),
-    )
-    rank = sum(int(np.linalg.matrix_rank(blk)) for blk in phi.blocks.values())
-    full = E.hom_dim(C, A.obj, Ad)
-    return NondegReport(iso_residual=res, rank=rank, passed=bool(res < th.identity and rank == full))
 
 
 # ---------------------------------------------------------------------------

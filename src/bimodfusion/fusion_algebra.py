@@ -214,6 +214,8 @@ class DMatrix:
 def _hom_block_bases(C: MtcData, A: AlgebraSpec, i: int, j: int):
     """Deterministic basis of Hom(U_i⊗⁺A⊗⁻U_j, A) and its dual basis of
     Hom(A, U_i⊗⁺A⊗⁻U_j) under the pairing (f, g) -> ε∘f∘g∘η."""
+    if E.hom_dim(C, E.tensor_obj(E.obj(i), E.tensor_obj(A.obj, E.obj(j))), A.obj) == 0:
+        return [], []
     reg = B.regular_bimodule(C, A)
     W = B.sandwich(C, i, reg, j)
     h = B.hom_bimodule(C, W, reg)

@@ -74,7 +74,7 @@ class Thresholds:
                 f"tolerance must be finite, positive and at most {MAX_TOL:g}, got {tol!r}")
         self.coherence = tol                  # category axioms; S invertible (modular)
         self.integer = 100.0 * tol            # structure constant vs its nearest integer
-        self.identity = max(tol * 1e3, 1e-9)  # algebra-check, m∘Δ = id, ε∘η = dim A, pairing inverse, D_map
+        self.identity = max(tol * 1e3, 1e-9)  # algebra-check, m∘Δ = id, ε∘η = dim A, D_map
         self.residual = max(tol * 1e3, 1e-6)  # report gates, idempotent eigenvalues
         self.null_rtol = max(tol, 1e-12)      # Hom solve: σ ≤ max(null_atol, null_rtol·σ_max) is 0
         self.null_atol = 1e-10

@@ -5,10 +5,15 @@ tables and its own tiny JSON reader -- no imports from ``bimodfusion`` -- so
 that the main code paths are cross-checked against genuinely independent
 arithmetic.  The exceptions are handed the engine module:
 :func:`intertwiner_by_units` evaluates the module-map equations as
-composites of morphisms, one matrix unit at a time, and :func:`y_vertex`
-and :func:`y_covertex` write a single fusion vertex as a morphism.  :func:`merge_by_moves` is handed the
-inverse F-matrices only, and finds their channels itself.  Frozen expected
-values live in ``test_oracles.py`` and in the fixture/golden files.
+composites of morphisms, one matrix unit at a time; :func:`y_vertex`
+and :func:`y_covertex` write a single fusion vertex as a morphism;
+:func:`trace_right` and :func:`trace_left` close a morphism with cups and
+caps; :func:`module_residuals` evaluates the module axioms of a bimodule;
+and :func:`nondegeneracy`, also handed the frobenius module, inverts an
+algebra's duality pairing by its coproduct.  :func:`merge_by_moves` is
+handed the inverse F-matrices only, and finds their channels itself.
+Frozen expected values live in ``test_oracles.py`` and in the
+fixture/golden files.
 """
 from __future__ import annotations
 
@@ -16,6 +21,7 @@ import cmath
 import itertools
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -644,3 +650,70 @@ def intertwiner_by_units(E, C, X, Y):
         f = E.from_vec(C, X.obj, Y.obj, e)
         cols.append(np.concatenate([E.vec(eq(f)) for eq in equations]))
     return np.array(cols).T
+
+
+# ---------------------------------------------------------------------------
+# traces, module axioms and the duality pairing as composites
+# ---------------------------------------------------------------------------
+
+def trace_right(E, C, f):
+    """tr(f) via the closed diagram d~ ∘ (f ⊗ id) ∘ b."""
+    S = f.src
+    m = E.cap_tilde_obj(C, S) @ E.tensor(C, f, E.identity(C, E.dual_obj(C, S))) @ E.cup_obj(C, S)
+    return m.scalar()
+
+
+def trace_left(E, C, f):
+    """tr(f) via the closed diagram d ∘ (id ⊗ f) ∘ b~."""
+    S = f.src
+    m = E.cap_obj(C, S) @ E.tensor(C, E.identity(C, E.dual_obj(C, S)), f) @ E.cup_tilde_obj(C, S)
+    return m.scalar()
+
+
+def module_residuals(E, C, X):
+    """Max-entry residuals of the module axioms (and action commutation)."""
+    A = X.alg
+    id_a = E.identity(C, A.obj)
+    id_x = E.identity(C, X.obj)
+    res = {
+        "left-assoc": (X.rho_l @ E.tensor(C, A.m, id_x)
+                       - X.rho_l @ E.tensor(C, id_a, X.rho_l)).norm(),
+        "left-unit": (X.rho_l @ E.tensor(C, A.eta, id_x) - id_x).norm(),
+    }
+    if X.rho_r is not None:
+        res["right-assoc"] = (X.rho_r @ E.tensor(C, id_x, A.m)
+                              - X.rho_r @ E.tensor(C, X.rho_r, id_a)).norm()
+        res["right-unit"] = (X.rho_r @ E.tensor(C, id_x, A.eta) - id_x).norm()
+        res["commute"] = (X.rho_l @ E.tensor(C, id_a, X.rho_r)
+                          - X.rho_r @ E.tensor(C, X.rho_l, id_a)).norm()
+    return res
+
+
+@dataclass
+class NondegReport:
+    """Outcome of the duality-pairing invertibility check."""
+
+    iso_residual: float
+    rank: int
+    passed: bool
+
+
+def nondegeneracy(E, F, C, A):
+    """Invertibility of the duality pairing Φ = ((ε∘m) ⊗ id) ∘ (id ⊗ b):
+    A -> A∨, against the explicit inverse (d ⊗ id) ∘ (id ⊗ Δ∘η)."""
+    A = F.with_costructure(C, A)
+    Ad = E.dual_obj(C, A.obj)
+    phi = E.tensor(C, A.eps @ A.m, E.identity(C, Ad)) @ E.tensor(
+        C, E.identity(C, A.obj), E.cup_obj(C, A.obj)
+    )
+    psi = E.tensor(C, E.cap_obj(C, A.obj), E.identity(C, A.obj)) @ E.tensor(
+        C, E.identity(C, Ad), A.delta @ A.eta
+    )
+    res = max(
+        ((psi @ phi) - E.identity(C, A.obj)).norm(),
+        ((phi @ psi) - E.identity(C, Ad)).norm(),
+    )
+    rank = sum(int(np.linalg.matrix_rank(blk)) for blk in phi.blocks.values())
+    full = E.hom_dim(C, A.obj, Ad)
+    return NondegReport(iso_residual=res, rank=rank,
+                        passed=bool(res < C.thresholds.identity and rank == full))

@@ -5,6 +5,7 @@ drop out of its metrics without an error; and the README and the package
 docstring name modules and documents that a deletion can leave behind."""
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import re
@@ -63,3 +64,44 @@ def test_every_threshold_has_a_reader():
                        for p in (ROOT / "src" / "bimodfusion").glob("*.py"))
     for name in vars(mtc.Thresholds(1e-9)):
         assert re.search(rf"(?:\bthresholds|\bth|\))\.{name}\b", source), name
+
+
+def _reads(tree) -> set:
+    """Names a syntax tree reads: Name and Attribute nodes, import aliases
+    and the string entries of an ``__all__`` list."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rsplit(".", 1)[-1])
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            out.update(elt.value for elt in ast.walk(node.value)
+                       if isinstance(elt, ast.Constant) and isinstance(elt.value, str))
+    return out
+
+
+def test_every_public_definition_has_a_reader(monkeypatch):
+    """Each public top-level function and class of the package is read by
+    the package or the benchmark (perfbench/*.py, not its tests) outside
+    its own definition, or is a benchmark target: code that only tests
+    call belongs in tests/oracles.py."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    read = {name for _, name, _ in layers.LayerStats(E).targets()}
+    defined = []
+    for path in sorted((ROOT / "src" / "bimodfusion").glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        package = path.parent.name == "bimodfusion"
+        for stmt in tree.body:
+            if (package and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    and not stmt.name.startswith("_")):
+                defined.append((path.stem, stmt.name))
+                read.update(_reads(stmt) - {stmt.name})
+            else:
+                read |= _reads(stmt)
+    unread = [f"{module}.{name}" for module, name in defined if name not in read]
+    assert not unread
