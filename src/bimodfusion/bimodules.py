@@ -392,17 +392,20 @@ def _collect_simples(C: MtcData, generators, rng) -> list:
 
 
 def simple_bimodules(C: MtcData, A: AlgebraSpec, seed: int = 0, *,
-                     _z: ZMatrix | None = None) -> list:
+                     _z: ZMatrix | None = None, _sandwiches: list | None = None) -> list:
     """All simple A-A bimodules, canonically ordered.
 
     Every simple occurs inside some sandwich U_i ⊗ A ⊗ U_j, so we
     decompose those.  The total count must come out equal to tr(zᵗz);
     anything else means the decomposition silently missed a summand.
-    ``_z`` passes in a z-matrix the caller has already computed.
+    ``_z`` passes in a z-matrix the caller has already computed, and
+    ``_sandwiches`` the sandwiches, in the row-major order of (i, j).
     """
     rng = np.random.default_rng(seed)
-    reg = regular_bimodule(C, A)
-    gens = [sandwich(C, i, reg, j) for i in range(C.rank) for j in range(C.rank)]
+    gens = _sandwiches
+    if gens is None:
+        reg = regular_bimodule(C, A)
+        gens = [sandwich(C, i, reg, j) for i in range(C.rank) for j in range(C.rank)]
     reps = _collect_simples(C, gens, rng)
     expected = (z_matrix(C, A) if _z is None else _z).pair_count
     if len(reps) != expected:

@@ -29,6 +29,10 @@ merge (no word-level inverses are made).  :func:`tensor` and :func:`braid`
 both multiply whole sector blocks through them and never loop over word
 pairs: a braiding is read off by naturality from the R-matrices of the
 joining vertices, c_{S,T} ∘ (t1 ⊗ t2) ∘ y = (t2 ⊗ t1) ∘ c_{k1,k2} ∘ y.
+Two cases need no merge: the forward sum merge of one word by one word is
+their merge matrix itself, and a tensor factor that is an endomorphism of
+UNIT leaves the other factor's objects as they are (S ⊗ 1 = S), so the
+blocks are krons with its one sector-0 block.
 
 A morphism's blocks may carry leading batch axes: a stack of morphisms
 with one signature, such as the actions of several modules on one object.
@@ -40,9 +44,12 @@ is the case with no batch axes.
 
 Each structural map is cached in ``C._cache`` under what it depends on:
 merge matrices per (word_dims(u), v, k), sum merges and their inverses per
-(word_dims of each word of S, T, k), the layout of tensor and braid per
-signature (S, T, S', T') of S ⊗ T -> S' ⊗ T' (and whether the target groups
-are crossed), braidings per (S, T, inverse) and duality maps per word.
+(word_dims of each word of S, T, k), that tuple of word dims per S
+(``sumdims``), the layout of tensor and braid per signature (S, T, S', T')
+of S ⊗ T -> S' ⊗ T' (and whether the target groups are crossed), braidings
+per (S, T, inverse), duality maps per word, read-only identity blocks per
+object (``eye``), and the sector layout that a Morphism checks its blocks
+against per pair of :func:`obj_dims` (``layout``).
 """
 from __future__ import annotations
 
@@ -157,26 +164,25 @@ class Morphism:
     batch: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        dims = zip(obj_dims(self.cat, self.src), obj_dims(self.cat, self.tgt))
+        present, absent = _layout(self.cat, self.src, self.tgt)
+        for k in absent:
+            self.blocks.pop(k, None)
         missing = []
         lead = ()
-        for k, (ds, dt) in enumerate(dims):
-            if ds == 0 or dt == 0:
-                self.blocks.pop(k, None)
-                continue
+        for k, shape in present:
             blk = self.blocks.get(k)
             if blk is None:
-                missing.append((k, dt, ds))
+                missing.append((k, shape))
                 continue
             blk = np.asarray(blk, dtype=complex)
-            if blk.shape[-2:] != (dt, ds):
+            if blk.shape[-2:] != shape:
                 raise TypeMismatch(
-                    f"sector {k} block has shape {blk.shape}, expected {(dt, ds)}"
+                    f"sector {k} block has shape {blk.shape}, expected {shape}"
                 )
             lead = blk.shape[:-2]
             self.blocks[k] = blk
-        for k, dt, ds in missing:
-            self.blocks[k] = np.zeros(lead + (dt, ds), dtype=complex)
+        for k, shape in missing:
+            self.blocks[k] = np.zeros(lead + shape, dtype=complex)
         self.batch = lead
 
     # -- algebra ----------------------------------------------------------
@@ -235,10 +241,36 @@ class Morphism:
         return complex(blk[0, 0])
 
 
+def _layout(C: MtcData, src: SumObject, tgt: SumObject) -> tuple:
+    """Sector layout of the morphisms src -> tgt: ``(present, absent)``, the
+    (k, (dim_k(tgt), dim_k(src))) of each sector with both dimensions
+    positive and the other sectors k, both in ascending order.  It depends
+    only on the sector dimensions, so it is cached per pair of them."""
+    dims = (obj_dims(C, src), obj_dims(C, tgt))
+    key = ("layout",) + dims
+    out = C._cache.get(key)
+    if out is None:
+        present, absent = [], []
+        for k, (ds, dt) in enumerate(zip(*dims)):
+            if ds and dt:
+                present.append((k, (dt, ds)))
+            else:
+                absent.append(k)
+        out = C._cache[key] = (tuple(present), tuple(absent))
+    return out
+
+
 def identity(C: MtcData, S: SumObject) -> Morphism:
-    return Morphism(
-        C, S, S, {k: np.eye(obj_dim(C, S, k), dtype=complex) for k in obj_sectors(C, S)}
-    )
+    """id_S, on read-only identity blocks shared per S."""
+    key = ("eye", S)
+    blocks = C._cache.get(key)
+    if blocks is None:
+        blocks = {}
+        for k in obj_sectors(C, S):
+            blocks[k] = np.eye(obj_dim(C, S, k), dtype=complex)
+            blocks[k].setflags(write=False)
+        C._cache[key] = blocks
+    return Morphism(C, S, S, dict(blocks))
 
 
 def zero(C: MtcData, S: SumObject, T: SumObject) -> Morphism:
@@ -369,6 +401,15 @@ def merge_matrix(C: MtcData, u: Word, v: Word, k: int) -> np.ndarray:
 # merge matrices of sum objects: grouped basis -> tree basis of S ⊗ T
 # ---------------------------------------------------------------------------
 
+def _word_dims_key(C: MtcData, S: SumObject) -> tuple:
+    """word_dims of each word of S: what the sum merges read of S."""
+    key = ("sumdims", S)
+    out = C._cache.get(key)
+    if out is None:
+        out = C._cache[key] = tuple(word_dims(C, w) for w in S)
+    return out
+
+
 def sum_merge(C: MtcData, S: SumObject, T: SumObject, k: int,
               inverse: bool = False) -> np.ndarray:
     """Matrix taking grouped coordinates (:func:`sum_groups`) to tree-basis
@@ -378,13 +419,15 @@ def sum_merge(C: MtcData, S: SumObject, T: SumObject, k: int,
     merge_matrix block each: pair-basis column g + i1·n2 + i2 of words
     (S[i], T[j]) is grouped column G + (o_i + i1)·dT[k2] + o_j + i2, with G
     the group's first column in S ⊗ T and o_i, o_j the offsets of the words
-    in sectors k1 of S and k2 of T.  The inverse is the inverse of this
-    forward matrix.  Like :func:`merge_matrix`, both depend on S only
-    through the sector dimensions of its words, so both are cached per
-    (word_dims of each word of S, T, k).
+    in sectors k1 of S and k2 of T.  For one word by one word that order is
+    the identity, so the forward matrix is their merge_matrix itself.  The
+    inverse is the inverse of the forward matrix.  Like :func:`merge_matrix`,
+    both depend on S only through the sector dimensions of its words, so
+    both are cached per (word_dims of each word of S, T, k).
     """
-    key = ("summergeinv" if inverse else "summerge",
-           tuple(word_dims(C, w) for w in S), T, k)
+    if not inverse and len(S) == 1 and len(T) == 1:
+        return merge_matrix(C, S[0], T[0], k)
+    key = ("summergeinv" if inverse else "summerge", _word_dims_key(C, S), T, k)
     M = C._cache.get(key)
     if M is not None:
         return M
@@ -401,11 +444,14 @@ def sum_merge(C: MtcData, S: SumObject, T: SumObject, k: int,
             if lo == hi:
                 continue
             du, dv = word_dims(C, wi), word_dims(C, wj)
-            pos = [groups[grp] + (obj_offsets(C, S, grp[0])[i] + i1) * dT[grp[1]]
-                   + obj_offsets(C, T, grp[1])[j] + i2
-                   for grp in sum_groups(C, du, dv, k)
-                   for i1 in range(du[grp[0]]) for i2 in range(dv[grp[1]])]
-            M[lo:hi, pos] = merge_matrix(C, wi, wj, k)
+            pos = []
+            for grp in sum_groups(C, du, dv, k):
+                k1, k2 = grp[:2]
+                first = (groups[grp] + obj_offsets(C, S, k1)[i] * dT[k2]
+                         + obj_offsets(C, T, k2)[j])
+                pos.append((first + np.arange(du[k1])[:, None] * dT[k2]
+                            + np.arange(dv[k2])).ravel())
+            M[lo:hi, np.concatenate(pos)] = merge_matrix(C, wi, wj, k)
     M.setflags(write=False)
     C._cache[key] = M
     return M
@@ -496,11 +542,23 @@ def tensor(C: MtcData, f: Morphism, g: Morphism) -> Morphism:
 
     In :func:`_through_merge`, middle pairs each source group (k1, k2, mu)
     with the target group of the same key by kron(f_k1, g_k2).  The target
-    lacks the group exactly where f or g has no block.  A stack broadcasts
+    lacks the group exactly where f or g has no block.  A factor that is an
+    endomorphism of UNIT skips the merge: f ⊗ g has the other factor's
+    objects and blocks kron(f_k, g_0) (kron(f_0, g_k)).  A stack broadcasts
     against a single morphism or a stack of the same batch shape.
     """
     if f.cat is not C or g.cat is not C:
         raise TypeMismatch("morphisms live in different categories")
+    # S ⊗ 1 = S and 1 ⊗ T = T, and the sum merges of both are identities;
+    # the blocks come in ascending sector order, as _through_merge makes them
+    if g.src == UNIT == g.tgt:
+        g0 = g.blocks[0]
+        return Morphism(C, f.src, f.tgt, {k: _kron(f.blocks[k], g0)
+                                          for k, _ in _layout(C, f.src, f.tgt)[0]})
+    if f.src == UNIT == f.tgt:
+        f0 = f.blocks[0]
+        return Morphism(C, g.src, g.tgt, {k: _kron(f0, g.blocks[k])
+                                          for k, _ in _layout(C, g.src, g.tgt)[0]})
     krons = {}
 
     def pieces(k, k1, k2, n):

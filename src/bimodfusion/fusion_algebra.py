@@ -15,10 +15,13 @@ of X, the X-loop closed as a trace (``defect_matrices``); ``D_map`` is
 the full-morphism form, with the loop opened by a cup and closed by a cap̃.
 
 Both routes take the bimodules that share an object as one stack
-(:func:`bimodules.stacks`): the relative products, the intertwiner
-matrices of their Hom counts, and the defect operators of the simples and
-of the products are each evaluated once per object, with one Hom solve
-per Hom space as before.
+(:func:`bimodules.stacks`): the relative products and the intertwiner
+matrices of their Hom counts are each evaluated once per object, with one
+Hom solve per Hom space.  The simples and the relative products that the
+homomorphism residual samples share one stack per object in
+:func:`d_matrix`, so each object takes one defect pass, and the residual
+compares D_X ∘ D_Y with D_{X⊗_A Y} from those matrices.  The sandwiches
+U_i ⊗⁺ A ⊗⁻ U_j are built once, for the simples and the Hom blocks alike.
 
 Both routes must produce the same non-negative integer table; checking
 that (plus the dimension bookkeeping against the z-matrix) is what
@@ -137,7 +140,7 @@ def _open_strand(C: MtcData, A: AlgebraSpec, X: B.Bimodule):
 
 
 def D_map(C: MtcData, A: AlgebraSpec, X: B.Bimodule, i: int, j: int,
-          phi: E.Morphism, check: bool = True) -> E.Morphism:
+          phi: E.Morphism, check: bool = True, *, _strand=None) -> E.Morphism:
     """Drag a closed X-loop through the defect phi: U_i ⊗ A ⊗ U_j -> A.
 
     The input must intertwine the twisted bimodule structure on
@@ -148,6 +151,7 @@ def D_map(C: MtcData, A: AlgebraSpec, X: B.Bimodule, i: int, j: int,
     Full-morphism form D_X(φ) = (id_A ⊗ d̃_X)∘(Φ_φ ⊗ id_X∨)∘(id ⊗ b_X),
     the loop opened by a cup and closed by a cap̃; :func:`defect_matrices`
     closes the same open strand Φ_φ as a trace to get D_X's matrix.
+    ``_strand`` passes in the :func:`_open_strand` of X the caller has built.
     """
     if check:
         reg = B.regular_bimodule(C, A)
@@ -161,7 +165,7 @@ def D_map(C: MtcData, A: AlgebraSpec, X: B.Bimodule, i: int, j: int,
             raise NotIntertwiner(
                 f"phi fails the bimodule-intertwiner check by {worst:.3g}"
             )
-    pre, emit = _open_strand(C, A, X)
+    pre, emit = _open_strand(C, A, X) if _strand is None else _strand
     strand = E.tensor(C, emit, A.eps @ phi) @ pre(i, j)
     return (E.tensor(C, E.identity(C, A.obj), E.cap_tilde_obj(C, X.obj))
             @ E.tensor(C, strand, E.identity(C, E.dual_obj(C, X.obj)))
@@ -201,6 +205,9 @@ class DMatrix:
     ``blocks[(i, j)]`` has shape (|K|, n, n) with n the dimension of the
     (i, j) Hom space; ``matrix`` is the same data flattened to
     |K| × Σn², rows indexed by simples, columns by (i, j, α, β).
+    ``product_blocks[(i, j)]`` holds, in the same layout, the matrices of
+    the extra modules :func:`d_matrix` was given (the relative products of
+    the homomorphism residual), one per module.
     """
 
     blocks: dict
@@ -209,15 +216,23 @@ class DMatrix:
     h: dict = field(repr=False)
     hbar: dict = field(repr=False)
     unit: int
+    product_blocks: dict = field(repr=False)
 
 
-def _hom_block_bases(C: MtcData, A: AlgebraSpec, i: int, j: int):
+def _label_sandwiches(C: MtcData, A: AlgebraSpec) -> dict:
+    """(i, j) -> U_i ⊗⁺ A ⊗⁻ U_j for every label pair, in row-major order."""
+    reg = B.regular_bimodule(C, A)
+    return {(i, j): B.sandwich(C, i, reg, j) for i in range(C.rank) for j in range(C.rank)}
+
+
+def _hom_block_bases(C: MtcData, A: AlgebraSpec, i: int, j: int, *, _sandwich=None):
     """Deterministic basis of Hom(U_i⊗⁺A⊗⁻U_j, A) and its dual basis of
-    Hom(A, U_i⊗⁺A⊗⁻U_j) under the pairing (f, g) -> ε∘f∘g∘η."""
+    Hom(A, U_i⊗⁺A⊗⁻U_j) under the pairing (f, g) -> ε∘f∘g∘η.  ``_sandwich``
+    passes in the sandwich U_i⊗⁺A⊗⁻U_j the caller has built."""
     if E.hom_dim(C, E.tensor_obj(E.obj(i), E.tensor_obj(A.obj, E.obj(j))), A.obj) == 0:
         return [], []
     reg = B.regular_bimodule(C, A)
-    W = B.sandwich(C, i, reg, j)
+    W = B.sandwich(C, i, reg, j) if _sandwich is None else _sandwich
     h = B.hom_bimodule(C, W, reg)
     hbar_raw = B.hom_bimodule(C, reg, W)
     if len(h) != len(hbar_raw):
@@ -241,21 +256,30 @@ def _hom_block_bases(C: MtcData, A: AlgebraSpec, i: int, j: int):
     return h, [E.from_vec(C, S, T, row) for row in coords]
 
 
-def d_matrix(C: MtcData, A: AlgebraSpec, simples: list) -> DMatrix:
+def d_matrix(C: MtcData, A: AlgebraSpec, simples: list, products: list = (), *,
+             _sandwiches: dict | None = None) -> DMatrix:
     """Matrix elements ε ∘ D_X(h_β) ∘ h̄_α ∘ η of every defect operator
-    (see :func:`defect_matrices`)."""
+    (see :func:`defect_matrices`), of the simples and of the extra modules
+    ``products``, which land in ``product_blocks``.  The simples and the
+    products on one object form one stack, so each object takes one defect
+    pass.  ``_sandwiches`` passes in the :func:`_label_sandwiches` the caller
+    has built."""
     k = len(simples)
+    modules = list(simples) + list(products)
     hs: dict = {}
     hbars: dict = {}
     for i in range(C.rank):
         for j in range(C.rank):
-            h, hbar = _hom_block_bases(C, A, i, j)
+            W = None if _sandwiches is None else _sandwiches[(i, j)]
+            h, hbar = _hom_block_bases(C, A, i, j, _sandwich=W)
             if h:
                 hs[(i, j)], hbars[(i, j)] = h, hbar
-    blocks = {key: np.zeros((k, len(h), len(h)), dtype=complex) for key, h in hs.items()}
-    for idx, X in B.stacks(C, simples):
+    every = {key: np.zeros((len(modules), len(h), len(h)), dtype=complex)
+             for key, h in hs.items()}
+    for idx, X in B.stacks(C, modules):
         for key, blk in defect_matrices(C, A, X, hs, hbars).items():
-            blocks[key][idx] = blk
+            every[key][idx] = blk
+    blocks = {key: blk[:k] for key, blk in every.items()}
     cols = [blk.reshape(k, -1) for blk in blocks.values()]
     matrix = np.concatenate(cols, axis=1) if cols else np.zeros((k, 0))
     if matrix.shape[1] != k:
@@ -271,6 +295,7 @@ def d_matrix(C: MtcData, A: AlgebraSpec, simples: list) -> DMatrix:
         blocks=blocks, matrix=matrix,
         sigma_min=sigma_min, h=hs, hbar=hbars,
         unit=_unit_index(C, A, simples),
+        product_blocks={key: blk[k:] for key, blk in every.items()},
     )
 
 
@@ -336,43 +361,48 @@ class TheoremOReport:
         }
 
 
-def _lemma2_residual(C: MtcData, A: AlgebraSpec, simples: list, d: DMatrix,
-                     seed: int, products=None) -> float:
-    """Worst deviation of D_X ∘ D_Y from D_{X⊗_A Y} over sampled pairs, the
-    operators of the products on one object taken as one stack."""
-    products = products or _relative_products(C, simples)
-    k = len(simples)
+def _sampled_pairs(k: int, seed: int) -> list:
+    """The pairs (a, b) of simples the homomorphism residual checks: all
+    of them, or 100 drawn without replacement by rng(seed) when K > 12."""
     pairs = _pairs(k)
     if k > 12:
         rng = np.random.default_rng(seed)
         idx = rng.choice(len(pairs), size=100, replace=False)
         pairs = [pairs[t] for t in idx]
+    return pairs
+
+
+def _lemma2_residual(d: DMatrix, pairs: list) -> float:
+    """Worst deviation of D_X ∘ D_Y from D_{X⊗_A Y} over the pairs, where
+    ``d.product_blocks`` holds D_{X⊗_A Y} of each pair in order."""
+    a, b = np.array(pairs).T
     worst = 0.0
-    for idx, X in B.stacks(C, [products[p] for p in pairs]):
-        mats = defect_matrices(C, A, X, d.h, d.hbar)
-        a, b = np.array([pairs[t] for t in idx]).T
-        for key, blk in d.blocks.items():
-            diff = np.abs(blk[a] @ blk[b] - mats[key])
-            worst = max(worst, *np.max(diff, axis=(-2, -1)).tolist())
+    for key, blk in d.blocks.items():
+        diff = np.abs(blk[a] @ blk[b] - d.product_blocks[key])
+        worst = max(worst, *np.max(diff, axis=(-2, -1)).tolist())
     return worst
 
 
 def verify_theorem_o(C: MtcData, A: AlgebraSpec, seed: int = 0) -> TheoremOReport:
     """Run every check of the ring isomorphism and collect the residuals."""
     z = B.z_matrix(C, A)
-    simples = B.simple_bimodules(C, A, seed=seed, _z=z)
+    sandwiches = _label_sandwiches(C, A)
+    simples = B.simple_bimodules(C, A, seed=seed, _z=z,
+                                 _sandwiches=list(sandwiches.values()))
     k = len(simples)
     left = B.simple_left_modules(C, A, seed=seed)
-    d = d_matrix(C, A, simples)
     products = _relative_products(C, simples)
+    pairs = _sampled_pairs(k, seed)
+    d = d_matrix(C, A, simples, [products[p] for p in pairs], _sandwiches=sandwiches)
     direct = fusion_table_direct(C, A, simples, _products=products, _unit=d.unit)
     blockdiag = fusion_table_blockdiag(C, d)
 
     reg = B.regular_bimodule(C, A)
-    unit_res = max((D_map(C, A, reg, i, j, phi, check=False) - phi).norm()
+    strand = _open_strand(C, A, reg)
+    unit_res = max((D_map(C, A, reg, i, j, phi, check=False, _strand=strand) - phi).norm()
                    for (i, j), h in d.h.items() for phi in h)
 
-    lemma2 = _lemma2_residual(C, A, simples, d, seed, products)
+    lemma2 = _lemma2_residual(d, pairs)
 
     s = s_matrix(C).entries
     zc = z.entries.astype(complex)

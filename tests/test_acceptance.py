@@ -103,9 +103,11 @@ def test_criterion_3_two_path_fusion_agreement(pipelines):
 def test_criterion_4_homomorphism_and_unit(pipelines):
     worst_hom, worst_unit = 0.0, 0.0
     for key, run in pipelines.items():
-        C, A, d = run["C"], run["A"], run["d"]
-        worst_hom = max(
-            worst_hom, FA._lemma2_residual(C, A, run["simples"], d, seed=0))
+        C, A, d, simples = run["C"], run["A"], run["d"], run["simples"]
+        pairs = FA._sampled_pairs(len(simples), seed=0)
+        products = FA._relative_products(C, simples)
+        with_products = FA.d_matrix(C, A, simples, [products[p] for p in pairs])
+        worst_hom = max(worst_hom, FA._lemma2_residual(with_products, pairs))
         reg = B.regular_bimodule(C, A)
         for (i, j), hs in d.h.items():
             for phi in hs:

@@ -161,6 +161,42 @@ def test_tensor_with_unit_identity_is_bitwise_unchanged(name):
         assert all(np.array_equal(g.blocks[k], f.blocks[k]) for k in f.blocks)
 
 
+@pytest.mark.parametrize("name", CATS + list(ALGEBRA_OBJECTS))
+def test_tensor_with_a_unit_endomorphism_makes_no_plan(name, monkeypatch):
+    """f ⊗ z·id_1 and z·id_1 ⊗ f, for z ≠ 1 and with a stack on either side,
+    build no _plan, and equal bit for bit, blocks in the same order, the
+    route through the sum merges: _through_merge with kron(f_k1, g_k2) on
+    each group, as tensor takes it for any other pair of factors."""
+    C, objects = duality_objects(name)
+    if name not in ALGEBRA_OBJECTS:
+        r = C.rank
+        objects = [E.UNIT + E.obj(r - 1), E.obj(r - 1, min(1, r - 1))]
+    S, T = objects[-1], objects[0]
+    rng = np.random.default_rng(9)
+    f = rand_morph(C, S, T, rng)
+    fs = stacked([f] + [rand_morph(C, S, T, rng) for _ in range(2)])
+    z = (0.3 - 1.2j) * E.identity(C, E.UNIT)
+    zs = E.Morphism(C, E.UNIT, E.UNIT, {0: np.array([[[0.3 - 1.2j]], [[2.5 + 0.5j]], [[-1.0]]])})
+    cases = [(f, z), (z, f), (fs, z), (z, fs), (f, zs), (zs, f), (fs, zs), (zs, z)]
+
+    def through_merge(a, b):
+        def pieces(k, k1, k2, n):
+            return [(mu, mu, E._kron(a.blocks[k1], b.blocks[k2])) for mu in range(n)]
+        return E._through_merge(C, a.src, b.src, a.tgt, b.tgt, pieces,
+                                lead=max(a.batch, b.batch, key=len))
+
+    want = [through_merge(a, b) for a, b in cases]
+    plans = []
+    real_plan = E._plan
+    monkeypatch.setattr(E, "_plan", lambda *args: plans.append(args) or real_plan(*args))
+    got = [E.tensor(C, a, b) for a, b in cases]
+    assert not plans
+    for g, w in zip(got, want):
+        assert (g.src, g.tgt, g.batch) == (w.src, w.tgt, w.batch)
+        assert list(g.blocks) == list(w.blocks)
+        assert all(g.blocks[k].tobytes() == w.blocks[k].tobytes() for k in w.blocks)
+
+
 @pytest.mark.parametrize("name", CATS)
 def test_identity_tensor_identity(name):
     C = get_catalog(name).data

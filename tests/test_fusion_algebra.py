@@ -357,6 +357,62 @@ def test_verify_runs_the_engine_once_per_object(monkeypatch):
     assert calls["nullspace_morphisms"] == 326
 
 
+@pytest.mark.parametrize("name, alg", [("ising", None), ("toric_code", "ze.alg.json"),
+                                       ("su2_4", "su2_4_deven.alg.json")])
+def test_d_matrix_with_products_keeps_every_bit(name, alg):
+    """d_matrix given the relative products of every pair stacks them with
+    the simples on their objects: the simples' blocks, the matrix and σ_min
+    are bitwise those without products, and each product's blocks are
+    bitwise defect_matrices of that product alone."""
+    C = catalog(name).data
+    A = F.trivial_algebra(C) if alg is None else F.parse_algebra(C, load_fixture(alg))
+    A = F.normalize_counit(C, A)
+    simples = B.simple_bimodules(C, A, seed=0)
+    products = [T for T, _ in B.relative_products(C, [(X, Y) for X in simples for Y in simples])]
+    k = len(simples)
+    # some object carries a simple and a product, so they share a stack
+    assert any(min(idx) < k <= max(idx) for idx, _ in B.stacks(C, simples + products))
+    alone = FA.d_matrix(C, A, simples)
+    both = FA.d_matrix(C, A, simples, products)
+    assert alone.product_blocks.keys() == alone.blocks.keys()
+    assert all(blk.shape[0] == 0 for blk in alone.product_blocks.values())
+    assert list(both.blocks) == list(alone.blocks) == list(both.product_blocks)
+    assert both.matrix.tobytes() == alone.matrix.tobytes()
+    assert (both.sigma_min, both.unit) == (alone.sigma_min, alone.unit)
+    for key, blk in alone.blocks.items():
+        assert both.blocks[key].tobytes() == blk.tobytes()
+        assert both.product_blocks[key].shape == (len(products),) + blk.shape[1:]
+    for t, T in enumerate(products):
+        want = FA.defect_matrices(C, A, T, alone.h, alone.hbar)
+        assert all(both.product_blocks[key][t].tobytes() == want[key].tobytes() for key in want)
+
+
+@pytest.mark.parametrize("alg, passes", [(None, 9), ("su2_4_deven.alg.json", 6)])
+def test_verify_runs_one_defect_pass_per_object(alg, passes, monkeypatch):
+    """verify_theorem_o evaluates defect_matrices once per distinct object
+    of the simples and the sampled relative products together: 9 passes on
+    su2_4 with A = 1 (where each simple has its own object) and 6 with
+    D-even."""
+    C = catalog("su2_4").data
+    A = F.trivial_algebra(C) if alg is None else F.parse_algebra(C, load_fixture(alg))
+    A = F.normalize_counit(C, A)
+    simples = B.simple_bimodules(C, A, seed=12)
+    pairs = FA._sampled_pairs(len(simples), 12)
+    products = B.relative_products(C, [(simples[a], simples[b]) for a, b in pairs])
+    objects = {X.obj for X in simples} | {T.obj for T, _ in products}
+    assert len(objects) == passes
+    calls = []
+    real = FA.defect_matrices
+
+    def counting(*args):
+        calls.append(args[2].obj)
+        return real(*args)
+
+    monkeypatch.setattr(FA, "defect_matrices", counting)
+    assert FA.verify_theorem_o(C, A, seed=12).passed
+    assert len(calls) == len(set(calls)) == passes and set(calls) == objects
+
+
 # -- rejected inputs ----------------------------------------------------------
 
 def test_defect_map_rejects_wrong_signature(toric, ze, ze_simples):
@@ -481,13 +537,13 @@ def _key_words(key) -> list:
         return [key[1]]
     if kind == "merge":
         return [key[2]]
-    if kind in ("dims", "offsets"):
+    if kind in ("dims", "offsets", "eye", "sumdims"):
         return list(key[1])
     if kind in ("summerge", "summergeinv"):
         return list(key[2])
     if kind in ("plan", "braid"):
         return [w for X in key[1:-1] for w in X]
-    assert kind in ("sumgroups", "dualcoef", "smatrix"), key
+    assert kind in ("sumgroups", "layout", "dualcoef", "smatrix"), key
     return []
 
 
