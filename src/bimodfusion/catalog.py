@@ -6,6 +6,10 @@ The numeric tables were fixed by solving the pentagon/hexagon equations for
 the respective fusion rings (rank-2 and rank-3 cases by independent
 brute-force searches; the su2 levels from the closed q-deformed recoupling
 formula) and are re-verified against the coherence axioms on every load.
+
+The pointed categories (trivial, vec_zN, toric_code) come from one builder,
+:func:`_pointed_doc`, given the group law and the F, R and twist values as
+functions of the label indices; it derives the duals and the tables.
 """
 from __future__ import annotations
 
@@ -33,11 +37,10 @@ def _c2(z) -> list[float]:
     return [z.real, z.imag]
 
 
-def _fusion_entries(labels, nmap):
+def _fusion_entries(nmap):
     return [
         {"a": a, "b": b, "c": c, "mult": m}
         for (a, b, c), m in sorted(nmap.items())
-        if m > 0
     ]
 
 
@@ -45,16 +48,36 @@ def _fusion_entries(labels, nmap):
 # builders
 # ---------------------------------------------------------------------------
 
-def _trivial_doc() -> dict:
+def _pointed_doc(labels, mul, assoc, braid, twist) -> dict:
+    """Pointed braided category on the group of label indices, unit 0 first:
+    a ⊗ b = mul(a, b), duals are inverses, F^{abc} = assoc(a, b, c),
+    R^{ab} = braid(a, b) and theta_a = twist(a), with one F entry per
+    triple and one R entry per pair of non-unit labels."""
+    group = range(len(labels))
     return {
-        "labels": ["1"],
-        "unit": "1",
-        "dual": {"1": "1"},
-        "fusion": [{"a": "1", "b": "1", "c": "1", "mult": 1}],
-        "F": [],
-        "R": [],
-        "twist": {"1": [1.0, 0.0]},
+        "labels": list(labels),
+        "unit": labels[0],
+        "dual": {labels[a]: labels[next(b for b in group if mul(a, b) == 0)]
+                 for a in group},
+        "fusion": _fusion_entries({(labels[a], labels[b], labels[mul(a, b)]): 1
+                                   for a in group for b in group}),
+        "F": [
+            {"a": labels[a], "b": labels[b], "c": labels[c],
+             "d": labels[mul(mul(a, b), c)], "e": labels[mul(a, b)], "f": labels[mul(b, c)],
+             "val": _c2(assoc(a, b, c))}
+            for a, b, c in itertools.product(group[1:], repeat=3)
+        ],
+        "R": [
+            {"a": labels[a], "b": labels[b], "c": labels[mul(a, b)], "val": _c2(braid(a, b))}
+            for a, b in itertools.product(group[1:], repeat=2)
+        ],
+        "twist": {labels[a]: _c2(twist(a)) for a in group},
     }
+
+
+def _trivial_doc() -> dict:
+    return _pointed_doc(["1"], lambda a, b: 0, lambda a, b, c: 1.0,
+                        lambda a, b: 1.0, lambda a: 1.0)
 
 
 def _vec_zn_doc(n: int) -> dict:
@@ -65,41 +88,12 @@ def _vec_zn_doc(n: int) -> dict:
     R(a,b) = exp(pi i ab/n), and the associator is the carry sign
     F(a,b,c) = (-1)^(a * floor((b+c)/n)).
     """
-    labels = [str(a) for a in range(n)]
-    nmap = {(labels[a], labels[b], labels[(a + b) % n]): 1
-            for a in range(n) for b in range(n)}
-    F = []
-    for a, b, c in itertools.product(range(1, n), repeat=3):
-        if n % 2 == 1:
-            val = 1.0
-        else:
-            val = float((-1) ** (a * ((b + c) // n)))
-        F.append({
-            "a": labels[a], "b": labels[b], "c": labels[c],
-            "d": labels[(a + b + c) % n],
-            "e": labels[(a + b) % n], "f": labels[(b + c) % n],
-            "val": [val, 0.0],
-        })
-    if n % 2 == 1:
-        braid_phase = 2j * math.pi / n
-        twist_phase = 2j * math.pi / n
-    else:
-        braid_phase = 1j * math.pi / n
-        twist_phase = 1j * math.pi / n
-    R = [
-        {"a": labels[a], "b": labels[b], "c": labels[(a + b) % n],
-         "val": _c2(cmath.exp(braid_phase * a * b))}
-        for a in range(1, n) for b in range(1, n)
-    ]
-    return {
-        "labels": labels,
-        "unit": "0",
-        "dual": {labels[a]: labels[(n - a) % n] for a in range(n)},
-        "fusion": _fusion_entries(labels, nmap),
-        "F": F,
-        "R": R,
-        "twist": {labels[a]: _c2(cmath.exp(twist_phase * a * a)) for a in range(n)},
-    }
+    phase = (2j if n % 2 == 1 else 1j) * math.pi / n
+    return _pointed_doc(
+        [str(a) for a in range(n)], lambda a, b: (a + b) % n,
+        lambda a, b, c: 1.0 if n % 2 == 1 else float((-1) ** (a * ((b + c) // n))),
+        lambda a, b: cmath.exp(phase * a * b), lambda a: cmath.exp(phase * a * a),
+    )
 
 
 def _fibonacci_doc() -> dict:
@@ -120,7 +114,7 @@ def _fibonacci_doc() -> dict:
         "labels": ["1", "t"],
         "unit": "1",
         "dual": {"1": "1", "t": "t"},
-        "fusion": _fusion_entries(None, {
+        "fusion": _fusion_entries({
             ("1", "1", "1"): 1, ("1", "t", "t"): 1, ("t", "1", "t"): 1,
             ("t", "t", "1"): 1, ("t", "t", "t"): 1,
         }),
@@ -175,7 +169,7 @@ def _ising_doc() -> dict:
         "labels": ["1", s, p],
         "unit": "1",
         "dual": {"1": "1", s: s, p: p},
-        "fusion": _fusion_entries(None, nmap),
+        "fusion": _fusion_entries(nmap),
         "F": F,
         "R": R,
         "twist": {"1": [1.0, 0.0], s: _c2(cmath.exp(1j * math.pi / 8)), p: [-1.0, 0.0]},
@@ -184,33 +178,14 @@ def _ising_doc() -> dict:
 
 def _toric_code_doc() -> dict:
     """Rank-4 pointed category on Z2 x Z2; e and m bosons braiding to -1."""
-    comp = {"1": (0, 0), "e": (1, 0), "m": (0, 1), "f": (1, 1)}
-    labels = ["1", "e", "m", "f"]
-    inv = {v: k for k, v in comp.items()}
-
-    def mul(x, y):
-        return inv[((comp[x][0] + comp[y][0]) % 2, (comp[x][1] + comp[y][1]) % 2)]
-
-    nmap = {(a, b, mul(a, b)): 1 for a in labels for b in labels}
-    F = [
-        {"a": a, "b": b, "c": c, "d": mul(mul(a, b), c), "e": mul(a, b), "f": mul(b, c),
-         "val": [1.0, 0.0]}
-        for a, b, c in itertools.product(labels[1:], repeat=3)
-    ]
-    R = [
-        {"a": a, "b": b, "c": mul(a, b),
-         "val": [float((-1) ** (comp[a][1] * comp[b][0])), 0.0]}
-        for a in labels[1:] for b in labels[1:]
-    ]
-    return {
-        "labels": labels,
-        "unit": "1",
-        "dual": {lab: lab for lab in labels},
-        "fusion": _fusion_entries(None, nmap),
-        "F": F,
-        "R": R,
-        "twist": {"1": [1.0, 0.0], "e": [1.0, 0.0], "m": [1.0, 0.0], "f": [-1.0, 0.0]},
-    }
+    comp = [(0, 0), (1, 0), (0, 1), (1, 1)]     # 1, e, m, f
+    return _pointed_doc(
+        ["1", "e", "m", "f"],
+        lambda x, y: comp.index(((comp[x][0] + comp[y][0]) % 2, (comp[x][1] + comp[y][1]) % 2)),
+        lambda a, b, c: 1.0,
+        lambda a, b: float((-1) ** (comp[a][1] * comp[b][0])),
+        lambda a: (1.0, 1.0, 1.0, -1.0)[a],
+    )
 
 
 def _su2_qint(k: int, m: int) -> float:
@@ -310,7 +285,7 @@ def _su2_k_doc(k: int) -> dict:
         "labels": labels,
         "unit": "0",
         "dual": {lab: lab for lab in labels},
-        "fusion": _fusion_entries(None, nmap),
+        "fusion": _fusion_entries(nmap),
         "F": F,
         "R": R,
         "twist": twist,

@@ -34,6 +34,10 @@ their merge matrix itself, and a tensor factor that is an endomorphism of
 UNIT leaves the other factor's objects as they are (S ⊗ 1 = S), so the
 blocks are krons with its one sector-0 block.
 
+The cup or cap of a sum object S is summand-diagonal: its one sector-0
+block holds each word's map, built one letter at a time, at the offset of
+that word's pair in S ⊗ S∨ (or S∨ ⊗ S), and zeros elsewhere.
+
 A morphism's blocks may carry leading batch axes: a stack of morphisms
 with one signature, such as the actions of several modules on one object.
 Composition, sums, scalar multiples, :func:`tensor` and the ρ_X side of
@@ -271,36 +275,6 @@ def identity(C: MtcData, S: SumObject) -> Morphism:
             blocks[k].setflags(write=False)
         C._cache[key] = blocks
     return Morphism(C, S, S, dict(blocks))
-
-
-def zero(C: MtcData, S: SumObject, T: SumObject) -> Morphism:
-    return Morphism(C, S, T, {})
-
-
-def inject(C: MtcData, S: SumObject, i: int) -> Morphism:
-    """Inclusion of the i-th summand word into S."""
-    w = (S[i],)
-    blocks = {}
-    for k in obj_sectors(C, w):
-        d = word_dims(C, S[i])[k]
-        mat = np.zeros((obj_dim(C, S, k), d), dtype=complex)
-        off = obj_offsets(C, S, k)[i]
-        mat[off:off + d, :] = np.eye(d)
-        blocks[k] = mat
-    return Morphism(C, w, S, blocks)
-
-
-def project(C: MtcData, S: SumObject, i: int) -> Morphism:
-    """Projection of S onto its i-th summand word."""
-    w = (S[i],)
-    blocks = {}
-    for k in obj_sectors(C, w):
-        d = word_dims(C, S[i])[k]
-        mat = np.zeros((d, obj_dim(C, S, k)), dtype=complex)
-        off = obj_offsets(C, S, k)[i]
-        mat[:, off:off + d] = np.eye(d)
-        blocks[k] = mat
-    return Morphism(C, S, w, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -685,18 +659,19 @@ def _word_duality(C: MtcData, kind: str, w: Word) -> Morphism:
 
 
 def _sum_duality(C: MtcData, S: SumObject, kind: str) -> Morphism:
-    """Assemble a summand-diagonal cup/cap over a sum object."""
+    """The summand-diagonal cup/cap over a sum object, word by word."""
     _, dual_left, _ = _DUALITY_KINDS[kind]
     Sd = dual_obj(C, S)
     pair_obj = tensor_obj(Sd, S) if dual_left else tensor_obj(S, Sd)
     is_cup = kind.startswith("cup")
-    out = zero(C, UNIT, pair_obj) if is_cup else zero(C, pair_obj, UNIT)
-    n = len(S)
-    for i in range(n):
-        f = _word_duality(C, kind, S[i])
-        pair = i * n + i
-        out = out + (inject(C, pair_obj, pair) @ f if is_cup else f @ project(C, pair_obj, pair))
-    return out
+    offsets = obj_offsets(C, pair_obj, 0)
+    blk = np.zeros((offsets[-1], 1) if is_cup else (1, offsets[-1]), dtype=complex)
+    for i, w in enumerate(S):
+        pair = i * len(S) + i
+        span = slice(offsets[pair], offsets[pair + 1])
+        blk[(span, 0) if is_cup else (0, span)] += _word_duality(C, kind, w).blocks[0].ravel()
+    src, tgt = (UNIT, pair_obj) if is_cup else (pair_obj, UNIT)
+    return Morphism(C, src, tgt, {0: blk})
 
 
 def cup_obj(C: MtcData, S: SumObject) -> Morphism:

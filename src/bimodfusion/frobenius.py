@@ -232,7 +232,8 @@ def validate_algebra(C: MtcData, A: AlgebraSpec) -> dict:
     """Residuals of the algebra axioms; overall pass flag.
 
     Keys: associativity, unit, frobenius, symmetric, special, simple (the
-    last is |dim End - 1|), plus 'simple_dim' and 'pass'.
+    last is |dim End - 1|, NonIntegerDim when that dimension is ambiguous),
+    plus 'simple_dim' and 'pass'.
     """
     A = with_costructure(C, A)
     idA = E.identity(C, A.obj)
@@ -256,8 +257,7 @@ def validate_algebra(C: MtcData, A: AlgebraSpec) -> dict:
     from . import bimodules
 
     reg = bimodules.regular_bimodule(C, A)
-    sols, _ = E.nullspace_morphisms(C, A.obj, A.obj, bimodules.intertwiner_matrix(C, reg, reg))
-    simple_dim = len(sols)
+    simple_dim = len(bimodules.hom_bimodule(C, reg, reg))
 
     residuals = {
         "associativity": assoc.norm(),

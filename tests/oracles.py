@@ -7,6 +7,8 @@ arithmetic.  The exceptions are handed the engine module:
 :func:`intertwiner_by_units` evaluates the module-map equations as
 composites of morphisms, one matrix unit at a time; :func:`y_vertex`
 and :func:`y_covertex` write a single fusion vertex as a morphism;
+:func:`inject` and :func:`project` write the inclusion of a summand word
+into a sum object and the projection onto it;
 :func:`trace_right` and :func:`trace_left` close a morphism with cups and
 caps; :func:`module_residuals` evaluates the module axioms of a bimodule;
 and :func:`nondegeneracy`, also handed the frobenius module, inverts an
@@ -630,6 +632,25 @@ def y_covertex(E, C, a, b, e, mu=0):
     row = np.zeros((1, C.N[a, b, e]), dtype=complex)
     row[0, mu] = 1.0
     return E.Morphism(C, E.obj(a, b), E.obj(e), {e: row})
+
+
+def inject(E, C, S, i):
+    """Inclusion of the i-th summand word into the sum object S."""
+    w = (S[i],)
+    blocks = {}
+    for k in E.obj_sectors(C, w):
+        d = E.obj_dim(C, w, k)
+        mat = np.zeros((E.obj_dim(C, S, k), d), dtype=complex)
+        off = E.obj_offsets(C, S, k)[i]
+        mat[off:off + d, :] = np.eye(d)
+        blocks[k] = mat
+    return E.Morphism(C, w, S, blocks)
+
+
+def project(E, C, S, i):
+    """Projection of the sum object S onto its i-th summand word."""
+    inj = inject(E, C, S, i)
+    return E.Morphism(C, S, inj.src, {k: blk.T.copy() for k, blk in inj.blocks.items()})
 
 
 # ---------------------------------------------------------------------------

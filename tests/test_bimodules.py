@@ -1,6 +1,8 @@
 """Bimodule induction, hom counting, and decomposition into simples."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -378,7 +380,8 @@ def test_intertwiner_matrix_matches_unit_evaluation(which, toric, ze, su24, deve
 def test_ambiguous_hom_dimension_raises(monkeypatch):
     """Every Hom solve checks its singular-value gap, which is finite unless
     the equations are all zero: with hom_gap = inf no gap passes, in the
-    left-module decomposition (on toric_code 1⊕e) as in the direct table
+    left-module decomposition and the End(A) count of validate_algebra (on
+    toric_code 1⊕e) as in the direct table
     (on toric_code 1⊕e and su2_4 D-even), whose stacked count names the
     relative product and the simple of the Hom space it could not count."""
     C = catalog("toric_code").data
@@ -388,6 +391,8 @@ def test_ambiguous_hom_dimension_raises(monkeypatch):
         B.simple_left_modules(C, A)
     generator = B.left_induce(C, A, 0).obj
     assert f"Hom({generator}, {generator})" in str(err.value)
+    with pytest.raises(NonIntegerDim, match=re.escape(f"Hom({A.obj}, {A.obj})")):
+        F.validate_algebra(C, A)
     for name, fixture in (("toric_code", "ze.alg.json"), ("su2_4", "su2_4_deven.alg.json")):
         C = catalog(name).data
         A = F.normalize_counit(C, F.parse_algebra(C, load_fixture(fixture)))

@@ -255,16 +255,16 @@ def test_tensor_matches_word_pair_sum(name):
     f = rand_morph(C, A + ((),), E.tensor_obj(A, A), rng)
     g = rand_morph(C, A + ((),), ((r - 1,), (min(1, r - 1), r - 1), ()), rng)
     src, tgt = E.tensor_obj(f.src, g.src), E.tensor_obj(f.tgt, g.tgt)
-    want = E.zero(C, src, tgt)
+    want = E.Morphism(C, src, tgt, {})
     for ip in range(len(f.tgt)):
         for i in range(len(f.src)):
-            fw = E.project(C, f.tgt, ip) @ f @ E.inject(C, f.src, i)
+            fw = oracles.project(E, C, f.tgt, ip) @ f @ oracles.inject(E, C, f.src, i)
             for jp in range(len(g.tgt)):
                 for j in range(len(g.src)):
-                    gw = E.project(C, g.tgt, jp) @ g @ E.inject(C, g.src, j)
-                    want = want + (E.inject(C, tgt, ip * len(g.tgt) + jp)
+                    gw = oracles.project(E, C, g.tgt, jp) @ g @ oracles.inject(E, C, g.src, j)
+                    want = want + (oracles.inject(E, C, tgt, ip * len(g.tgt) + jp)
                                    @ E.tensor(C, fw, gw)
-                                   @ E.project(C, src, i * len(g.src) + j))
+                                   @ oracles.project(E, C, src, i * len(g.src) + j))
     assert (E.tensor(C, f, g) - want).norm() < 1e-10
 
 
@@ -275,7 +275,7 @@ def test_compose_type_mismatch():
     with pytest.raises(TypeMismatch):
         g @ f
     with pytest.raises(TypeMismatch):
-        f + E.zero(C, ((1,),), ((0,),))
+        f + E.Morphism(C, ((1,),), ((0,),), {})
 
 
 def test_mixed_categories_rejected():
@@ -306,10 +306,10 @@ def test_vertex_covertex_duality():
 def test_project_inject_partition():
     C = get_catalog("ising").data
     S = ((1,), (0, 2), (1, 1))
-    total = E.zero(C, S, S)
+    total = E.Morphism(C, S, S, {})
     for i in range(len(S)):
-        inj = E.inject(C, S, i)
-        prj = E.project(C, S, i)
+        inj = oracles.inject(E, C, S, i)
+        prj = oracles.project(E, C, S, i)
         assert ((prj @ inj) - E.identity(C, (S[i],))).norm() < 1e-12
         total = total + inj @ prj
     assert (total - E.identity(C, S)).norm() < 1e-12
@@ -456,12 +456,12 @@ def test_braid_matches_word_pair_sum(name):
     for S, T in pairs:
         ST, TS = E.tensor_obj(S, T), E.tensor_obj(T, S)
         for inverse in (False, True):
-            want = E.zero(C, ST, TS)
+            want = E.Morphism(C, ST, TS, {})
             for i, wi in enumerate(S):
                 for j, wj in enumerate(T):
-                    want = want + (E.inject(C, TS, j * len(S) + i)
+                    want = want + (oracles.inject(E, C, TS, j * len(S) + i)
                                    @ E.braid(C, (wi,), (wj,), inverse=inverse)
-                                   @ E.project(C, ST, i * len(T) + j))
+                                   @ oracles.project(E, C, ST, i * len(T) + j))
             assert (E.braid(C, S, T, inverse=inverse) - want).norm() < 1e-10
 
 

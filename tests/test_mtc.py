@@ -50,6 +50,25 @@ def test_trivial_category():
     assert data.twist[0] == 1.0
 
 
+@pytest.mark.parametrize("name", ["trivial", "vec_z2", "vec_z3", "vec_z4", "vec_z5",
+                                  "toric_code"])
+def test_pointed_documents_hold_group_data(name):
+    """A pointed document's fusion rules are a group law, each row of N a
+    permutation, with every dual the inverse; its F values are ±1; and each
+    non-unit theta_a is its one entry R^{aa}_{a·a}."""
+    cat = oracles.RawCat(catalog_document(name))
+    n = len(cat.labels)
+    for a in range(n):
+        row = cat.N[a]
+        assert set(row.flat) <= {0, 1}
+        assert (row.sum(axis=0) == 1).all() and (row.sum(axis=1) == 1).all()
+        assert cat.N[a, cat.dual[a], 0] == 1
+    assert len(cat.F) == (n - 1) ** 3
+    assert all(val in (1, -1) for val in cat.F.values())
+    for a in range(1, n):
+        assert [val for (x, y, *_), val in cat.R.items() if x == y == a] == [cat.twist[a]]
+
+
 def test_loaded_data_is_immutable():
     data = catalog("fibonacci").data
     with pytest.raises(ValueError):
