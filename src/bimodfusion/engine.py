@@ -49,11 +49,9 @@ is the case with no batch axes.
 Each structural map is cached in ``C._cache`` under what it depends on:
 merge matrices per (word_dims(u), v, k), sum merges and their inverses per
 (word_dims of each word of S, T, k), that tuple of word dims per S
-(``sumdims``), the layout of tensor and braid per signature (S, T, S', T')
-of S ⊗ T -> S' ⊗ T' (and whether the target groups are crossed), braidings
-per (S, T, inverse), duality maps per word, read-only identity blocks per
-object (``eye``), and the sector layout that a Morphism checks its blocks
-against per pair of :func:`obj_dims` (``layout``).
+(``sumdims``), braidings per (S, T, inverse), duality maps per word,
+read-only identity blocks per object (``eye``), and the sector layout that a
+Morphism checks its blocks against per pair of :func:`obj_dims` (``layout``).
 """
 from __future__ import annotations
 
@@ -448,66 +446,36 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
-def _plan(C: MtcData, S: SumObject, T: SumObject, Sp: SumObject, Tp: SumObject,
-          crossed: bool) -> tuple:
-    """Layout of the maps S ⊗ T -> Sp ⊗ Tp of :func:`_through_merge`,
-    cached per signature and ``crossed``: (S ⊗ T, Sp ⊗ Tp, sectors), with
-    one entry (k, pairs, M_tgt, M_src⁻¹) per sector k where a pair below
-    matches, and the sum merge matrices of Sp ⊗ Tp and S ⊗ T.
-
-    pairs has one entry (row, col, k1, k2, n) per pair of sectors of S and T
-    joined in k by n = N[k1, k2, k] vertices whose target groups are
-    present: the source groups (k1, k2, mu) of :func:`sum_groups` follow
-    each other from column col, and the target groups (k1, k2, nu), or
-    (k2, k1, nu) if ``crossed``, from row row.
-    """
-    key = ("plan", S, T, Sp, Tp, crossed)
-    plan = C._cache.get(key)
-    if plan is not None:
-        return plan
-    src, tgt = tensor_obj(S, T), tensor_obj(Sp, Tp)
-    ds_all, dt_all = obj_dims(C, src), obj_dims(C, tgt)
-    dS, dT, dSp, dTp = (obj_dims(C, X) for X in (S, T, Sp, Tp))
-    sectors = []
-    for k in range(C.rank):
-        if ds_all[k] == 0 or dt_all[k] == 0:
-            continue
-        tgroups = sum_groups(C, dSp, dTp, k)
-        pairs = []
-        for (k1, k2, mu), col in sum_groups(C, dS, dT, k).items():
-            row = tgroups.get((k2, k1, 0) if crossed else (k1, k2, 0))
-            if mu == 0 and row is not None:
-                pairs.append((row, col, k1, k2, int(C.N[k1, k2, k])))
-        if pairs:
-            sectors.append((k, tuple(pairs), sum_merge(C, Sp, Tp, k),
-                            sum_merge(C, S, T, k, inverse=True)))
-    plan = C._cache[key] = (src, tgt, tuple(sectors))
-    return plan
-
-
 def _through_merge(C: MtcData, S: SumObject, T: SumObject, Sp: SumObject,
-                   Tp: SumObject, pieces, crossed: bool = False,
-                   lead: tuple = ()) -> Morphism:
+                   Tp: SumObject, pieces, lead: tuple = ()) -> Morphism:
     """The morphism S ⊗ T -> Sp ⊗ Tp whose sector-k block is
     M_tgt · middle · M_src⁻¹, with the sum merge matrices of Sp ⊗ Tp and S ⊗ T;
     middle, and so the result, carries the batch axes ``lead`` of the pieces.
 
-    ``pieces(k, k1, k2, n)`` lists, for the source groups (k1, k2, mu) of
-    :func:`sum_groups`, the (nu, mu, block) triples that middle holds in the
-    rows of target group (k1, k2, nu), or (k2, k1, nu) if ``crossed``, and
-    the columns of source group (k1, k2, mu).  The layout comes from
-    :func:`_plan`; each call only places the blocks and multiplies.
+    ``pieces(k, group)`` lists, for a source group (k1, k2, mu) of
+    :func:`sum_groups`, the (target, block) pairs that middle holds in the
+    rows of the target group of Sp ⊗ Tp and the columns of the source group.
+    A target that Sp ⊗ Tp lacks is skipped, and a sector where no block lands
+    is left to the zero fill of :class:`Morphism`.
     """
-    src, tgt, sectors = _plan(C, S, T, Sp, Tp, crossed)
+    src, tgt = tensor_obj(S, T), tensor_obj(Sp, Tp)
+    dS, dT, dSp, dTp = (obj_dims(C, X) for X in (S, T, Sp, Tp))
     blocks = {}
-    for k, pairs, merge_tgt, merge_src_inv in sectors:
-        middle = np.zeros(lead + (merge_tgt.shape[1], merge_src_inv.shape[0]), dtype=complex)
-        for row, col, k1, k2, n in pairs:
-            for nu, mu, blk in pieces(k, k1, k2, n):
+    for k, shape in _layout(C, src, tgt)[0]:
+        tgroups = sum_groups(C, dSp, dTp, k)
+        middle = None
+        for group, col in sum_groups(C, dS, dT, k).items():
+            for target, blk in pieces(k, group):
+                row = tgroups.get(target)
+                if row is None:
+                    continue
+                if middle is None:
+                    middle = np.zeros(lead + shape, dtype=complex)
                 h, w = blk.shape[-2:]
-                middle[..., row + nu * h:row + (nu + 1) * h,
-                       col + mu * w:col + (mu + 1) * w] = blk
-        blocks[k] = merge_tgt @ middle @ merge_src_inv
+                middle[..., row:row + h, col:col + w] = blk
+        if middle is not None:
+            blocks[k] = (sum_merge(C, Sp, Tp, k) @ middle
+                         @ sum_merge(C, S, T, k, inverse=True))
     return Morphism(C, src, tgt, blocks)
 
 
@@ -515,8 +483,8 @@ def tensor(C: MtcData, f: Morphism, g: Morphism) -> Morphism:
     """Tensor product f ⊗ g on sum objects (summand pairs in row-major order).
 
     In :func:`_through_merge`, middle pairs each source group (k1, k2, mu)
-    with the target group of the same key by kron(f_k1, g_k2).  The target
-    lacks the group exactly where f or g has no block.  A factor that is an
+    with the target group of the same key by kron(f_k1, g_k2); f or g has
+    no block exactly where the target lacks the group.  A factor that is an
     endomorphism of UNIT skips the merge: f ⊗ g has the other factor's
     objects and blocks kron(f_k, g_0) (kron(f_0, g_k)).  A stack broadcasts
     against a single morphism or a stack of the same batch shape.
@@ -535,11 +503,14 @@ def tensor(C: MtcData, f: Morphism, g: Morphism) -> Morphism:
                                           for k, _ in _layout(C, g.src, g.tgt)[0]})
     krons = {}
 
-    def pieces(k, k1, k2, n):
+    def pieces(k, group):
+        k1, k2 = group[:2]
+        if k1 not in f.blocks or k2 not in g.blocks:
+            return ()
         kr = krons.get((k1, k2))
         if kr is None:
             kr = krons[(k1, k2)] = _kron(f.blocks[k1], g.blocks[k2])
-        return [(mu, mu, kr) for mu in range(n)]
+        return ((group, kr),)
 
     return _through_merge(C, f.src, g.src, f.tgt, g.tgt, pieces,
                           lead=max(f.batch, g.batch, key=len))
@@ -567,7 +538,8 @@ def braid(C: MtcData, S: SumObject, T: SumObject, inverse: bool = False) -> Morp
     dS, dT = obj_dims(C, S), obj_dims(C, T)
     swaps = {}
 
-    def pieces(k, k1, k2, n):
+    def pieces(k, group):
+        k1, k2, mu = group
         sw = swaps.get((k1, k2))
         if sw is None:
             n1, n2 = dS[k1], dT[k2]
@@ -575,9 +547,9 @@ def braid(C: MtcData, S: SumObject, T: SumObject, inverse: bool = False) -> Morp
             cols = np.arange(n1 * n2).reshape(n1, n2).T.ravel()
             sw = swaps[(k1, k2)] = np.eye(n1 * n2)[cols]
         Rm = C.rinv(k2, k1, k) if inverse else C.rmat(k1, k2, k)
-        return [(nu, mu, Rm[nu, mu] * sw) for mu in range(n) for nu in range(Rm.shape[0])]
+        return [((k2, k1, nu), Rm[nu, mu] * sw) for nu in range(Rm.shape[0])]
 
-    out = _through_merge(C, S, T, T, S, pieces, crossed=True)
+    out = _through_merge(C, S, T, T, S, pieces)
     for blk in out.blocks.values():
         blk.setflags(write=False)
     # the parts, not the Morphism: see _word_duality

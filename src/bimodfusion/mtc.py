@@ -259,7 +259,7 @@ def read_document(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read document {path}: {exc}") from exc
 
 
@@ -438,9 +438,12 @@ def load_mtc(doc: dict, tol: float = DEFAULT_TOL) -> MtcData:
         raise AxiomViolation("twist-modulus", residuals["twist-modulus"], dict(residuals))
     _inverses(data._F, data._Finv, data._fpos, left.count, right.count, "f-invertibility")
     _inverses(data._R, data._Rinv, data._rpos.ravel(), r_rows, r_cols, "r-invertibility")
-    residuals["pentagon"] = _pentagon_residual(data)
-    residuals["hexagon"] = _hexagon_residual(data, inverse=False)
-    residuals["hexagon-inverse"] = _hexagon_residual(data, inverse=True)
+    # products of huge F or R values may overflow; _worst_difference
+    # reports such an equation as inf instead of warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals["pentagon"] = _pentagon_residual(data)
+        residuals["hexagon"] = _hexagon_residual(data, inverse=False)
+        residuals["hexagon-inverse"] = _hexagon_residual(data, inverse=True)
     residuals["ribbon"] = _ribbon_residual(data)
 
     if max(residuals.values()) > coherence:
@@ -559,7 +562,8 @@ def _r_move(C: MtcData, state: dict, triple, vertex: str, inverse: bool) -> dict
 def _worst_difference(tag, lhs, rhs) -> float:
     """Largest |lhs − rhs| over the equations: ``tag`` maps a state to the
     integer of its equation; terms of one equation are summed after one
-    stable sort."""
+    stable sort.  An equation whose sum is not finite (its terms overflowed)
+    counts as inf."""
     keys = np.concatenate([tag(lhs), tag(rhs)])
     if not keys.size:
         return 0.0
@@ -567,7 +571,8 @@ def _worst_difference(tag, lhs, rhs) -> float:
     keys = keys[order]
     vals = np.concatenate([lhs["coef"], -rhs["coef"]])[order]
     starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
-    return float(np.max(np.abs(np.add.reduceat(vals, starts))))
+    sums = np.add.reduceat(vals, starts)
+    return float(np.max(np.where(np.isfinite(sums), np.abs(sums), np.inf)))
 
 
 def _pentagon_residual(C: MtcData) -> float:

@@ -196,6 +196,8 @@ def test_injected_violations_fail_at_the_largest_tolerance(capsys, argv, axiom):
        "--triples", count] for count in ("abc", "0", "-3")],
     *[["verify-o", "--cat", "catalog:fibonacci", "--alg", "trivial", "--seed", seed]
       for seed in ("-1", "abc")],                              # bad seed
+    ["validate", fixture_path("not_utf8.json")],               # not UTF-8
+    ["z", "--cat", "catalog:fibonacci", "--alg", fixture_path("not_utf8.json")],
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)

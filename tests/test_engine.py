@@ -164,7 +164,7 @@ def test_tensor_with_unit_identity_is_bitwise_unchanged(name):
 @pytest.mark.parametrize("name", CATS + list(ALGEBRA_OBJECTS))
 def test_tensor_with_a_unit_endomorphism_makes_no_plan(name, monkeypatch):
     """f ⊗ z·id_1 and z·id_1 ⊗ f, for z ≠ 1 and with a stack on either side,
-    build no _plan, and equal bit for bit, blocks in the same order, the
+    build no sum merge, and equal bit for bit, blocks in the same order, the
     route through the sum merges: _through_merge with kron(f_k1, g_k2) on
     each group, as tensor takes it for any other pair of factors."""
     C, objects = duality_objects(name)
@@ -180,17 +180,21 @@ def test_tensor_with_a_unit_endomorphism_makes_no_plan(name, monkeypatch):
     cases = [(f, z), (z, f), (fs, z), (z, fs), (f, zs), (zs, f), (fs, zs), (zs, z)]
 
     def through_merge(a, b):
-        def pieces(k, k1, k2, n):
-            return [(mu, mu, E._kron(a.blocks[k1], b.blocks[k2])) for mu in range(n)]
+        def pieces(k, group):
+            k1, k2 = group[:2]
+            if k1 not in a.blocks or k2 not in b.blocks:
+                return []
+            return [(group, E._kron(a.blocks[k1], b.blocks[k2]))]
         return E._through_merge(C, a.src, b.src, a.tgt, b.tgt, pieces,
                                 lead=max(a.batch, b.batch, key=len))
 
     want = [through_merge(a, b) for a, b in cases]
-    plans = []
-    real_plan = E._plan
-    monkeypatch.setattr(E, "_plan", lambda *args: plans.append(args) or real_plan(*args))
+    merges = []
+    real_merge = E.sum_merge
+    monkeypatch.setattr(E, "sum_merge",
+                        lambda *args, **kw: merges.append(args) or real_merge(*args, **kw))
     got = [E.tensor(C, a, b) for a, b in cases]
-    assert not plans
+    assert not merges
     for g, w in zip(got, want):
         assert (g.src, g.tgt, g.batch) == (w.src, w.tgt, w.batch)
         assert list(g.blocks) == list(w.blocks)
@@ -325,8 +329,8 @@ def fresh_deven():
 def test_cached_layouts_hold_no_data():
     """tensor on a signature already used with other blocks, and braid on a
     signature already used by tensor, equal the results on a fresh category:
-    the per-signature plan holds layout only.  A cached braiding is returned
-    as a new Morphism on read-only blocks."""
+    the cached sum merges and layouts hold no block data.  A cached braiding
+    is returned as a new Morphism on read-only blocks."""
     rng = np.random.default_rng(5)
     used, A = fresh_deven()
     W = ((1,), (3, 1))

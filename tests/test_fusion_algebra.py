@@ -541,7 +541,7 @@ def _key_words(key) -> list:
         return list(key[1])
     if kind in ("summerge", "summergeinv"):
         return list(key[2])
-    if kind in ("plan", "braid"):
+    if kind == "braid":
         return [w for X in key[1:-1] for w in X]
     assert kind in ("sumgroups", "layout", "dualcoef", "smatrix"), key
     return []

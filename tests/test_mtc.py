@@ -137,6 +137,19 @@ def test_perturbed_r_raises_hexagon_violation():
     assert exc.value.max_residual > 1e-3
 
 
+def test_overflowing_pentagon_reports_inf():
+    """F values scaled by 1e160 overflow the pentagon's products: each
+    such equation is reported as an inf residual, without a warning,
+    instead of a NaN that the running maximum would drop."""
+    doc = catalog_document("fibonacci")
+    for ent in doc["F"]:
+        ent["val"] = [v * 1e160 for v in ent["val"]]
+    with pytest.raises(AxiomViolation) as exc:
+        mtc.load_mtc(doc)
+    assert exc.value.residuals["pentagon"] == math.inf
+    assert exc.value.identity == "pentagon"
+
+
 def _random_rep_a4_doc():
     """The fusion rules of Rep(A4) with seeded random complex F-matrices on
     every non-unit quad with channels and random R-matrices: the pentagon
