@@ -255,11 +255,13 @@ class CatalogEntry:
 # ---------------------------------------------------------------------------
 
 def read_document(path) -> dict:
-    """Read a JSON document from a filesystem path."""
+    """Read a JSON document from a filesystem path; a document that cannot
+    be opened, decoded or parsed, or nests too deeply to parse, raises
+    ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"cannot read document {path}: {exc}") from exc
 
 
@@ -575,6 +577,10 @@ def _worst_difference(tag, lhs, rhs) -> float:
     return float(np.max(np.where(np.isfinite(sums), np.abs(sums), np.inf)))
 
 
+#: most start trees that one pass of :func:`_pentagon_residual` holds
+_PENTAGON_TREES = 2048
+
+
 def _pentagon_residual(C: MtcData) -> float:
     """Largest |lhs − rhs| of the pentagon equations of non-unit letters.
 
@@ -589,13 +595,20 @@ def _pentagon_residual(C: MtcData) -> float:
     * a(b(cd)): (l, t1, t2, k, s2, E) for cd→l, bl→k, ak→E;
     * (ab)(cd): (f1, m1, l, t1, n2, E) for ab→f1, cd→l, f1l→E.
 
-    Each side is a sum over trees, kept as arrays: it starts from every
-    ((ab)c)d tree of the letters, and each F-move is a join of those
-    arrays with the stored F table (:func:`_f_move`).  The terms are then
-    summed per pair of a source tree and an a(b(cd)) tree.  One pass runs
-    per pair of first letters a, b, which bounds the size of the arrays.
-    With a unit letter the identity compares a sum with itself, because
-    unit F-matrices are identities.
+    Each side is a sum over trees, kept as arrays: it starts from
+    ((ab)c)d trees, and each F-move is a join of those arrays with the
+    stored F table (:func:`_f_move`).  The terms are then summed per pair
+    of a source tree and an a(b(cd)) tree; a term finds its letters a and
+    b through its source tree.  One pass takes the trees of consecutive
+    pairs of first letters (a, b) while they number at most
+    ``_PENTAGON_TREES``; a pair with more runs alone.  Fewer passes cost
+    less per-call overhead, and the budget bounds the arrays, whose terms
+    per tree grow with the rank: 2,048 trees hold every catalog category
+    (at most 1,086) in one pass, and keep su2_8 and su2_10 (up to 3,934
+    trees in one pair) at the peak memory of one pass per pair.  Each
+    equation's terms are formed and summed in the same order whatever the
+    passes.  With a unit letter the identity compares a sum with itself,
+    because unit F-matrices are identities.
     """
     n, N = C.rank, C.N
     m = max(int(N.max()), 1)
@@ -604,26 +617,34 @@ def _pentagon_residual(C: MtcData) -> float:
     own, m3 = _split(N[x, y + 1, z])
     per_g = np.bincount(x[own], minlength=n)
     vertices = np.stack([y[own] + 1, z[own], m3])
+    rows = np.flatnonzero((left[:3] > 0).all(axis=0))   # sorted by (a, b)
+    starts = np.flatnonzero(np.diff(left[0, rows] * n + left[1, rows], prepend=-1))
+    cuts, held = [], 0   # a pass ends before each cut, a row that starts a pair
+    for at, trees in zip(starts.tolist(), np.add.reduceat(per_g[left[3, rows]], starts).tolist()):
+        if held and held + trees > _PENTAGON_TREES:
+            cuts.append(at)
+            held = 0
+        held += trees
 
     def tag(s):  # equation: the source tree and the a(b(cd)) tree it reaches
         return (((((s["tree"] * n + s["l"]) * m + s["t1"]) * m + s["t2"]) * n + s["k"])
                 * m + s["s2"])
 
     worst = 0.0
-    for a, b in itertools.product(range(1, n), repeat=2):
-        rows = np.flatnonzero((left[0] == a) & (left[1] == b) & (left[2] > 0))
-        tops = dict(zip("c g f1 m1 m2".split(), left[2:, rows]))
-        tops["coef"] = np.ones(rows.size, dtype=complex)
+    for part in np.split(rows, cuts):
+        tops = dict(zip("c g f1 m1 m2".split(), left[2:, part]))
+        tops["coef"] = np.ones(part.size, dtype=complex)
         start, owner, off = _expand(tops, per_g[tops["g"]])
         start.update(zip("d E m3".split(),
                          vertices[:, (np.cumsum(per_g) - per_g)[tops["g"]][owner] + off]))
         start["tree"] = np.arange(owner.size)
+        a, b = left[:2, part[owner]]
         s = _f_move(C, start, (a, b, start["c"], start["g"]), "f1 m1 m2", "h r1 r2")
-        s = _f_move(C, s, (a, s["h"], s["d"], s["E"]), "g r2 m3", "k s1 s2")
-        lhs = _f_move(C, s, (b, s["c"], s["d"], s["k"]), "h r1 s1", "l t1 t2")
+        s = _f_move(C, s, (a[s["tree"]], s["h"], s["d"], s["E"]), "g r2 m3", "k s1 s2")
+        lhs = _f_move(C, s, (b[s["tree"]], s["c"], s["d"], s["k"]), "h r1 s1", "l t1 t2")
         s = _f_move(C, start, (start["f1"], start["c"], start["d"], start["E"]),
                     "g m2 m3", "l t1 n2")
-        rhs = _f_move(C, s, (a, b, s["l"], s["E"]), "f1 m1 n2", "k t2 s2")
+        rhs = _f_move(C, s, (a[s["tree"]], b[s["tree"]], s["l"], s["E"]), "f1 m1 n2", "k t2 s2")
         worst = max(worst, _worst_difference(tag, lhs, rhs))
     return worst
 

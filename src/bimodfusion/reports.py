@@ -3,14 +3,25 @@
 The JSON form is reproducible byte for byte: keys are emitted sorted,
 numpy scalars and arrays are converted to plain Python values first, and
 complex numbers become two-element ``[re, im]`` lists (JSON has no complex
-type).  The table form is for reading, not parsing; it makes no stability
-promise beyond determinism.
+type).  A float that is not finite, a complex part among them, becomes
+one of the strings ``"Infinity"``, ``"-Infinity"`` and ``"NaN"``, since
+JSON has no such numbers either.  The table form is for reading, not
+parsing; it makes no stability promise beyond determinism.
 """
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
+
+
+def _number(value) -> float | str:
+    """``value`` as a float, or as its name when it is not finite."""
+    x = float(value)
+    if math.isfinite(x):
+        return x
+    return "NaN" if math.isnan(x) else "Infinity" if x > 0 else "-Infinity"
 
 
 def plain(value):
@@ -26,16 +37,16 @@ def plain(value):
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
-        return float(value)
+        return _number(value)
     if isinstance(value, (complex, np.complexfloating)):
-        return [float(value.real), float(value.imag)]
+        return [_number(value.real), _number(value.imag)]
     if value is None or isinstance(value, str):
         return value
     raise TypeError(f"cannot serialize a {type(value).__name__} into a report")
 
 
 def to_json(doc: dict) -> str:
-    return json.dumps(plain(doc), sort_keys=True, indent=1) + "\n"
+    return json.dumps(plain(doc), sort_keys=True, indent=1, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from bimodfusion.catalog import CATALOG_NAMES, catalog
+from bimodfusion.catalog import CATALOG_NAMES, catalog, catalog_document
 from bimodfusion.mtc import MtcData
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -34,6 +34,15 @@ def load_fixture(name: str) -> dict:
 def load_golden(name: str) -> dict:
     with open(os.path.join(GOLDENS, name), "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def overflowing_fibonacci_doc() -> dict:
+    """The fibonacci document with every F value scaled by 1e160: the
+    pentagon's products overflow, and its residual is inf."""
+    doc = catalog_document("fibonacci")
+    for ent in doc["F"]:
+        ent["val"] = [v * 1e160 for v in ent["val"]]
+    return doc
 
 
 def rep_a4_fusion() -> MtcData:

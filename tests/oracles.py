@@ -14,6 +14,8 @@ caps; :func:`module_residuals` evaluates the module axioms of a bimodule;
 and :func:`nondegeneracy`, also handed the frobenius module, inverts an
 algebra's duality pairing by its coproduct.  :func:`merge_by_moves` is
 handed the inverse F-matrices only, and finds their channels itself.
+:func:`pentagon_by_pairs` is handed the mtc module and runs its moves
+with one pass per pair of first letters, as the package once did.
 Frozen expected values live in ``test_oracles.py`` and in the
 fixture/golden files.
 """
@@ -738,3 +740,39 @@ def nondegeneracy(E, F, C, A):
     full = E.hom_dim(C, A.obj, Ad)
     return NondegReport(iso_residual=res, rank=rank,
                         passed=bool(res < C.thresholds.identity and rank == full))
+
+
+def pentagon_by_pairs(M, C):
+    """The pentagon residual of ``C`` as ``M._pentagon_residual`` found it
+    with one pass per pair of first letters (a, b), handed the mtc module
+    ``M`` for its moves: every pass forms and sums each equation's terms
+    in the order of a batched pass, so the two must agree bit for bit."""
+    n, N = C.rank, C.N
+    m = max(int(N.max()), 1)
+    left = C._left.chans
+    x, y, z = np.nonzero(N[:, 1:])
+    own, m3 = M._split(N[x, y + 1, z])
+    per_g = np.bincount(x[own], minlength=n)
+    vertices = np.stack([y[own] + 1, z[own], m3])
+
+    def tag(s):
+        return (((((s["tree"] * n + s["l"]) * m + s["t1"]) * m + s["t2"]) * n + s["k"])
+                * m + s["s2"])
+
+    worst = 0.0
+    for a, b in itertools.product(range(1, n), repeat=2):
+        rows = np.flatnonzero((left[0] == a) & (left[1] == b) & (left[2] > 0))
+        tops = dict(zip("c g f1 m1 m2".split(), left[2:, rows]))
+        tops["coef"] = np.ones(rows.size, dtype=complex)
+        start, owner, off = M._expand(tops, per_g[tops["g"]])
+        start.update(zip("d E m3".split(),
+                         vertices[:, (np.cumsum(per_g) - per_g)[tops["g"]][owner] + off]))
+        start["tree"] = np.arange(owner.size)
+        s = M._f_move(C, start, (a, b, start["c"], start["g"]), "f1 m1 m2", "h r1 r2")
+        s = M._f_move(C, s, (a, s["h"], s["d"], s["E"]), "g r2 m3", "k s1 s2")
+        lhs = M._f_move(C, s, (b, s["c"], s["d"], s["k"]), "h r1 s1", "l t1 t2")
+        s = M._f_move(C, start, (start["f1"], start["c"], start["d"], start["E"]),
+                      "g m2 m3", "l t1 n2")
+        rhs = M._f_move(C, s, (a, b, s["l"], s["E"]), "f1 m1 n2", "k t2 s2")
+        worst = max(worst, M._worst_difference(tag, lhs, rhs))
+    return worst

@@ -2,15 +2,16 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from bimodfusion import mtc
+from bimodfusion import mtc, reports
 from bimodfusion.catalog import CATALOG_NAMES, catalog_document
 from bimodfusion.cli import main
 
-from conftest import FIXTURES, fixture_path, load_fixture, load_golden
+from conftest import FIXTURES, fixture_path, load_fixture, load_golden, overflowing_fibonacci_doc
 
 
 def run(capsys, *argv):
@@ -178,6 +179,10 @@ def test_injected_violations_fail_at_the_largest_tolerance(capsys, argv, axiom):
 
 # -- usage errors -----------------------------------------------------------------
 
+#: stands for a document of 200,000 "[" written by the test
+DEEP = "<deeply nested document>"
+
+
 @pytest.mark.parametrize("argv", [
     ["no-such-command"],
     ["z", "--cat", "catalog:toric_code"],                      # --alg missing
@@ -198,11 +203,44 @@ def test_injected_violations_fail_at_the_largest_tolerance(capsys, argv, axiom):
       for seed in ("-1", "abc")],                              # bad seed
     ["validate", fixture_path("not_utf8.json")],               # not UTF-8
     ["z", "--cat", "catalog:fibonacci", "--alg", fixture_path("not_utf8.json")],
+    ["validate", DEEP],                                        # nested too deeply
+    ["z", "--cat", "catalog:fibonacci", "--alg", DEEP],
 ])
-def test_usage_errors_exit_2(capsys, argv):
+def test_usage_errors_exit_2(capsys, tmp_path, argv):
+    if DEEP in argv:
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000)
+        argv = [str(deep) if arg == DEEP else arg for arg in argv]
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
+
+
+def strict_loads(text):
+    """``json.loads`` that rejects the bare tokens Infinity and NaN, as
+    strict JSON parsers do."""
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_non_finite_numbers_are_named():
+    text = reports.to_json({"x": [math.inf, -np.inf, np.float64("nan")], "f": 0.5,
+                            "z": complex(math.inf, math.nan)})
+    assert strict_loads(text) == {"f": 0.5, "x": ["Infinity", "-Infinity", "NaN"],
+                                  "z": ["Infinity", "NaN"]}
+
+
+def test_non_finite_residuals_are_strict_json(capsys, tmp_path):
+    """An overflowing pentagon is reported as the string "Infinity"."""
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(overflowing_fibonacci_doc()))
+    code, out, _ = run(capsys, "validate", str(path), "--format", "json")
+    doc = strict_loads(out)
+    assert code == 1
+    assert doc["residuals"]["pentagon"] == "Infinity"
+    assert doc["max_residual"] == "Infinity"
 
 
 def test_bad_triples_exit_2_before_reading_documents(capsys):

@@ -20,7 +20,7 @@ from bimodfusion.errors import (
     ParseError,
     UnknownCatalogName,
 )
-from conftest import get_catalog, load_fixture, rep_a4_fusion
+from conftest import get_catalog, load_fixture, overflowing_fibonacci_doc, rep_a4_fusion
 
 RANKS = {
     "trivial": 1, "vec_z2": 2, "vec_z3": 3, "vec_z4": 4, "vec_z5": 5,
@@ -141,11 +141,8 @@ def test_overflowing_pentagon_reports_inf():
     """F values scaled by 1e160 overflow the pentagon's products: each
     such equation is reported as an inf residual, without a warning,
     instead of a NaN that the running maximum would drop."""
-    doc = catalog_document("fibonacci")
-    for ent in doc["F"]:
-        ent["val"] = [v * 1e160 for v in ent["val"]]
     with pytest.raises(AxiomViolation) as exc:
-        mtc.load_mtc(doc)
+        mtc.load_mtc(overflowing_fibonacci_doc())
     assert exc.value.residuals["pentagon"] == math.inf
     assert exc.value.identity == "pentagon"
 
@@ -228,6 +225,74 @@ def test_su2_8_passes_and_a_perturbed_f_fails():
         mtc.load_mtc(doc)
     assert exc.value.identity == "pentagon"
     assert exc.value.max_residual > 1e-4
+
+
+def _checked_pentagon(doc, monkeypatch):
+    """The category that ``load_mtc(doc)`` checks the pentagon of, and the
+    residual it finds, whether or not the load then fails."""
+    seen, check = [], mtc._pentagon_residual
+
+    def spy(C):
+        seen.append((C, check(C)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(mtc, "_pentagon_residual", spy)
+    try:
+        mtc.load_mtc(doc)
+    except AxiomViolation:
+        pass
+    (data, got), = seen
+    return data, got
+
+
+PENTAGON_INPUTS = {
+    **{name: (lambda name=name: catalog_document(name)) for name in CATALOG_NAMES},
+    "su2_5": lambda: _su2_k_doc(5),
+    "su2_6": lambda: _su2_k_doc(6),
+    "rep_a4_random": _random_rep_a4_doc,
+    "fibonacci_f_1e160": overflowing_fibonacci_doc,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PENTAGON_INPUTS))
+def test_pentagon_passes_match_the_per_pair_reference(name, monkeypatch):
+    """Batching pairs of first letters into one pass forms and sums every
+    equation's terms as one pass per pair did: the residuals are equal."""
+    data, got = _checked_pentagon(PENTAGON_INPUTS[name](), monkeypatch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert got == oracles.pentagon_by_pairs(mtc, data)
+    want = {"rep_a4_random": 52.811151219724614, "fibonacci_f_1e160": math.inf}
+    assert got == want.get(name, got)
+
+
+@pytest.mark.parametrize("name", [name for name in CATALOG_NAMES if RANKS[name] >= 3])
+def test_gauged_pentagon_passes_match_the_per_pair_reference(name):
+    for seed in range(6):
+        data = mtc.random_gauge(get_catalog(name).data, np.random.default_rng(seed))
+        assert mtc._pentagon_residual(data) == oracles.pentagon_by_pairs(mtc, data), seed
+
+
+@pytest.mark.parametrize("budget, passes", [(1, 16), (100, 14), (300, 4)])
+def test_pentagon_budget_splits_passes_at_pairs(budget, passes, monkeypatch):
+    """With a smaller budget the 16 pairs of first letters of su2_4 (26
+    to 104 start trees each) fall into more passes, a pair above the
+    budget alone, and the residual stays the same."""
+    data = mtc.random_gauge(get_catalog("su2_4").data, np.random.default_rng(0))
+    calls, worst = [], mtc._worst_difference
+    monkeypatch.setattr(mtc, "_worst_difference", lambda *args: calls.append(1) or worst(*args))
+    monkeypatch.setattr(mtc, "_PENTAGON_TREES", budget)
+    got = mtc._pentagon_residual(data)
+    assert len(calls) == passes
+    assert got == oracles.pentagon_by_pairs(mtc, data)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_catalog_pentagon_runs_one_pass(name, monkeypatch):
+    data = get_catalog(name).data
+    calls, worst = [], mtc._worst_difference
+    monkeypatch.setattr(mtc, "_worst_difference", lambda *args: calls.append(1) or worst(*args))
+    mtc._pentagon_residual(data)
+    assert len(calls) <= 1
 
 
 def test_wrong_twist_raises_ribbon_violation():
