@@ -26,6 +26,7 @@ from .errors import (
     IdempotentSplitFailure,
     NonIntegerDim,
     NotSpecial,
+    TypeMismatch,
 )
 from .frobenius import AlgebraSpec
 from .mtc import MtcData
@@ -185,7 +186,8 @@ def z_matrix(C: MtcData, A: AlgebraSpec) -> ZMatrix:
 def split_idempotent(C: MtcData, X: Bimodule, P: E.Morphism):
     """Split a bimodule idempotent P on X into embed/restrict maps.
 
-    P must commute with the actions (callers produce it as a polynomial
+    P must be an endomorphism of X's object (else :class:`TypeMismatch`)
+    and commute with the actions (callers produce it as a polynomial
     in endomorphisms, or from the separability element, so this holds by
     construction).  Eigenvalues are required to lie within ``residual`` of
     0 or 1, and those nearer 1 span the image; an eigenvalue stuck in between
@@ -196,15 +198,15 @@ def split_idempotent(C: MtcData, X: Bimodule, P: E.Morphism):
     items are grouped by the multiplicities of their image, and the actions
     are restricted once per group.  A single P is split as a stack of one.
     """
+    if P.src != X.obj or P.tgt != X.obj:
+        raise TypeMismatch(f"P is not an endomorphism of {X.obj}")
     band = C.thresholds.residual
     idem = (P @ P - P).norm()
     if idem > band:
         raise IdempotentSplitFailure(f"not idempotent: ||P∘P - P|| = {idem:.3g}")
     eigs: dict = {}
     for k in E.obj_sectors(C, X.obj):
-        blk = P.blocks.get(k)
-        if blk is None:
-            continue
+        blk = P.blocks[k]
         w, V = np.linalg.eig(blk.reshape(-1, *blk.shape[-2:]))
         off = np.minimum(np.abs(w), np.abs(w - 1.0))
         if np.any(off > band):
@@ -304,7 +306,7 @@ def is_isomorphic(C: MtcData, X: Bimodule, Y: Bimodule) -> bool:
             and len(hom_bimodule(C, X, Y)) == 1)
 
 
-def _random_endomorphism(C: MtcData, ends: list, rng) -> E.Morphism:
+def _random_endomorphism(ends: list, rng) -> E.Morphism:
     f = 0.0 * ends[0]
     for e in ends:
         f = f + complex(rng.standard_normal() + 1j * rng.standard_normal()) * e
@@ -348,7 +350,7 @@ def _decompose(C: MtcData, X: Bimodule, ends: list, rng) -> list:
         )
     if len(ends) == 1:
         return [X]
-    T = _random_endomorphism(C, ends, rng)
+    T = _random_endomorphism(ends, rng)
     centers = _eigenvalue_clusters(T)
     if len(centers) < 2:
         raise DecompositionIncomplete(

@@ -7,6 +7,7 @@ or an axiom is violated, 2 for usage and document-parse errors and for an
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
 import numpy as np
@@ -62,25 +63,20 @@ def _algebra(args, C: mtc.MtcData, normalized: bool = True) -> F.AlgebraSpec:
 
 def _cmd_validate(args):
     C = _category(args)
-    rep = {"kind": "validate", "labels": list(C.labels), "rank": C.rank}
-    rep.update(mtc.verify_modular(C))
-    rep["pass"] = True
-    return 0, rep
+    return 0, {"kind": "validate", "labels": list(C.labels), "rank": C.rank,
+               **mtc.verify_modular(C), "pass": True}
 
 
 def _cmd_smatrix(args):
     C = _category(args)
-    rep = {"kind": "smatrix", "labels": list(C.labels),
-           "s": mtc.s_matrix(C).entries}
-    rep.update(mtc.verify_modular(C))
-    return 0, rep
+    return 0, {"kind": "smatrix", "labels": list(C.labels),
+               "s": mtc.s_matrix(C).entries, **mtc.verify_modular(C)}
 
 
 def _cmd_algebra_check(args):
     C = _category(args)
     A = _algebra(args, C, normalized=False)
-    rep = {"kind": "algebra-check"}
-    rep.update(F.validate_algebra(C, A))
+    rep = {"kind": "algebra-check", **F.validate_algebra(C, A)}
     return (0 if rep["pass"] else 1), rep
 
 
@@ -88,20 +84,19 @@ def _cmd_z(args):
     C = _category(args)
     A = _algebra(args, C)
     z = B.z_matrix(C, A)
-    rep = {
-        "kind": "z",
-        "labels": list(C.labels),
-        "z": z.entries,
-        "trace": z.trace,
-        "pair_count": z.pair_count,
-    }
-    return 0, rep
+    return 0, {"kind": "z", "labels": list(C.labels), "z": z.entries,
+               "trace": z.trace, "pair_count": z.pair_count}
+
+
+def _simples(args) -> tuple:
+    """Category, algebra and simple bimodules, loaded in that order."""
+    C = _category(args)
+    A = _algebra(args, C)
+    return C, A, B.simple_bimodules(C, A, seed=args.seed)
 
 
 def _cmd_simples(args):
-    C = _category(args)
-    A = _algebra(args, C)
-    simples = B.simple_bimodules(C, A, seed=args.seed)
+    C, _, simples = _simples(args)
     rep = {
         "kind": "simples",
         "count": len(simples),
@@ -116,25 +111,19 @@ def _cmd_simples(args):
 
 def _table_report(kind: str, table: FA.FusionTable, extra: dict) -> tuple:
     axioms = table.check()
-    rep = {"kind": kind, "unit": table.unit, "table": table.table}
-    rep.update(extra)
-    rep["axioms"] = axioms
-    rep["pass"] = max(axioms.values()) == 0
+    rep = {"kind": kind, "unit": table.unit, "table": table.table, **extra,
+           "axioms": axioms, "pass": max(axioms.values()) == 0}
     return (0 if rep["pass"] else 1), rep
 
 
 def _cmd_fusion(args):
-    C = _category(args)
-    A = _algebra(args, C)
-    simples = B.simple_bimodules(C, A, seed=args.seed)
+    C, A, simples = _simples(args)
     table = FA.fusion_table_direct(C, A, simples)
     return _table_report("fusion", table, {"route": "direct"})
 
 
 def _cmd_blockdiag(args):
-    C = _category(args)
-    A = _algebra(args, C)
-    simples = B.simple_bimodules(C, A, seed=args.seed)
+    C, A, simples = _simples(args)
     d = FA.d_matrix(C, A, simples)
     table = FA.fusion_table_blockdiag(C, d)
     return _table_report(
@@ -146,26 +135,25 @@ def _cmd_verify_o(args):
     C = _category(args)
     A = _algebra(args, C)
     report = FA.verify_theorem_o(C, A, seed=args.seed)
-    rep = report.to_dict()
-    return (0 if report.passed else 1), rep
+    return (0 if report.passed else 1), report.to_dict()
 
 
 def _cmd_defect_check(args):
-    C = _category(args)
-    A = _algebra(args, C)
-    simples = B.simple_bimodules(C, A, seed=args.seed)
+    C, A, simples = _simples(args)
     table = FA.fusion_table_direct(C, A, simples)
     k = len(simples)
-    exhaustive = [
-        (a, b, j) for a in range(k) for b in range(k) for j in range(C.rank)
-    ]
-    if args.triples == "all" or (args.triples == "auto" and len(exhaustive) <= 256):
+    exhaustive = list(itertools.product(range(k), range(k), range(C.rank)))
+    n = len(exhaustive)
+    count = {"all": n, "auto": n if n <= 256 else 20}.get(args.triples, args.triples)
+    if count >= n:
         triples = exhaustive
     else:
-        count = 20 if args.triples == "auto" else args.triples
+        # a triple drawn again is replaced by a draw from a further batch
         rng = np.random.default_rng(args.seed)
-        idx = rng.integers(0, len(exhaustive), size=count)
-        triples = [exhaustive[t] for t in idx]
+        drawn: dict = {}
+        while len(drawn) < count:
+            drawn.update(dict.fromkeys(rng.integers(0, n, size=count - len(drawn)).tolist()))
+        triples = [exhaustive[t] for t in drawn]
     rows = [
         FA.defect_identity(C, A, a, b, j, simples, table) for a, b, j in triples
     ]
@@ -219,6 +207,21 @@ def _cmd_catalog(args):
 # wiring
 # ---------------------------------------------------------------------------
 
+#: subcommand -> (handler, help line), in the order ``--help`` lists them
+_COMMANDS = {
+    "validate": (_cmd_validate, "parse a category document and check its axioms"),
+    "smatrix": (_cmd_smatrix, "print the S-matrix and the modularity diagnostic"),
+    "algebra-check": (_cmd_algebra_check, "residuals of the Frobenius-algebra axioms"),
+    "z": (_cmd_z, "the induction multiplicity matrix z"),
+    "simples": (_cmd_simples, "decompose the bimodule category into simples"),
+    "fusion": (_cmd_fusion, "fusion table by direct Hom counting"),
+    "blockdiag": (_cmd_blockdiag, "fusion table from the defect-matrix formula"),
+    "verify-o": (_cmd_verify_o, "run every check of the ring isomorphism"),
+    "defect-check": (_cmd_defect_check, "closed-diagram identity for linked defect loops"),
+    "catalog": (_cmd_catalog, "list the built-in categories"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="bimodfusion",
@@ -241,50 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the report to this file instead of stdout")
 
     sub = top.add_subparsers(dest="command", metavar="command", required=True)
-
-    p = sub.add_parser("validate", parents=[common],
-                       help="parse a category document and check its axioms")
-    p.add_argument("doc", nargs="?", help="category document (same as --cat)")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("smatrix", parents=[common],
-                       help="print the S-matrix and the modularity diagnostic")
-    p.set_defaults(func=_cmd_smatrix)
-
-    p = sub.add_parser("algebra-check", parents=[common],
-                       help="residuals of the Frobenius-algebra axioms")
-    p.set_defaults(func=_cmd_algebra_check)
-
-    p = sub.add_parser("z", parents=[common],
-                       help="the induction multiplicity matrix z")
-    p.set_defaults(func=_cmd_z)
-
-    p = sub.add_parser("simples", parents=[common],
-                       help="decompose the bimodule category into simples")
-    p.set_defaults(func=_cmd_simples)
-
-    p = sub.add_parser("fusion", parents=[common],
-                       help="fusion table by direct Hom counting")
-    p.set_defaults(func=_cmd_fusion)
-
-    p = sub.add_parser("blockdiag", parents=[common],
-                       help="fusion table from the defect-matrix formula")
-    p.set_defaults(func=_cmd_blockdiag)
-
-    p = sub.add_parser("verify-o", parents=[common],
-                       help="run every check of the ring isomorphism")
-    p.set_defaults(func=_cmd_verify_o)
-
-    p = sub.add_parser("defect-check", parents=[common],
-                       help="closed-diagram identity for linked defect loops")
-    p.add_argument("--triples", default="auto", type=_triples,
-                   help="'all', 'auto', or a sampled count (default auto)")
-    p.set_defaults(func=_cmd_defect_check)
-
-    p = sub.add_parser("catalog", parents=[common],
-                       help="list the built-in categories")
-    p.set_defaults(func=_cmd_catalog)
-
+    parsers = {name: sub.add_parser(name, parents=[common], help=text)
+               for name, (_, text) in _COMMANDS.items()}
+    parsers["validate"].add_argument("doc", nargs="?",
+                                     help="category document (same as --cat)")
+    parsers["defect-check"].add_argument(
+        "--triples", default="auto", type=_triples,
+        help="'all', 'auto', or a sampled count (default auto)")
     return top
 
 
@@ -310,7 +276,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        status, rep = args.func(args)
+        status, rep = _COMMANDS[args.command][0](args)
     except _DOCUMENT_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

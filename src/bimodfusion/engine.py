@@ -455,8 +455,7 @@ def _through_merge(C: MtcData, S: SumObject, T: SumObject, Sp: SumObject,
     ``pieces(k, group)`` lists, for a source group (k1, k2, mu) of
     :func:`sum_groups`, the (target, block) pairs that middle holds in the
     rows of the target group of Sp ⊗ Tp and the columns of the source group.
-    A target that Sp ⊗ Tp lacks is skipped, and a sector where no block lands
-    is left to the zero fill of :class:`Morphism`.
+    A sector where no block lands is left to the zero fill of :class:`Morphism`.
     """
     src, tgt = tensor_obj(S, T), tensor_obj(Sp, Tp)
     dS, dT, dSp, dTp = (obj_dims(C, X) for X in (S, T, Sp, Tp))
@@ -466,9 +465,7 @@ def _through_merge(C: MtcData, S: SumObject, T: SumObject, Sp: SumObject,
         middle = None
         for group, col in sum_groups(C, dS, dT, k).items():
             for target, blk in pieces(k, group):
-                row = tgroups.get(target)
-                if row is None:
-                    continue
+                row = tgroups[target]
                 if middle is None:
                     middle = np.zeros(lead + shape, dtype=complex)
                 h, w = blk.shape[-2:]

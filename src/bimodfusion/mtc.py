@@ -780,7 +780,7 @@ def gauge_transform(C: MtcData, g: dict) -> MtcData:
     return load_mtc(to_document(moved), tol=C.tol)
 
 
-def random_gauge(C: MtcData, rng: np.random.Generator, spread: float = 0.4) -> MtcData:
+def random_gauge(C: MtcData, rng: np.random.Generator) -> MtcData:
     """Apply a random, well-conditioned basis change to every splitting space."""
     g = {}
     for a, b, e in itertools.product(range(1, C.rank), range(1, C.rank), range(C.rank)):
@@ -788,7 +788,7 @@ def random_gauge(C: MtcData, rng: np.random.Generator, spread: float = 0.4) -> M
         if m == 0:
             continue
         while True:
-            mat = np.eye(m) + spread * (
+            mat = np.eye(m) + 0.4 * (
                 rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
             )
             if np.linalg.cond(mat) < 20.0:

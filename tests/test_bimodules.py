@@ -17,6 +17,7 @@ from bimodfusion.errors import (
     IdempotentSplitFailure,
     NonIntegerDim,
     NotSpecial,
+    TypeMismatch,
 )
 
 import oracles
@@ -184,6 +185,14 @@ def test_split_rejects_non_idempotent(toric, ze):
     half = 0.5 * E.identity(toric, X.obj)
     with pytest.raises(IdempotentSplitFailure):
         B.split_idempotent(toric, X, half)
+
+
+def test_split_rejects_a_map_off_the_object(toric, ze):
+    """P must be an endomorphism of X's object: the identity of a smaller
+    object is idempotent, but not a map on X."""
+    X = B.regular_bimodule(toric, ze)
+    with pytest.raises(TypeMismatch, match="not an endomorphism"):
+        B.split_idempotent(toric, X, E.identity(toric, X.obj[:1]))
 
 
 # -- simple decomposition ----------------------------------------------------

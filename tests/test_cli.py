@@ -118,6 +118,39 @@ def test_defect_check_sampled(capsys):
     assert doc["pass"] is True
 
 
+def triples_of(doc):
+    return [(row["kappa"], row["kappa_p"], row["j"]) for row in doc["triples"]]
+
+
+def test_defect_check_samples_distinct_triples(capsys):
+    """Seed 2 draws (6, 4, 0) twice among su2_4 D-even's 320 triples: the
+    repeat is replaced by a further draw, and the other 19 keep their
+    draws and their order."""
+    code, doc = run_json(capsys, "defect-check", "--cat", "catalog:su2_4",
+                         "--alg", fixture_path("su2_4_deven.alg.json"), "--seed", "2")
+    assert code == 0
+    triples = triples_of(doc)
+    assert doc["count"] == len(set(triples)) == 20
+    draws = np.random.default_rng(2).integers(0, 8 * 8 * 5, size=20)
+    first = list(dict.fromkeys(np.unravel_index(t, (8, 8, 5)) for t in draws.tolist()))
+    assert len(first) == 19
+    assert triples[:19] == first
+
+
+@pytest.mark.parametrize("count", ["5", "8", "20"])
+def test_defect_check_sample_count_caps_at_every_triple(capsys, count):
+    """fibonacci with A = 1 has 8 triples: a count of 8 or more checks
+    them all, in the order of --triples all."""
+    argv = ["defect-check", "--cat", "catalog:fibonacci", "--alg", "trivial"]
+    _, every = run_json(capsys, *argv, "--triples", "all")
+    code, doc = run_json(capsys, *argv, "--triples", count)
+    assert code == 0
+    triples = triples_of(doc)
+    assert len(set(triples)) == len(triples) == min(int(count), 8)
+    if int(count) >= 8:
+        assert doc == every
+
+
 def test_catalog_lists_builtins(capsys):
     code, doc = run_json(capsys, "catalog")
     assert code == 0
@@ -175,6 +208,75 @@ def test_injected_violations_fail_at_the_largest_tolerance(capsys, argv, axiom):
     assert code == 1
     assert doc["pass"] is False
     assert doc["residuals"][axiom] > 1e-3
+
+
+def _unit_channel_for_t(doc):
+    doc["fusion"].append({"a": "1", "b": "t", "c": "1", "mult": 1})
+
+
+def _singular_f_block(doc):
+    for ent in doc["F"]:
+        if [ent[k] for k in "abcd"] == ["t", "t", "t", "t"]:
+            ent["val"] = [1.0, 0.0]
+
+
+@pytest.mark.parametrize("edit, identity", [
+    (_unit_channel_for_t, "fusion-unit"),
+    (_singular_f_block, "f-invertibility"),
+])
+def test_fibonacci_edits_fail_their_identity(capsys, tmp_path, edit, identity):
+    doc = catalog_document("fibonacci")
+    edit(doc)
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(doc))
+    code, rep = run_json(capsys, "validate", str(path))
+    assert code == 1
+    assert rep["error"] == "AxiomViolation"
+    assert rep["identity"] == identity
+
+
+# -- the table format ---------------------------------------------------------------
+
+@pytest.mark.parametrize("command, rows", [
+    ("validate", ["labels:", "  [1, e, m, f]", "rank: 4"]),
+    ("smatrix", ["s:", "  1+0j   1+0j   1+0j   1+0j", "  1+0j   1+0j  -1+0j  -1+0j",
+                 "  1+0j  -1+0j   1+0j  -1+0j", "  1+0j  -1+0j  -1+0j   1+0j",
+                 "symmetry_residual: 0"]),
+    ("algebra-check", ["residuals:", "  associativity: 0"]),
+    ("z", ["z:", "  1  1  0  0", "  1  1  0  0", "  0  0  0  0", "  0  0  0  0",
+           "trace: 2"]),
+    ("simples", ["  [2]", "    index: 2", "    profile:", "      [1, 1, 0, 0]"]),
+    ("fusion", ["unit: 2", "table:", "  [0]", "    0  0  1  0", "    0  0  0  1",
+                "    1  0  0  0", "    0  1  0  0", "  [1]"]),
+    ("blockdiag", ["route: blockdiag", "sigma_min: 2"]),
+    ("verify-o", ["P:", "  0  0", "  0  1", "  1  0", "  1  1", "n:", "  0,0: 1"]),
+    ("defect-check", ["  [1]", "    kappa: 0", "    kappa_p: 0", "    j: 1",
+                      "    lhs: 2+0j", "    rhs: 2+0j", "    residual: 0"]),
+    ("catalog", ["entries:", "  [0]", "    name: trivial", "    rank: 1", "    labels:",
+                 "      [1]"]),
+])
+def test_table_format_renders_grids_and_complex_numbers(capsys, command, rows):
+    """Every subcommand on toric_code 1⊕e in the default table format: the
+    report holds the given consecutive rows, and a second run prints the
+    same bytes."""
+    argv = [command, "--cat", "catalog:toric_code", "--alg", fixture_path("ze.alg.json")]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert "\n" + "\n".join(rows) + "\n" in "\n" + out
+    assert run(capsys, *argv) == (0, out, "")
+
+
+def test_table_format_of_arrays_and_numpy_scalars():
+    doc = {"m": np.array([[1, -20], [300, 4]]), "x": np.float64(0.25),
+           "c": np.complex128(1 - 2j), "rows": [[True, None], ["ab", 1.5, 7]]}
+    assert reports.render_table(doc) == (
+        "m:\n    1  -20\n  300    4\nx: 0.25\nc: 1-2j\n"
+        "rows:\n  True  None\n    ab   1.5  7\n")
+
+
+def test_reports_reject_unknown_values():
+    with pytest.raises(TypeError, match="cannot serialize a object"):
+        reports.plain({"x": [object()]})
 
 
 # -- usage errors -----------------------------------------------------------------

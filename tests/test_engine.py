@@ -282,6 +282,15 @@ def test_compose_type_mismatch():
         f + E.Morphism(C, ((1,),), ((0,),), {})
 
 
+def test_scalar_and_trace_reject_wrong_signatures():
+    C = get_catalog("fibonacci").data
+    t = E.identity(C, ((1,),))
+    with pytest.raises(TypeMismatch, match="closed"):
+        t.scalar()
+    with pytest.raises(TypeMismatch, match="endomorphism"):
+        E.trace(C, E.Morphism(C, ((1,),), ((1,), (1,)), {}))
+
+
 def test_mixed_categories_rejected():
     """Two loads of one category are two categories: composing, adding or
     tensoring morphisms of both raises, and so does tensoring in a category

@@ -1,6 +1,7 @@
 """Algebra axioms, counit normalization, and the nondegeneracy pairing."""
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -42,6 +43,18 @@ def test_parse_rejects_bad_channel(toric, ze_doc):
     ])
     with pytest.raises(ShapeError):
         F.parse_algebra(toric, doc)
+
+
+@pytest.mark.parametrize("mangle, message", [
+    (lambda d: [d], "algebra document must be a JSON object"),
+    (lambda d: dict(d, mult={}), "algebra document needs a nonempty 'mult' mapping"),
+    (lambda d: dict(d, mult={"1": 0, "e": 0}), "algebra has no nonzero multiplicities"),
+    (lambda d: {k: v for k, v in d.items() if k != "eta"},
+     "algebra document needs a nonempty 'eta'"),
+], ids=["non-object", "empty-mult", "all-zero-mult", "no-eta"])
+def test_parse_rejects_malformed_documents(toric, ze_doc, mangle, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        F.parse_algebra(toric, mangle(ze_doc))
 
 
 def test_parse_rejects_bad_copy_index(toric, ze_doc):

@@ -452,6 +452,28 @@ def test_blockdiag_rejects_non_integer_constants(toric, ze_d):
         FA.fusion_table_blockdiag(toric, bad)
 
 
+def test_blockdiag_rejects_negative_constants(toric, ze_d):
+    """With d⁻¹ negated every structure constant changes sign: integers,
+    but negative."""
+    bad = dataclasses.replace(ze_d, matrix=-ze_d.matrix)
+    with pytest.raises(NonIntegerStructureConstant, match="is negative"):
+        FA.fusion_table_blockdiag(toric, bad)
+
+
+def test_d_matrix_rejects_singular_values_below_d_rtol(monkeypatch, toric, ze, ze_simples):
+    monkeypatch.setattr(toric.thresholds, "d_rtol", 1.0)
+    with pytest.raises(SingularD, match="smallest singular value"):
+        FA.d_matrix(toric, ze, ze_simples)
+
+
+def test_sampled_pairs_draw_100_distinct_pairs_above_12_simples():
+    pairs = FA._sampled_pairs(13, 4)
+    assert len(pairs) == len(set(pairs)) == 100
+    assert set(pairs) <= set(FA._pairs(13))
+    assert FA._sampled_pairs(13, 4) == pairs
+    assert FA._sampled_pairs(12, 4) == FA._pairs(12)
+
+
 def test_direct_table_requires_the_regular_bimodule(fib, fib_triv, fib_simples):
     unit = FA._unit_index(fib, fib_triv, fib_simples)
     sub = [S for t, S in enumerate(fib_simples) if t != unit]

@@ -406,6 +406,22 @@ def test_malformed_documents_raise_parse_error(mangle):
         mtc.load_mtc(doc)
 
 
+def _not_an_involution(doc):
+    one, sigma, psi = doc["labels"]
+    return dict(doc, dual={one: one, sigma: psi, psi: psi})
+
+
+@pytest.mark.parametrize("mangle, message", [
+    (lambda d: [d], "category document must be a JSON object"),
+    (lambda d: dict(d, labels=[]), "labels must be a non-empty list of strings"),
+    (lambda d: dict(d, dual={d["unit"]: d["unit"]}), "dual must map every label to a label"),
+    (_not_an_involution, "dual must be an involution fixing the unit"),
+], ids=["non-object", "empty-labels", "dual-misses-a-label", "dual-not-involution"])
+def test_structural_errors_name_their_rule(mangle, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        mtc.load_mtc(mangle(catalog_document("ising")))
+
+
 def test_entries_for_zero_channels_rejected():
     for section, cell in [
         ("F", {"a": "psi", "b": "psi", "c": "psi", "d": "sigma", "e": "1", "f": "1"}),
