@@ -207,18 +207,45 @@ def _cmd_catalog(args):
 # wiring
 # ---------------------------------------------------------------------------
 
-#: subcommand -> (handler, help line), in the order ``--help`` lists them
+#: option -> its add_argument keywords, in the order ``--help`` lists them;
+#: "doc" is validate's positional category document
+_OPTIONS = {
+    "--tol": dict(type=float, default=mtc.DEFAULT_TOL,
+                  help="numerical tolerance, positive and at most 1e-4 (default 1e-9)"),
+    "--seed": dict(type=_seed, default=0,
+                   help="seed for all randomized steps, a non-negative integer (default 0)"),
+    "--format": dict(choices=("table", "json"), default="table",
+                     help="output format (default table)"),
+    "--cat": dict(help="category document path or catalog:<name>"),
+    "--alg": dict(help="algebra document path or 'trivial'"),
+    "--out": dict(help="write the report to this file instead of stdout"),
+    "--triples": dict(default="auto", type=_triples,
+                      help="'all', 'auto', or a sampled count (default auto)"),
+    "doc": dict(nargs="?", help="category document (same as --cat)"),
+}
+
+#: the options every command reads, those of the commands that solve for
+#: an algebra, and those of the commands that also draw random numbers
+_REPORT = ("--tol", "--format", "--out")
+_ALGEBRA = _REPORT + ("--cat", "--alg")
+_SEEDED = _ALGEBRA + ("--seed",)
+
+#: subcommand -> (handler, help line, the options it reads), in the order
+#: ``--help`` lists them
 _COMMANDS = {
-    "validate": (_cmd_validate, "parse a category document and check its axioms"),
-    "smatrix": (_cmd_smatrix, "print the S-matrix and the modularity diagnostic"),
-    "algebra-check": (_cmd_algebra_check, "residuals of the Frobenius-algebra axioms"),
-    "z": (_cmd_z, "the induction multiplicity matrix z"),
-    "simples": (_cmd_simples, "decompose the bimodule category into simples"),
-    "fusion": (_cmd_fusion, "fusion table by direct Hom counting"),
-    "blockdiag": (_cmd_blockdiag, "fusion table from the defect-matrix formula"),
-    "verify-o": (_cmd_verify_o, "run every check of the ring isomorphism"),
-    "defect-check": (_cmd_defect_check, "closed-diagram identity for linked defect loops"),
-    "catalog": (_cmd_catalog, "list the built-in categories"),
+    "validate": (_cmd_validate, "parse a category document and check its axioms",
+                 _REPORT + ("--cat", "doc")),
+    "smatrix": (_cmd_smatrix, "print the S-matrix and the modularity diagnostic",
+                _REPORT + ("--cat",)),
+    "algebra-check": (_cmd_algebra_check, "residuals of the Frobenius-algebra axioms", _ALGEBRA),
+    "z": (_cmd_z, "the induction multiplicity matrix z", _ALGEBRA),
+    "simples": (_cmd_simples, "decompose the bimodule category into simples", _SEEDED),
+    "fusion": (_cmd_fusion, "fusion table by direct Hom counting", _SEEDED),
+    "blockdiag": (_cmd_blockdiag, "fusion table from the defect-matrix formula", _SEEDED),
+    "verify-o": (_cmd_verify_o, "run every check of the ring isomorphism", _SEEDED),
+    "defect-check": (_cmd_defect_check, "closed-diagram identity for linked defect loops",
+                     _SEEDED + ("--triples",)),
+    "catalog": (_cmd_catalog, "list the built-in categories", _REPORT),
 }
 
 
@@ -229,28 +256,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "tensor categories: z-matrices, simple objects, and "
                     "defect fusion rules.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=mtc.DEFAULT_TOL,
-                        help="numerical tolerance, positive and at most 1e-4 (default 1e-9)")
-    common.add_argument("--seed", type=_seed, default=0,
-                        help="seed for all randomized steps, a non-negative integer (default 0)")
-    common.add_argument("--format", choices=("table", "json"), default="table",
-                        help="output format (default table)")
-    common.add_argument("--cat",
-                        help="category document path or catalog:<name>")
-    common.add_argument("--alg",
-                        help="algebra document path or 'trivial'")
-    common.add_argument("--out",
-                        help="write the report to this file instead of stdout")
-
     sub = top.add_subparsers(dest="command", metavar="command", required=True)
-    parsers = {name: sub.add_parser(name, parents=[common], help=text)
-               for name, (_, text) in _COMMANDS.items()}
-    parsers["validate"].add_argument("doc", nargs="?",
-                                     help="category document (same as --cat)")
-    parsers["defect-check"].add_argument(
-        "--triples", default="auto", type=_triples,
-        help="'all', 'auto', or a sampled count (default auto)")
+    for name, (_, text, options) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=text)
+        # the positional document and --cat name one input: at most one is given
+        category = cmd.add_mutually_exclusive_group() if "doc" in options else cmd
+        for option, spec in _OPTIONS.items():
+            if option in options:
+                (category if option in ("--cat", "doc") else cmd).add_argument(option, **spec)
     return top
 
 

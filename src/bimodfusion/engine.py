@@ -46,16 +46,27 @@ once for the whole stack, and :func:`trace` of a stack, like ``scalar()``
 of a stack of closed morphisms, is one value per item.  A single morphism
 is the case with no batch axes.
 
-Each structural map is cached in ``C._cache`` under what it depends on:
-merge matrices per (word_dims(u), v, k), sum merges and their inverses per
-(word_dims of each word of S, T, k), that tuple of word dims per S
-(``sumdims``), braidings per (S, T, inverse), duality maps per word,
-read-only identity blocks per object (``eye``), and the sector layout that a
-Morphism checks its blocks against per pair of :func:`obj_dims` (``layout``).
+Each structural map is cached in ``C._cache`` under what it depends on.
+The lookups made on every call are answered from one store per kind, a
+dict in ``C._cache`` under the kind's name and keyed without a prefix:
+sector dimensions per word (``wdims``) and per object (``dims``), the
+sector layout that a Morphism checks its blocks against per (src, tgt)
+(``layout``), the grouped basis per (sector dims of S, of T, k)
+(``sumgroups``), and every sum merge per (S, T, k, inverse)
+(``summerges``).  The other kinds are keyed by tuples that begin with
+the kind: the layouts themselves per pair of sector dims
+(``dimslayout``), merge matrices per (word_dims(u), v, k), sum merges and
+their inverses per (word_dims of each word of S, T, k), so that objects
+with equal word dims share one fill, that tuple of word dims per object
+(``sumdims``), the forward sum merge's column order per (word dims of S,
+word dims of T, k) (``sumorder``), word offsets per (S, k), braidings per
+(S, T, inverse), duality maps per word, and read-only identity blocks per
+object (``eye``).
 """
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,14 +104,15 @@ def tensor_obj(S: SumObject, T: SumObject) -> SumObject:
 def word_dims(C: MtcData, w: Word) -> tuple:
     """Number of fusion trees of w in every sector:
     dims(()) = e_0 and dims(w + (b,)) = dims(w) · N[:, b, :]."""
-    key = ("wdims", w)
-    out = C._cache.get(key)
-    if out is None:
-        if w:
-            out = tuple(np.dot(word_dims(C, w[:-1]), C.N[:, w[-1], :]).tolist())
-        else:
-            out = (1,) + (0,) * (C.rank - 1)
-        C._cache[key] = out
+    try:
+        return C._cache["wdims"][w]
+    except KeyError:
+        pass
+    if w:
+        out = tuple(np.dot(word_dims(C, w[:-1]), C.N[:, w[-1], :]).tolist())
+    else:
+        out = (1,) + (0,) * (C.rank - 1)
+    C._cache.setdefault("wdims", {})[w] = out
     return out
 
 
@@ -114,11 +126,12 @@ def tree_starts(C: MtcData, w: Word, b: int, k: int) -> list:
 
 def obj_dims(C: MtcData, S: SumObject) -> tuple:
     """Dimension of every sector of S: (dim Hom(U_k, S) for k in 0..rank-1)."""
-    key = ("dims", S)
-    out = C._cache.get(key)
-    if out is None:
-        out = tuple(sum(word_dims(C, w)[k] for w in S) for k in range(C.rank))
-        C._cache[key] = out
+    try:
+        return C._cache["dims"][S]
+    except KeyError:
+        pass
+    out = tuple(sum(word_dims(C, w)[k] for w in S) for k in range(C.rank))
+    C._cache.setdefault("dims", {})[S] = out
     return out
 
 
@@ -167,12 +180,11 @@ class Morphism:
 
     def __post_init__(self):
         present, absent = _layout(self.cat, self.src, self.tgt)
-        for k in absent:
-            self.blocks.pop(k, None)
+        blocks = self.blocks
         missing = []
         lead = ()
         for k, shape in present:
-            blk = self.blocks.get(k)
+            blk = blocks.get(k)
             if blk is None:
                 missing.append((k, shape))
                 continue
@@ -182,9 +194,13 @@ class Morphism:
                     f"sector {k} block has shape {blk.shape}, expected {shape}"
                 )
             lead = blk.shape[:-2]
-            self.blocks[k] = blk
+            blocks[k] = blk
+        # blocks beyond the present sectors' can only be of absent ones
+        if len(blocks) > len(present) - len(missing):
+            for k in absent:
+                blocks.pop(k, None)
         for k, shape in missing:
-            self.blocks[k] = np.zeros(lead + shape, dtype=complex)
+            blocks[k] = np.zeros(lead + shape, dtype=complex)
         self.batch = lead
 
     # -- algebra ----------------------------------------------------------
@@ -246,11 +262,15 @@ class Morphism:
 def _layout(C: MtcData, src: SumObject, tgt: SumObject) -> tuple:
     """Sector layout of the morphisms src -> tgt: ``(present, absent)``, the
     (k, (dim_k(tgt), dim_k(src))) of each sector with both dimensions
-    positive and the other sectors k, both in ascending order.  It depends
-    only on the sector dimensions, so it is cached per pair of them."""
+    positive and the other sectors k, both in ascending order.  It is read
+    in one lookup per (src, tgt); a miss finds it under the sector
+    dimensions of the two objects, on which alone it depends."""
+    try:
+        return C._cache["layout"][src, tgt]
+    except KeyError:
+        pass
     dims = (obj_dims(C, src), obj_dims(C, tgt))
-    key = ("layout",) + dims
-    out = C._cache.get(key)
+    out = C._cache.get(("dimslayout",) + dims)
     if out is None:
         present, absent = [], []
         for k, (ds, dt) in enumerate(zip(*dims)):
@@ -258,7 +278,8 @@ def _layout(C: MtcData, src: SumObject, tgt: SumObject) -> tuple:
                 present.append((k, (dt, ds)))
             else:
                 absent.append(k)
-        out = C._cache[key] = (tuple(present), tuple(absent))
+        out = C._cache[("dimslayout",) + dims] = (tuple(present), tuple(absent))
+    C._cache.setdefault("layout", {})[src, tgt] = out
     return out
 
 
@@ -289,18 +310,19 @@ def sum_groups(C: MtcData, dS: tuple, dT: tuple, k: int) -> dict:
     column g + i1·dT[k2] + i2, with g the group's first column, which is
     what the returned dict maps (k1, k2, mu) to.
     """
-    key = ("sumgroups", dS, dT, k)
-    out = C._cache.get(key)
-    if out is None:
-        out, acc = {}, 0
-        for k1, k2 in itertools.product(range(C.rank), repeat=2):
-            n = dS[k1] * dT[k2]
-            if n == 0:
-                continue
-            for mu in range(C.N[k1, k2, k]):
-                out[(k1, k2, mu)] = acc
-                acc += n
-        C._cache[key] = out
+    try:
+        return C._cache["sumgroups"][dS, dT, k]
+    except KeyError:
+        pass
+    out, acc = {}, 0
+    for k1, k2 in itertools.product(range(C.rank), repeat=2):
+        n = dS[k1] * dT[k2]
+        if n == 0:
+            continue
+        for mu in range(C.N[k1, k2, k]):
+            out[(k1, k2, mu)] = acc
+            acc += n
+    C._cache.setdefault("sumgroups", {})[dS, dT, k] = out
     return out
 
 
@@ -382,6 +404,32 @@ def _word_dims_key(C: MtcData, S: SumObject) -> tuple:
     return out
 
 
+def _sum_order(C: MtcData, wS: tuple, wT: tuple, k: int) -> tuple:
+    """``(bounds, cols)`` of the forward sum merge of S ⊗ T in sector k, for
+    S and T with the word dims wS and wT (:func:`_word_dims_key`): word pair
+    p has the rows bounds[p]:bounds[p + 1], and its pair-basis column c is
+    grouped column cols[bounds[p] + c] (the order in :func:`sum_merge`)."""
+    key = ("sumorder", wS, wT, k)
+    out = C._cache.get(key)
+    if out is not None:
+        return out
+    # row i of each is the offset of word i in every sector of its object
+    offS, offT = (list(itertools.accumulate(w, lambda acc, d: tuple(map(operator.add, acc, d)),
+                                            initial=(0,) * C.rank)) for w in (wS, wT))
+    dT = offT[-1]
+    groups = sum_groups(C, offS[-1], dT, k)
+    bounds, cols = [0], []
+    for (du, oS), (dv, oT) in itertools.product(zip(wS, offS), zip(wT, offT)):
+        for grp in sum_groups(C, du, dv, k):
+            k1, k2 = grp[:2]
+            step = dT[k2]
+            first = groups[grp] + oS[k1] * step + oT[k2]
+            cols += [first + i1 * step + i2 for i1 in range(du[k1]) for i2 in range(dv[k2])]
+        bounds.append(len(cols))
+    out = C._cache[key] = (bounds, np.array(cols, dtype=np.intp))
+    return out
+
+
 def sum_merge(C: MtcData, S: SumObject, T: SumObject, k: int,
               inverse: bool = False) -> np.ndarray:
     """Matrix taking grouped coordinates (:func:`sum_groups`) to tree-basis
@@ -391,41 +439,37 @@ def sum_merge(C: MtcData, S: SumObject, T: SumObject, k: int,
     merge_matrix block each: pair-basis column g + i1·n2 + i2 of words
     (S[i], T[j]) is grouped column G + (o_i + i1)·dT[k2] + o_j + i2, with G
     the group's first column in S ⊗ T and o_i, o_j the offsets of the words
-    in sectors k1 of S and k2 of T.  For one word by one word that order is
-    the identity, so the forward matrix is their merge_matrix itself.  The
+    in sectors k1 of S and k2 of T.  That order reads only sector
+    dimensions (:func:`_sum_order`).  For one word by one word it is the
+    identity, so the forward matrix is their merge_matrix itself.  The
     inverse is the inverse of the forward matrix.  Like :func:`merge_matrix`,
     both depend on S only through the sector dimensions of its words, so
-    both are cached per (word_dims of each word of S, T, k).
+    both are filled once per (word_dims of each word of S, T, k); a repeat
+    call is answered from the store keyed by (S, T, k, inverse).
     """
+    try:
+        return C._cache["summerges"][S, T, k, inverse]
+    except KeyError:
+        pass
     if not inverse and len(S) == 1 and len(T) == 1:
-        return merge_matrix(C, S[0], T[0], k)
-    key = ("summergeinv" if inverse else "summerge", _word_dims_key(C, S), T, k)
-    M = C._cache.get(key)
-    if M is not None:
-        return M
-    if inverse:
-        M = np.linalg.inv(sum_merge(C, S, T, k))
+        M = merge_matrix(C, S[0], T[0], k)
     else:
-        dT = obj_dims(C, T)
-        groups = sum_groups(C, obj_dims(C, S), dT, k)
-        off = list(itertools.accumulate(
-            (word_dims(C, wi + wj)[k] for wi in S for wj in T), initial=0))
-        M = np.zeros((off[-1], off[-1]), dtype=complex)
-        for p, ((i, wi), (j, wj)) in enumerate(itertools.product(enumerate(S), enumerate(T))):
-            lo, hi = off[p], off[p + 1]
-            if lo == hi:
-                continue
-            du, dv = word_dims(C, wi), word_dims(C, wj)
-            pos = []
-            for grp in sum_groups(C, du, dv, k):
-                k1, k2 = grp[:2]
-                first = (groups[grp] + obj_offsets(C, S, k1)[i] * dT[k2]
-                         + obj_offsets(C, T, k2)[j])
-                pos.append((first + np.arange(du[k1])[:, None] * dT[k2]
-                            + np.arange(dv[k2])).ravel())
-            M[lo:hi, np.concatenate(pos)] = merge_matrix(C, wi, wj, k)
-    M.setflags(write=False)
-    C._cache[key] = M
+        wS = _word_dims_key(C, S)
+        key = ("summergeinv" if inverse else "summerge", wS, T, k)
+        M = C._cache.get(key)
+        if M is None:
+            if inverse:
+                M = np.linalg.inv(sum_merge(C, S, T, k))
+            else:
+                bounds, cols = _sum_order(C, wS, _word_dims_key(C, T), k)
+                M = np.zeros((bounds[-1], bounds[-1]), dtype=complex)
+                for p, (wi, wj) in enumerate(itertools.product(S, T)):
+                    lo, hi = bounds[p], bounds[p + 1]
+                    if lo < hi:
+                        M[lo:hi, cols[lo:hi]] = merge_matrix(C, wi, wj, k)
+            M.setflags(write=False)
+            C._cache[key] = M
+    C._cache.setdefault("summerges", {})[S, T, k, inverse] = M
     return M
 
 
@@ -684,7 +728,7 @@ def trace(C: MtcData, f: Morphism):
 # ---------------------------------------------------------------------------
 
 def hom_dim(C: MtcData, S: SumObject, T: SumObject) -> int:
-    return sum(obj_dim(C, S, k) * obj_dim(C, T, k) for k in range(C.rank))
+    return sum(ds * dt for ds, dt in zip(obj_dims(C, S), obj_dims(C, T)))
 
 
 def vec(f: Morphism) -> np.ndarray:
@@ -696,11 +740,7 @@ def vec(f: Morphism) -> np.ndarray:
 def from_vec(C: MtcData, S: SumObject, T: SumObject, v: np.ndarray) -> Morphism:
     blocks = {}
     pos = 0
-    for k in obj_sectors(C, S):
-        dt = obj_dim(C, T, k)
-        ds = obj_dim(C, S, k)
-        if dt == 0:
-            continue
+    for k, (dt, ds) in _layout(C, S, T)[0]:
         blocks[k] = np.array(v[pos:pos + dt * ds]).reshape(dt, ds)
         pos += dt * ds
     return Morphism(C, S, T, blocks)

@@ -260,6 +260,8 @@ def test_table_format_renders_grids_and_complex_numbers(capsys, command, rows):
     report holds the given consecutive rows, and a second run prints the
     same bytes."""
     argv = [command, "--cat", "catalog:toric_code", "--alg", fixture_path("ze.alg.json")]
+    # validate and smatrix read no algebra, catalog neither input
+    argv = argv[:{"validate": 3, "smatrix": 3, "catalog": 1}.get(command, 5)]
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert "\n" + "\n".join(rows) + "\n" in "\n" + out
@@ -307,6 +309,9 @@ DEEP = "<deeply nested document>"
     ["z", "--cat", "catalog:fibonacci", "--alg", fixture_path("not_utf8.json")],
     ["validate", DEEP],                                        # nested too deeply
     ["z", "--cat", "catalog:fibonacci", "--alg", DEEP],
+    ["validate", "catalog:fibonacci", "--cat", "catalog:ising"],  # two categories
+    ["smatrix", "--cat", "catalog:fibonacci", "--alg", "/no/such/file"],  # unread option
+    ["catalog", "--cat", "/no", "--alg", "/no", "--seed", "3"],
 ])
 def test_usage_errors_exit_2(capsys, tmp_path, argv):
     if DEEP in argv:
@@ -316,6 +321,38 @@ def test_usage_errors_exit_2(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
+
+
+#: subcommand -> the shared options it does not read
+UNREAD = {
+    "validate": ("--alg", "--seed"),
+    "smatrix": ("--alg", "--seed"),
+    "algebra-check": ("--seed",),
+    "z": ("--seed",),
+    "catalog": ("--cat", "--alg", "--seed"),
+}
+
+
+@pytest.mark.parametrize("command, option",
+                         [(c, o) for c, options in UNREAD.items() for o in options])
+def test_unread_options_are_usage_errors(capsys, command, option):
+    """An option that a subcommand does not read is rejected, not ignored,
+    and its ``--help`` does not list it."""
+    category = {"validate": ["catalog:fibonacci"], "catalog": []}.get(
+        command, ["--cat", "catalog:fibonacci"])
+    code, out, err = run(capsys, command, *category, option, "1")
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {option} 1" in err
+    assert f"{option} " not in run(capsys, command, "--help")[1]
+
+
+def test_validate_takes_its_category_once(capsys):
+    """The positional document and --cat name the same input."""
+    code, out, err = run(capsys, "validate", "catalog:fibonacci", "--cat", "catalog:ising")
+    assert (code, out) == (2, "")
+    assert "argument --cat: not allowed with argument doc" in err
+    assert run(capsys, "validate", "catalog:ising")[:2] == run(
+        capsys, "validate", "--cat", "catalog:ising")[:2]
 
 
 def strict_loads(text):
@@ -456,8 +493,8 @@ def test_non_finite_value_exits_2(capsys, tmp_path, name, edit, command, where):
     cat_path, alg_path = tmp_path / "cat.json", tmp_path / "alg.json"
     cat_path.write_text(json.dumps(cat))
     alg_path.write_text(json.dumps(alg))
-    code, out, err = run(capsys, command, "--cat", str(cat_path), "--alg", str(alg_path),
-                         "--format", "json")
+    algebra = ["--alg", str(alg_path)] if command == "algebra-check" else []
+    code, out, err = run(capsys, command, "--cat", str(cat_path), *algebra, "--format", "json")
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {where}: complex values must be finite")

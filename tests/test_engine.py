@@ -362,6 +362,41 @@ def test_cached_layouts_hold_no_data():
     assert again is not braided and again.blocks.keys() == want[1].blocks.keys()
 
 
+def test_sum_merges_are_shared_by_word_dims():
+    """Objects whose words have equal sector dimensions share one stored sum
+    merge and one inverse, bit for bit equal to a fill for either object on
+    a fresh category; a repeat call returns the same array."""
+    C, A = fresh_deven()
+    padded = ((4, 4), (4,))   # 4 ⊗ 4 = 0 in su2_4, so (4, 4) has the dims of ()
+    assert A == ((), (4,)) and E._word_dims_key(C, padded) == E._word_dims_key(C, A)
+    T = ((1,), (3, 1))
+    fresh, _ = fresh_deven()
+    for k in E.obj_sectors(C, E.tensor_obj(A, T)):
+        for inverse in (False, True):
+            M = E.sum_merge(C, A, T, k, inverse)
+            assert E.sum_merge(C, A, T, k, inverse) is M
+            assert E.sum_merge(C, padded, T, k, inverse) is M
+            assert E.sum_merge(fresh, padded, T, k, inverse).tobytes() == M.tobytes()
+        # one word by one word: the merge matrix itself
+        assert E.sum_merge(C, T[1:], A[1:], k) is E.merge_matrix(C, (3, 1), (4,), k)
+
+
+def test_morphism_keeps_only_present_sectors():
+    """Blocks of sectors that src or tgt lacks are dropped, whatever their
+    shape; a present sector's block of the wrong shape raises, also next to
+    such blocks; blocks of present sectors only are kept as given."""
+    C = get_catalog("ising").data
+    S = T = ((1,),)   # sigma: sector 1 only
+    blk = np.ones((1, 1), dtype=complex)
+    f = E.Morphism(C, S, T, {0: np.ones((2, 2)), 1: blk, 2: np.ones(3)})
+    assert list(f.blocks) == [1] and f.blocks[1] is blk
+    with pytest.raises(TypeMismatch):
+        E.Morphism(C, S, T, {0: np.ones((1, 1)), 1: np.ones((1, 2))})
+    blocks = {1: blk}
+    g = E.Morphism(C, S, T, blocks)
+    assert g.blocks is blocks and list(blocks) == [1] and blocks[1] is blk
+
+
 # ---------------------------------------------------------------------------
 # braiding
 # ---------------------------------------------------------------------------

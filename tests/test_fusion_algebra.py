@@ -555,18 +555,39 @@ def test_json_report_independent_of_cache_history(name, alg):
 def _key_words(key) -> list:
     """The words in an engine cache key, by its kind."""
     kind = key[0]
-    if kind in ("wdims", "cup", "cap", "cupt", "capt"):
+    if kind in ("cup", "cap", "cupt", "capt"):
         return [key[1]]
     if kind == "merge":
         return [key[2]]
-    if kind in ("dims", "offsets", "eye", "sumdims"):
+    if kind in ("offsets", "eye", "sumdims"):
         return list(key[1])
     if kind in ("summerge", "summergeinv"):
         return list(key[2])
     if kind == "braid":
         return [w for X in key[1:-1] for w in X]
-    assert kind in ("sumgroups", "layout", "dualcoef", "smatrix"), key
+    assert kind in ("dimslayout", "sumorder", "dualcoef", "smatrix"), key
     return []
+
+
+#: nested store of the engine cache -> the words in one of its keys
+_STORE_WORDS = {
+    "wdims": lambda w: [w],
+    "dims": list,
+    "layout": lambda pair: [w for X in pair for w in X],
+    "summerges": lambda key: [w for X in key[:2] for w in X],
+    "sumgroups": lambda key: [],
+}
+
+
+def _cache_words(cache: dict) -> list:
+    """Every word in the keys of an engine cache, nested stores included."""
+    words = []
+    for key, value in cache.items():
+        if isinstance(key, str):
+            words += [w for inner in value for w in _STORE_WORDS[key](inner)]
+        else:
+            words += _key_words(key)
+    return words
 
 
 @pytest.mark.parametrize("name, alg", [("ising", None), ("toric_code", "ze.alg.json")])
@@ -576,7 +597,7 @@ def test_cache_keys_hold_no_unit_letters(name, alg):
     C = catalog(name).data
     A = F.trivial_algebra(C) if alg is None else F.parse_algebra(C, load_fixture(alg))
     FA.verify_theorem_o(C, F.normalize_counit(C, A), seed=0)
-    words = [w for key in C._cache for w in _key_words(key)]
+    words = _cache_words(C._cache)
     assert words and any(len(w) > 2 for w in words)
     assert not [w for w in words if 0 in w]
 
