@@ -20,8 +20,6 @@ import math
 from .errors import UnknownCatalogName
 from .mtc import DEFAULT_TOL, CatalogEntry, MtcData, load_mtc
 
-__all__ = ["CATALOG_NAMES", "catalog", "catalog_document"]
-
 CATALOG_NAMES = (
     "trivial",
     "vec_z2", "vec_z3", "vec_z4", "vec_z5",

@@ -46,22 +46,25 @@ once for the whole stack, and :func:`trace` of a stack, like ``scalar()``
 of a stack of closed morphisms, is one value per item.  A single morphism
 is the case with no batch axes.
 
-Each structural map is cached in ``C._cache`` under what it depends on.
-The lookups made on every call are answered from one store per kind, a
-dict in ``C._cache`` under the kind's name and keyed without a prefix:
-sector dimensions per word (``wdims``) and per object (``dims``), the
-sector layout that a Morphism checks its blocks against per (src, tgt)
-(``layout``), the grouped basis per (sector dims of S, of T, k)
-(``sumgroups``), and every sum merge per (S, T, k, inverse)
-(``summerges``).  The other kinds are keyed by tuples that begin with
-the kind: the layouts themselves per pair of sector dims
-(``dimslayout``), merge matrices per (word_dims(u), v, k), sum merges and
-their inverses per (word_dims of each word of S, T, k), so that objects
-with equal word dims share one fill, that tuple of word dims per object
-(``sumdims``), the forward sum merge's column order per (word dims of S,
-word dims of T, k) (``sumorder``), word offsets per (S, k), braidings per
-(S, T, inverse), duality maps per word, and read-only identity blocks per
-object (``eye``).
+Each structural map is cached once per category, in the store
+``C._cache[kind]``, a dict keyed by what the map depends on:
+
+* ``wdims``, ``dims``: sector dimensions per word, per object.
+* ``offsets``: word offsets per (S, k).
+* ``dimslayout``: sector layouts per pair of sector dims.
+* ``layout``: the same layouts per (src, tgt).
+* ``eye``: read-only identity blocks per object.
+* ``sumgroups``: grouped bases per (sector dims of S, of T, k).
+* ``merge``: merge matrices per (word_dims(u), v, k).
+* ``sumdims``: the word dims of the words of S, per S.
+* ``sumorder``: forward sum merge column orders per (sumdims of S, of T, k).
+* ``summerge``, ``summergeinv``: sum merges and their inverses per
+  (sumdims of S, T, k), so objects with equal word dims share one fill.
+* ``summerges``: every sum merge per (S, T, k, inverse).
+* ``braid``: braidings per (S, T, inverse).
+* ``dualcoef``: single-letter duality coefficients per letter.
+* ``cup``, ``cap``, ``cupt``, ``capt``: duality maps per word.
+* ``smatrix``: the S-matrix of :func:`mtc.s_matrix`, under the key ().
 """
 from __future__ import annotations
 
@@ -104,15 +107,14 @@ def tensor_obj(S: SumObject, T: SumObject) -> SumObject:
 def word_dims(C: MtcData, w: Word) -> tuple:
     """Number of fusion trees of w in every sector:
     dims(()) = e_0 and dims(w + (b,)) = dims(w) · N[:, b, :]."""
-    try:
-        return C._cache["wdims"][w]
-    except KeyError:
-        pass
-    if w:
-        out = tuple(np.dot(word_dims(C, w[:-1]), C.N[:, w[-1], :]).tolist())
-    else:
-        out = (1,) + (0,) * (C.rank - 1)
-    C._cache.setdefault("wdims", {})[w] = out
+    store = C._cache["wdims"]
+    out = store.get(w)
+    if out is None:
+        if w:
+            out = tuple(np.dot(word_dims(C, w[:-1]), C.N[:, w[-1], :]).tolist())
+        else:
+            out = (1,) + (0,) * (C.rank - 1)
+        store[w] = out
     return out
 
 
@@ -126,12 +128,10 @@ def tree_starts(C: MtcData, w: Word, b: int, k: int) -> list:
 
 def obj_dims(C: MtcData, S: SumObject) -> tuple:
     """Dimension of every sector of S: (dim Hom(U_k, S) for k in 0..rank-1)."""
-    try:
-        return C._cache["dims"][S]
-    except KeyError:
-        pass
-    out = tuple(sum(word_dims(C, w)[k] for w in S) for k in range(C.rank))
-    C._cache.setdefault("dims", {})[S] = out
+    store = C._cache["dims"]
+    out = store.get(S)
+    if out is None:
+        out = store[S] = tuple(sum(word_dims(C, w)[k] for w in S) for k in range(C.rank))
     return out
 
 
@@ -141,16 +141,11 @@ def obj_dim(C: MtcData, S: SumObject, k: int) -> int:
 
 def obj_offsets(C: MtcData, S: SumObject, k: int) -> list:
     """Start offset of each summand word inside the sector-k basis of S."""
-    key = ("offsets", S, k)
-    out = C._cache.get(key)
+    store = C._cache["offsets"]
+    out = store.get((S, k))
     if out is None:
-        out = []
-        acc = 0
-        for w in S:
-            out.append(acc)
-            acc += word_dims(C, w)[k]
-        out.append(acc)
-        C._cache[key] = out
+        out = store[S, k] = list(itertools.accumulate((word_dims(C, w)[k] for w in S),
+                                                      initial=0))
     return out
 
 
@@ -265,12 +260,13 @@ def _layout(C: MtcData, src: SumObject, tgt: SumObject) -> tuple:
     positive and the other sectors k, both in ascending order.  It is read
     in one lookup per (src, tgt); a miss finds it under the sector
     dimensions of the two objects, on which alone it depends."""
-    try:
-        return C._cache["layout"][src, tgt]
-    except KeyError:
-        pass
+    store = C._cache["layout"]
+    out = store.get((src, tgt))
+    if out is not None:
+        return out
     dims = (obj_dims(C, src), obj_dims(C, tgt))
-    out = C._cache.get(("dimslayout",) + dims)
+    by_dims = C._cache["dimslayout"]
+    out = by_dims.get(dims)
     if out is None:
         present, absent = [], []
         for k, (ds, dt) in enumerate(zip(*dims)):
@@ -278,21 +274,20 @@ def _layout(C: MtcData, src: SumObject, tgt: SumObject) -> tuple:
                 present.append((k, (dt, ds)))
             else:
                 absent.append(k)
-        out = C._cache[("dimslayout",) + dims] = (tuple(present), tuple(absent))
-    C._cache.setdefault("layout", {})[src, tgt] = out
+        out = by_dims[dims] = (tuple(present), tuple(absent))
+    store[src, tgt] = out
     return out
 
 
 def identity(C: MtcData, S: SumObject) -> Morphism:
     """id_S, on read-only identity blocks shared per S."""
-    key = ("eye", S)
-    blocks = C._cache.get(key)
+    store = C._cache["eye"]
+    blocks = store.get(S)
     if blocks is None:
-        blocks = {}
+        blocks = store[S] = {}
         for k in obj_sectors(C, S):
             blocks[k] = np.eye(obj_dim(C, S, k), dtype=complex)
             blocks[k].setflags(write=False)
-        C._cache[key] = blocks
     return Morphism(C, S, S, dict(blocks))
 
 
@@ -310,19 +305,18 @@ def sum_groups(C: MtcData, dS: tuple, dT: tuple, k: int) -> dict:
     column g + i1·dT[k2] + i2, with g the group's first column, which is
     what the returned dict maps (k1, k2, mu) to.
     """
-    try:
-        return C._cache["sumgroups"][dS, dT, k]
-    except KeyError:
-        pass
-    out, acc = {}, 0
-    for k1, k2 in itertools.product(range(C.rank), repeat=2):
-        n = dS[k1] * dT[k2]
-        if n == 0:
-            continue
-        for mu in range(C.N[k1, k2, k]):
-            out[(k1, k2, mu)] = acc
-            acc += n
-    C._cache.setdefault("sumgroups", {})[dS, dT, k] = out
+    store = C._cache["sumgroups"]
+    out = store.get((dS, dT, k))
+    if out is None:
+        out = store[dS, dT, k] = {}
+        acc = 0
+        for k1, k2 in itertools.product(range(C.rank), repeat=2):
+            n = dS[k1] * dT[k2]
+            if n == 0:
+                continue
+            for mu in range(C.N[k1, k2, k]):
+                out[(k1, k2, mu)] = acc
+                acc += n
     return out
 
 
@@ -344,8 +338,9 @@ def merge_matrix(C: MtcData, u: Word, v: Word, k: int) -> np.ndarray:
     one matrix.  The empty u is no exception, because F-matrices with a unit
     letter are identities.
     """
-    key = ("merge", word_dims(C, u), v, k)
-    M = C._cache.get(key)
+    store = C._cache["merge"]
+    key = (word_dims(C, u), v, k)
+    M = store.get(key)
     if M is not None:
         return M
     dim = word_dims(C, u + v)[k]
@@ -387,7 +382,7 @@ def merge_matrix(C: MtcData, u: Word, v: Word, k: int) -> np.ndarray:
                                 M[rows, g + i1 * n2 + i2] += coeff * sub[:, gp + i1 * nq + i2p]
                         i2 += 1
     M.setflags(write=False)
-    C._cache[key] = M
+    store[key] = M
     return M
 
 
@@ -397,10 +392,10 @@ def merge_matrix(C: MtcData, u: Word, v: Word, k: int) -> np.ndarray:
 
 def _word_dims_key(C: MtcData, S: SumObject) -> tuple:
     """word_dims of each word of S: what the sum merges read of S."""
-    key = ("sumdims", S)
-    out = C._cache.get(key)
+    store = C._cache["sumdims"]
+    out = store.get(S)
     if out is None:
-        out = C._cache[key] = tuple(word_dims(C, w) for w in S)
+        out = store[S] = tuple(word_dims(C, w) for w in S)
     return out
 
 
@@ -409,8 +404,8 @@ def _sum_order(C: MtcData, wS: tuple, wT: tuple, k: int) -> tuple:
     S and T with the word dims wS and wT (:func:`_word_dims_key`): word pair
     p has the rows bounds[p]:bounds[p + 1], and its pair-basis column c is
     grouped column cols[bounds[p] + c] (the order in :func:`sum_merge`)."""
-    key = ("sumorder", wS, wT, k)
-    out = C._cache.get(key)
+    store = C._cache["sumorder"]
+    out = store.get((wS, wT, k))
     if out is not None:
         return out
     # row i of each is the offset of word i in every sector of its object
@@ -420,13 +415,15 @@ def _sum_order(C: MtcData, wS: tuple, wT: tuple, k: int) -> tuple:
     groups = sum_groups(C, offS[-1], dT, k)
     bounds, cols = [0], []
     for (du, oS), (dv, oT) in itertools.product(zip(wS, offS), zip(wT, offT)):
-        for grp in sum_groups(C, du, dv, k):
-            k1, k2 = grp[:2]
-            step = dT[k2]
-            first = groups[grp] + oS[k1] * step + oT[k2]
-            cols += [first + i1 * step + i2 for i1 in range(du[k1]) for i2 in range(dv[k2])]
+        # the pair basis of (u, v) has, in the same order, the groups of
+        # S ⊗ T whose sector k1 of u and sector k2 of v both have trees
+        for (k1, k2, _), g in groups.items():
+            if du[k1] and dv[k2]:
+                step = dT[k2]
+                first = g + oS[k1] * step + oT[k2]
+                cols += [first + i1 * step + i2 for i1 in range(du[k1]) for i2 in range(dv[k2])]
         bounds.append(len(cols))
-    out = C._cache[key] = (bounds, np.array(cols, dtype=np.intp))
+    out = store[wS, wT, k] = (bounds, np.array(cols, dtype=np.intp))
     return out
 
 
@@ -447,16 +444,17 @@ def sum_merge(C: MtcData, S: SumObject, T: SumObject, k: int,
     both are filled once per (word_dims of each word of S, T, k); a repeat
     call is answered from the store keyed by (S, T, k, inverse).
     """
-    try:
-        return C._cache["summerges"][S, T, k, inverse]
-    except KeyError:
-        pass
+    store = C._cache["summerges"]
+    M = store.get((S, T, k, inverse))
+    if M is not None:
+        return M
     if not inverse and len(S) == 1 and len(T) == 1:
         M = merge_matrix(C, S[0], T[0], k)
     else:
+        fills = C._cache["summergeinv" if inverse else "summerge"]
         wS = _word_dims_key(C, S)
-        key = ("summergeinv" if inverse else "summerge", wS, T, k)
-        M = C._cache.get(key)
+        key = (wS, T, k)
+        M = fills.get(key)
         if M is None:
             if inverse:
                 M = np.linalg.inv(sum_merge(C, S, T, k))
@@ -468,8 +466,8 @@ def sum_merge(C: MtcData, S: SumObject, T: SumObject, k: int,
                     if lo < hi:
                         M[lo:hi, cols[lo:hi]] = merge_matrix(C, wi, wj, k)
             M.setflags(write=False)
-            C._cache[key] = M
-    C._cache.setdefault("summerges", {})[S, T, k, inverse] = M
+            fills[key] = M
+    store[S, T, k, inverse] = M
     return M
 
 
@@ -571,8 +569,8 @@ def braid(C: MtcData, S: SumObject, T: SumObject, inverse: bool = False) -> Morp
     the two kron factors.  The result is cached per (S, T, inverse) as its
     objects and read-only blocks; each call returns a new Morphism on them.
     """
-    key = ("braid", S, T, inverse)
-    hit = C._cache.get(key)
+    store = C._cache["braid"]
+    hit = store.get((S, T, inverse))
     if hit is not None:
         src, tgt, blocks = hit
         return Morphism(C, src, tgt, dict(blocks))
@@ -594,7 +592,7 @@ def braid(C: MtcData, S: SumObject, T: SumObject, inverse: bool = False) -> Morp
     for blk in out.blocks.values():
         blk.setflags(write=False)
     # the parts, not the Morphism: see _word_duality
-    C._cache[key] = (out.src, out.tgt, dict(out.blocks))
+    store[S, T, inverse] = (out.src, out.tgt, dict(out.blocks))
     return out
 
 
@@ -604,8 +602,8 @@ def braid(C: MtcData, S: SumObject, T: SumObject, inverse: bool = False) -> Morp
 
 def _letter_duality(C: MtcData, a: int):
     """Coefficients (b, d, bt, dt) of the four single-letter duality maps."""
-    key = ("dualcoef", a)
-    out = C._cache.get(key)
+    store = C._cache["dualcoef"]
+    out = store.get(a)
     if out is None:
         abar = int(C.dual[a])
         # the unit channels come first in both channel bases
@@ -615,8 +613,7 @@ def _letter_duality(C: MtcData, a: int):
                 f"F[{C.labels[a]},{C.labels[abar]},{C.labels[a]}] unit channel vanishes"
             )
         phase = C.twist[a] * complex(C.rmat(a, abar, 0)[0, 0])
-        out = (1.0 + 0j, 1.0 / Fa, phase, phase / Fa)
-        C._cache[key] = out
+        out = store[a] = (1.0 + 0j, 1.0 / Fa, phase, phase / Fa)
     return out
 
 
@@ -626,9 +623,9 @@ def dim(C: MtcData, a: int) -> complex:
     return complex(dt)
 
 
-#: kind (also the cache key) -> (index into _letter_duality, dual word on
-#: the left, last letter peeled); a cup nests the word's map inside the
-#: peeled letter's, a cap the letter's inside the word's
+#: kind (also its cache store's name) -> (index into _letter_duality, dual
+#: word on the left, last letter peeled); a cup nests the word's map inside
+#: the peeled letter's, a cap the letter's inside the word's
 _DUALITY_KINDS = {
     "cup": (0, False, False),   # b_w  : 1 -> w ⊗ w∨
     "cap": (1, True, False),    # d_w  : w∨ ⊗ w -> 1
@@ -639,8 +636,8 @@ _DUALITY_KINDS = {
 
 def _word_duality(C: MtcData, kind: str, w: Word) -> Morphism:
     """The duality map of ``kind`` on a word, built one letter at a time."""
-    key = (kind, w)
-    hit = C._cache.get(key)
+    store = C._cache[kind]
+    hit = store.get(w)
     if hit is not None:
         src, tgt, blocks = hit
         return Morphism(C, src, tgt, dict(blocks))
@@ -667,7 +664,7 @@ def _word_duality(C: MtcData, kind: str, w: Word) -> Morphism:
         out = step @ outer_map if is_cup else outer_map @ step
     # the cache holds the parts, not the Morphism: its reference to C would
     # put C in a reference cycle, which only a full garbage collection frees
-    C._cache[key] = (out.src, out.tgt, out.blocks)
+    store[w] = (out.src, out.tgt, out.blocks)
     return out
 
 

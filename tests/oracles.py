@@ -16,6 +16,9 @@ algebra's duality pairing by its coproduct.  :func:`merge_by_moves` is
 handed the inverse F-matrices only, and finds their channels itself.
 :func:`pentagon_by_pairs` is handed the mtc module and runs its moves
 with one pass per pair of first letters, as the package once did.
+:func:`to_document`, :func:`gauge_transform` and :func:`random_gauge` are
+handed the mtc module too: they write a category back as a document, and
+load it again in another gauge of its splitting spaces.
 Frozen expected values live in ``test_oracles.py`` and in the
 fixture/golden files.
 """
@@ -776,3 +779,106 @@ def pentagon_by_pairs(M, C):
         rhs = M._f_move(C, s, (a, b, s["l"], s["E"]), "f1 m1 n2", "k t2 s2")
         worst = max(worst, M._worst_difference(tag, lhs, rhs))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# serialization and gauge moves
+# ---------------------------------------------------------------------------
+
+def to_document(M, C):
+    """Serialize ``C`` back to the JSON document shape that ``M.load_mtc``
+    accepts, handed the mtc module ``M`` for its channel tables."""
+    labels = C.labels
+    fusion = [
+        {"a": labels[a], "b": labels[b], "c": labels[c], "mult": int(C.N[a, b, c])}
+        for a, b, c in itertools.product(range(C.rank), repeat=3)
+        if C.N[a, b, c] > 0
+    ]
+    ncol = C._right.count
+    q, off = M._split(C._left.count * ncol)
+    cells = M._f_channels(C, q, off // ncol[q], off % ncol[q])
+    keep = (cells[:3] > 0).all(axis=0)
+    f_entries = [
+        {"a": labels[a], "b": labels[b], "c": labels[c], "d": labels[d],
+         "e": labels[e], "f": labels[f], "mu": mu, "nu": nu, "rho": rho, "sigma": sigma,
+         "val": [v.real, v.imag]}
+        for (a, b, c, d, e, mu, nu, f, rho, sigma), v in zip(cells[:, keep].T.tolist(),
+                                                            C._F[keep])
+    ]
+    r_entries = [
+        {"a": labels[a], "b": labels[b], "c": labels[c], "mu": mu, "nu": nu,
+         "val": [v.real, v.imag]}
+        for a, b, c in itertools.product(range(1, C.rank), range(1, C.rank), range(C.rank))
+        for (mu, nu), v in np.ndenumerate(C.rmat(a, b, c))
+    ]
+    return {
+        "labels": list(labels),
+        "unit": labels[0],
+        "dual": {labels[i]: labels[C.dual[i]] for i in range(C.rank)},
+        "fusion": fusion,
+        "F": f_entries,
+        "R": r_entries,
+        "twist": {labels[i]: [C.twist[i].real, C.twist[i].imag] for i in range(C.rank)},
+    }
+
+
+def gauge_transform(M, C, g):
+    """Change the basis of every splitting space Hom(e, a ⊗ b) of ``C``,
+    handed the mtc module ``M``.
+
+    ``g`` maps (a, b, e) label triples to invertible matrices of size
+    N[a,b,e]; absent triples (and all unit triples) keep the identity.
+    Each F^{abc}_d becomes Lᵀ·F·R⁻ᵀ, where L and R act on its left and
+    right channels by the gauge blocks of their two vertices, so entry by
+    entry it is the sum over μ′, ν′, ρ′, σ′ of
+    g_ab_e[μ′,μ]·g_ec_d[ν′,ν]·F[(e,μ′,ν′),(f,ρ′,σ′)]·g_bc_f⁻¹[ρ,ρ′]·g_af_d⁻¹[σ,σ′];
+    each R^{ab}_c becomes g(b,a;c)⁻¹·R·g(a,b;c).
+    The result is re-validated by ``M.load_mtc``, so a non-invertible input
+    surfaces as an AxiomViolation rather than silent nonsense.
+    """
+
+    def gm(a, b, e):
+        mat = None if 0 in (a, b) else g.get((a, b, e))
+        return np.eye(C.N[a, b, e], dtype=complex) if mat is None else np.asarray(mat, dtype=complex)
+
+    def channel_gauge(chans, first, second):
+        # block diagonal: the consecutive channels (x, m1, m2) of one label x
+        # take kron(g(first(x)), g(second(x)))
+        out = np.zeros((len(chans), len(chans)), dtype=complex)
+        i = 0
+        for x, _ in itertools.groupby(chans[:, 0].tolist()):
+            blk = np.kron(gm(*first(x)), gm(*second(x)))
+            out[i:i + len(blk), i:i + len(blk)] = blk
+            i += len(blk)
+        return out
+
+    n = C.rank
+    # the moved data is never loaded, so its tables are still writable
+    moved = M.MtcData(labels=C.labels, dual=C.dual, N=C.N, twist=C.twist, tol=C.tol)
+    for a, b, c, d in itertools.product(range(1, n), range(1, n), range(1, n), range(n)):
+        if not C.fmat(a, b, c, d).size:
+            continue
+        lg = channel_gauge(C.left_channels(a, b, c, d), lambda e: (a, b, e), lambda e: (e, c, d))
+        rg = channel_gauge(C.right_channels(a, b, c, d), lambda f: (b, c, f), lambda f: (a, f, d))
+        moved.fmat(a, b, c, d)[:] = lg.T @ C.fmat(a, b, c, d) @ np.linalg.inv(rg).T
+    for a, b, c in itertools.product(range(1, n), range(1, n), range(n)):
+        moved.rmat(a, b, c)[:] = np.linalg.inv(gm(b, a, c)) @ C.rmat(a, b, c) @ gm(a, b, c)
+    return M.load_mtc(to_document(M, moved), tol=C.tol)
+
+
+def random_gauge(M, C, rng):
+    """Apply a random, well-conditioned basis change to every splitting
+    space of ``C`` (:func:`gauge_transform`, handed the mtc module ``M``)."""
+    g = {}
+    for a, b, e in itertools.product(range(1, C.rank), range(1, C.rank), range(C.rank)):
+        m = C.N[a, b, e]
+        if m == 0:
+            continue
+        while True:
+            mat = np.eye(m) + 0.4 * (
+                rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+            )
+            if np.linalg.cond(mat) < 20.0:
+                break
+        g[(a, b, e)] = mat
+    return gauge_transform(M, C, g)

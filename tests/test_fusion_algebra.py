@@ -552,42 +552,34 @@ def test_json_report_independent_of_cache_history(name, alg):
     assert report(used) == report(catalog(name).data)
 
 
-def _key_words(key) -> list:
-    """The words in an engine cache key, by its kind."""
-    kind = key[0]
-    if kind in ("cup", "cap", "cupt", "capt"):
-        return [key[1]]
-    if kind == "merge":
-        return [key[2]]
-    if kind in ("offsets", "eye", "sumdims"):
-        return list(key[1])
-    if kind in ("summerge", "summergeinv"):
-        return list(key[2])
-    if kind == "braid":
-        return [w for X in key[1:-1] for w in X]
-    assert kind in ("dimslayout", "sumorder", "dualcoef", "smatrix"), key
-    return []
+def _pair_words(key) -> list:
+    """The words of the two objects that begin the key."""
+    return [w for X in key[:2] for w in X]
 
 
-#: nested store of the engine cache -> the words in one of its keys
-_STORE_WORDS = {
+#: kind of the engine cache -> the words in one key of its store
+_KEY_WORDS = {
     "wdims": lambda w: [w],
     "dims": list,
-    "layout": lambda pair: [w for X in pair for w in X],
-    "summerges": lambda key: [w for X in key[:2] for w in X],
+    "offsets": lambda key: list(key[0]),
+    "dimslayout": lambda key: [],
+    "layout": _pair_words,
+    "eye": list,
     "sumgroups": lambda key: [],
+    "merge": lambda key: [key[1]],
+    "sumdims": list,
+    "sumorder": lambda key: [],
+    "summerge": lambda key: list(key[1]),
+    "summergeinv": lambda key: list(key[1]),
+    "summerges": _pair_words,
+    "braid": _pair_words,
+    "dualcoef": lambda key: [],
+    "cup": lambda w: [w],
+    "cap": lambda w: [w],
+    "cupt": lambda w: [w],
+    "capt": lambda w: [w],
+    "smatrix": lambda key: [],
 }
-
-
-def _cache_words(cache: dict) -> list:
-    """Every word in the keys of an engine cache, nested stores included."""
-    words = []
-    for key, value in cache.items():
-        if isinstance(key, str):
-            words += [w for inner in value for w in _STORE_WORDS[key](inner)]
-        else:
-            words += _key_words(key)
-    return words
 
 
 @pytest.mark.parametrize("name, alg", [("ising", None), ("toric_code", "ze.alg.json")])
@@ -597,9 +589,21 @@ def test_cache_keys_hold_no_unit_letters(name, alg):
     C = catalog(name).data
     A = F.trivial_algebra(C) if alg is None else F.parse_algebra(C, load_fixture(alg))
     FA.verify_theorem_o(C, F.normalize_counit(C, A), seed=0)
-    words = _cache_words(C._cache)
+    words = [w for kind, store in C._cache.items() for key in store
+             for w in _KEY_WORDS[kind](key)]
     assert words and any(len(w) > 2 for w in words)
     assert not [w for w in words if 0 in w]
+
+
+def test_cache_kinds_are_stores():
+    """Every engine cache kind is one dict store under its name, and the
+    grouped bases stored are those of word pairs with trees: none is empty."""
+    C = catalog("su2_4").data
+    A = F.parse_algebra(C, load_fixture("su2_4_deven.alg.json"))
+    FA.verify_theorem_o(C, F.normalize_counit(C, A), seed=12)
+    assert set(C._cache) == set(_KEY_WORDS)
+    assert all(type(store) is dict and store for store in C._cache.values())
+    assert all(C._cache["sumgroups"].values())
 
 
 # -- the linked-loop identity --------------------------------------------------
@@ -670,6 +674,18 @@ def test_defect_identity_builds_one_s_matrix(monkeypatch):
 
 # -- basis independence --------------------------------------------------------
 
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_verify_o_invariant_under_random_gauge(name):
+    """A = 1 on a random gauge of the category's splitting spaces gives
+    the same K, z, verdict and direct fusion table."""
+    C = get_catalog(name).data
+    want, got = (FA.verify_theorem_o(D, F.normalize_counit(D, F.trivial_algebra(D)), seed=12)
+                 for D in (C, oracles.random_gauge(mtc, C, np.random.default_rng(5))))
+    assert got.passed and want.passed
+    assert got.K == want.K
+    assert np.array_equal(got.z, want.z)
+    assert np.array_equal(got.fusion_direct, want.fusion_direct)
+
 def test_results_invariant_under_gauge_change(toric, ze, ze_direct):
     g = {
         (1, 1, 0): np.array([[0.8 - 0.45j]]),
@@ -678,7 +694,7 @@ def test_results_invariant_under_gauge_change(toric, ze, ze_direct):
         (1, 2, 3): np.array([[1.1 - 0.3j]]),
     }
     assert all(toric.N[key] == 1 for key in g)
-    gauged = mtc.gauge_transform(toric, g)
+    gauged = oracles.gauge_transform(mtc, toric, g)
     doc = copy.deepcopy(load_fixture("ze.alg.json"))
     labels = list(toric.labels)
     for ent in doc["m"]:

@@ -67,8 +67,9 @@ def test_every_threshold_has_a_reader():
 
 
 def _reads(tree) -> set:
-    """Names a syntax tree reads: Name and Attribute nodes, import aliases
-    and the string entries of an ``__all__`` list."""
+    """Names a syntax tree reads: Name and Attribute nodes and import
+    aliases.  The string entries of an ``__all__`` list are not reads, so
+    listing a definition there does not stand in for a reader."""
     out = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -77,11 +78,11 @@ def _reads(tree) -> set:
             out.add(node.attr)
         elif isinstance(node, ast.alias):
             out.add(node.name.rsplit(".", 1)[-1])
-        elif (isinstance(node, ast.Assign)
-              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            out.update(elt.value for elt in ast.walk(node.value)
-                       if isinstance(elt, ast.Constant) and isinstance(elt.value, str))
     return out
+
+
+def test_all_list_is_no_reader():
+    assert "f" not in _reads(ast.parse('__all__ = ["f"]'))
 
 
 def test_every_public_definition_has_a_reader(monkeypatch):
