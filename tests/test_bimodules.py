@@ -1,7 +1,10 @@
 """Bimodule induction, hom counting, and decomposition into simples."""
 from __future__ import annotations
 
+import dataclasses
+import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -142,6 +145,66 @@ def test_z_invariant_under_algebra_basis_change(toric, ze):
     z0 = B.z_matrix(toric, ze).entries
     z1 = B.z_matrix(toric, Ag).entries
     assert np.array_equal(z0, z1)
+
+
+# -- the algebra's store -----------------------------------------------------
+
+def test_algebra_store_keeps_z_and_the_sandwiches(toric):
+    """z is computed once per algebra and kept with read-only entries; each
+    sandwich U_i ⊗⁺ A ⊗⁻ U_j is built once, and every read gives a new
+    Bimodule on the stored parts, equal to a freshly built sandwich."""
+    A = F.normalize_counit(toric, F.parse_algebra(toric, load_fixture("ze.alg.json")))
+    assert len(A._cache) == 0
+    z = B.z_matrix(toric, A)
+    assert B.z_matrix(toric, A) is z and A._cache["z"] == {(): z}
+    assert not z.entries.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        z.entries[0, 0] = 7
+    reg = B.regular_bimodule(toric, A)
+    for i in range(toric.rank):
+        for j in range(toric.rank):
+            W = B.regular_sandwich(toric, A, i, j)
+            again = B.regular_sandwich(toric, A, i, j)
+            assert again is not W and again.alg is A
+            assert again.rho_l is W.rho_l and again.rho_r is W.rho_r
+            fresh = B.sandwich(toric, i, reg, j)
+            assert W.obj == fresh.obj
+            assert (W.rho_l - fresh.rho_l).norm() == (W.rho_r - fresh.rho_r).norm() == 0.0
+    assert set(A._cache["sandwich"]) == {(i, j) for i in range(toric.rank)
+                                         for j in range(toric.rank)}
+
+
+def test_algebra_copies_start_with_an_empty_store(toric):
+    A = F.normalize_counit(toric, F.parse_algebra(toric, load_fixture("ze.alg.json")))
+    B.z_matrix(toric, A)
+    B.regular_sandwich(toric, A, 1, 2)
+    assert set(A._cache) == {"z", "sandwich"}
+    copies = [
+        F.normalize_counit(toric, A),
+        dataclasses.replace(A),
+        F.basis_change(toric, A, E.identity(toric, A.obj)),
+        F.random_basis_change(toric, A, np.random.default_rng(3)),
+    ]
+    for copy in copies:
+        assert copy is not A and len(copy._cache) == 0
+    assert copies[1] == A
+
+
+def test_algebra_store_holds_no_reference_to_its_algebra(toric):
+    """With the cyclic garbage collector off, dropping the last reference
+    to A frees it after a full verification: nothing A's store keeps, nor
+    anything the category's caches keep, points back to A."""
+    A = F.normalize_counit(toric, F.parse_algebra(toric, load_fixture("ze.alg.json")))
+    gc.collect()
+    gc.disable()
+    try:
+        assert FA.verify_theorem_o(toric, A, seed=0).passed
+        assert set(A._cache) == {"z", "sandwich"}
+        ref = weakref.ref(A)
+        del A
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # -- relative tensor product -------------------------------------------------

@@ -436,6 +436,48 @@ def test_defect_map_rejects_non_intertwiner(toric, ze, ze_simples):
         FA.D_map(toric, ze, ze_simples[0], 1, 1, worst)
 
 
+def _first_off_unit_block(d):
+    return next(key for key in d.h if key != (0, 0))
+
+
+def test_defect_map_check_ignores_the_scale_of_phi(su24, deven, deven_simples, deven_d):
+    """The intertwiner check is relative to φ: a basis map of a Hom block
+    passes at any scale, and a map that fails it fails at any scale."""
+    i, j = _first_off_unit_block(deven_d)
+    X = deven_simples[1]
+    h0 = deven_d.h[(i, j)][0]
+    for scale in (1e-6, 1.0, 1e11):
+        FA.D_map(su24, deven, X, i, j, scale * h0)
+    reg = B.regular_bimodule(su24, deven)
+    W = B.sandwich(su24, i, reg, j)
+    M = B.intertwiner_matrix(su24, W, reg)
+    v = np.random.default_rng(0).standard_normal(E.hom_dim(su24, W.obj, deven.obj))
+    bad = E.from_vec(su24, W.obj, deven.obj, v.astype(complex))
+    assert np.max(np.abs(M @ E.vec(bad))) > 1e-3 * bad.norm()
+    for scale in (1e-6, 1.0, 1e11):
+        with pytest.raises(NotIntertwiner, match="intertwiner check"):
+            FA.D_map(su24, deven, X, i, j, scale * bad)
+
+
+def test_sandwiches_are_built_once_per_algebra(monkeypatch, su24):
+    """simple_bimodules, then d_matrix, then a checked D_map on su2_4 D-even
+    build each sandwich U_i ⊗⁺ A ⊗⁻ U_j once: rank² calls in all."""
+    A = F.normalize_counit(su24, F.parse_algebra(su24, load_fixture("su2_4_deven.alg.json")))
+    built = []
+    sandwich = B.sandwich
+
+    def counting(*args):
+        built.append((args[1], args[3]))
+        return sandwich(*args)
+
+    monkeypatch.setattr(B, "sandwich", counting)
+    simples = B.simple_bimodules(su24, A, seed=0)
+    d = FA.d_matrix(su24, A, simples)
+    key = _first_off_unit_block(d)
+    FA.D_map(su24, A, simples[1], *key, d.h[key][0], check=True)
+    assert len(built) == len(set(built)) == su24.rank ** 2 == 25
+
+
 def test_blockdiag_rejects_non_integer_constants(toric, ze_d):
     blocks = {k: v.copy() for k, v in ze_d.blocks.items()}
     key = next(iter(blocks))
