@@ -52,7 +52,7 @@ class RetractPair:
     target: Bimodule
 
 
-@dataclass
+@dataclass(eq=False)
 class ZMatrix:
     """Integer matrix z[i, j] = dim Hom(α⁺U_i, α⁻U_j)."""
 

@@ -157,7 +157,7 @@ def obj_sectors(C: MtcData, S: SumObject) -> list:
 # morphisms
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class Morphism:
     """A morphism src -> tgt, one block per total sector.
 

@@ -15,18 +15,18 @@ of X, the X-loop closed as a trace (``defect_matrices``); ``D_map`` is
 the full-morphism form, with the loop opened by a cup and closed by a cap̃.
 
 Both routes take the bimodules that share an object as one stack
-(:func:`bimodules.stacks`): the relative products and the intertwiner
-matrices of their Hom counts are each evaluated once per object, with one
-Hom solve per Hom space.  The simples and the relative products that the
-homomorphism residual samples share one stack per object in
-:func:`d_matrix`, so each object takes one defect pass, and the residual
-compares D_X ∘ D_Y with D_{X⊗_A Y} from those matrices.  The sandwiches
-U_i ⊗⁺ A ⊗⁻ U_j and z are kept in the algebra's store, built once for the
-simples, the Hom blocks and the bookkeeping alike.
+(:func:`bimodules.stacks`), evaluated once per object with one Hom solve
+per Hom space.  In :func:`d_matrix` the simples and the relative products
+that the homomorphism residual samples share those stacks, so each object
+takes one defect pass.  The sandwiches U_i ⊗⁺ A ⊗⁻ U_j and z are kept in
+the algebra's store, built once per algebra.
 
-Both routes must produce the same non-negative integer table; checking
-that (plus the dimension bookkeeping against the z-matrix) is what
-``verify_theorem_o`` reports.
+The routes share only the simples and the relative products, which the
+homomorphism residual also uses.  Each finds its own unit: the direct
+route by Hom solves against A, the spectral route as the simple whose D_X
+is nearest the identity (D_A = id).  Both must give the same non-negative
+integer table; checking that, and the dimension bookkeeping against z, is
+what ``verify_theorem_o`` reports.
 """
 from __future__ import annotations
 
@@ -49,7 +49,7 @@ from .mtc import MtcData, s_matrix
 # fusion tables
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class FusionTable:
     """Structure constants table[a, b, c] = multiplicity of X_c in X_a ∗ X_b."""
 
@@ -91,17 +91,16 @@ def _relative_products(C: MtcData, simples: list) -> dict:
 
 
 def fusion_table_direct(C: MtcData, A: AlgebraSpec, simples: list, *,
-                        _products=None, _unit: int | None = None) -> FusionTable:
-    """table[a, b, c] = dim Hom(X_a ⊗_A X_b, X_c).
+                        _products=None) -> FusionTable:
+    """table[a, b, c] = dim Hom(X_a ⊗_A X_b, X_c), and the unit X_t ≅ A by Hom solves.
 
     The products on one object are stacked, so each simple X_c takes one
     stacked intertwiner matrix per product object, and one Hom solve
     (:func:`bimodules.module_maps`) per product.  ``_products`` shares the
-    relative products with the homomorphism residual; ``_unit`` passes in
-    the unit index the d-matrix already found.  Both depend on the simples,
-    which A's store cannot key without an identity key or a cycle; rebuilding
-    the products costs 10–18% of solve time, and a second unit search repeats
-    a Hom solve.  A run record that keeps them can replace both.
+    relative products with the homomorphism residual until a run record
+    keeps them: they depend on the simples, which A's store cannot key
+    without an identity key or a cycle, and rebuilding them costs 10–18%
+    of solve time.
     """
     products = _products or _relative_products(C, simples)
     k = len(simples)
@@ -113,7 +112,7 @@ def fusion_table_direct(C: MtcData, A: AlgebraSpec, simples: list, *,
                 continue
             for t, M in zip(idx, B.intertwiner_matrix(C, T, Xc)):
                 table[pairs[t] + (c,)] = len(B.module_maps(C, T.obj, Xc.obj, M))
-    return FusionTable(table, _unit_index(C, A, simples) if _unit is None else _unit)
+    return FusionTable(table, _unit_index(C, A, simples))
 
 
 # ---------------------------------------------------------------------------
@@ -202,16 +201,16 @@ def defect_matrices(C: MtcData, A: AlgebraSpec, X: B.Bimodule,
 # the block-diagonalization matrix
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class DMatrix:
     """Matrices of the defect operators in dual bases of the Hom blocks.
 
     ``blocks[(i, j)]`` has shape (|K|, n, n) with n the dimension of the
-    (i, j) Hom space; ``matrix`` is the same data flattened to
-    |K| × Σn², rows indexed by simples, columns by (i, j, α, β).
-    ``product_blocks[(i, j)]`` holds, in the same layout, the matrices of
-    the extra modules :func:`d_matrix` was given (the relative products of
-    the homomorphism residual), one per module.
+    (i, j) Hom space, and the item of A's simple is the identity; ``matrix``
+    is the same data flattened to |K| × Σn², rows indexed by simples,
+    columns by (i, j, α, β).  ``product_blocks[(i, j)]`` holds, in the same
+    layout, the matrices of the extra modules :func:`d_matrix` was given
+    (the relative products of the homomorphism residual), one per module.
     """
 
     blocks: dict
@@ -219,7 +218,6 @@ class DMatrix:
     sigma_min: float
     h: dict = field(repr=False)
     hbar: dict = field(repr=False)
-    unit: int
     product_blocks: dict = field(repr=False)
 
 
@@ -280,7 +278,6 @@ def d_matrix(C: MtcData, A: AlgebraSpec, simples: list, products: list = ()) -> 
     return DMatrix(
         blocks=blocks, matrix=matrix,
         sigma_min=sigma_min, h=hs, hbar=hbars,
-        unit=_unit_index(C, A, simples),
         product_blocks={key: blk[k:] for key, blk in every.items()},
     )
 
@@ -289,13 +286,16 @@ def fusion_table_blockdiag(C: MtcData, d: DMatrix) -> FusionTable:
     """Reassemble the structure constants from the defect-operator matrices.
 
     N[a, b, c] = Σ_{(i,j)} Σ_{αβγ} d^a_{αβ} d^b_{βγ} (d⁻¹)_{(i,j,α,γ), c}.
+    The unit is the row nearest the identity on every block, as D_A = id.
     """
     k = d.matrix.shape[0]
     dinv = np.linalg.inv(d.matrix)
     out = np.zeros((k, k, k), dtype=complex)
+    far = np.zeros(k)
     row = 0
-    for (i, j), blk in d.blocks.items():
+    for blk in d.blocks.values():
         n = blk.shape[1]
+        far = np.maximum(far, np.max(np.abs(blk - np.eye(n)), axis=(1, 2)))
         dinv_blk = dinv[row:row + n * n, :].reshape(n, n, k)
         prod = np.einsum("xab,ybg->xyag", blk, blk)
         out += np.einsum("xyag,agz->xyz", prod, dinv_blk)
@@ -314,14 +314,14 @@ def fusion_table_blockdiag(C: MtcData, d: DMatrix) -> FusionTable:
                 f"structure constant {idx} = {n} is negative"
             )
         table[idx] = n
-    return FusionTable(table, d.unit)
+    return FusionTable(table, int(np.argmin(far)))
 
 
 # ---------------------------------------------------------------------------
 # the aggregated verification report
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class TheoremOReport:
     """Aggregate verdict on the ring isomorphism and its bookkeeping."""
 
@@ -378,7 +378,7 @@ def verify_theorem_o(C: MtcData, A: AlgebraSpec, seed: int = 0) -> TheoremORepor
     products = _relative_products(C, simples)
     pairs = _sampled_pairs(k, seed)
     d = d_matrix(C, A, simples, [products[p] for p in pairs])
-    direct = fusion_table_direct(C, A, simples, _products=products, _unit=d.unit)
+    direct = fusion_table_direct(C, A, simples, _products=products)
     blockdiag = fusion_table_blockdiag(C, d)
 
     reg = B.regular_bimodule(C, A)

@@ -223,7 +223,7 @@ class MtcData:
         return _block(self._Rinv, self._rpos[a, b, c], self.N[a, b, c], self.N[b, a, c])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SMatrix:
     """Unnormalized S-matrix: entries[i, j] = tr(c_{U_i,U_j} ∘ c_{U_j,U_i})."""
 

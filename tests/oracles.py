@@ -18,7 +18,9 @@ handed the inverse F-matrices only, and finds their channels itself.
 with one pass per pair of first letters, as the package once did.
 :func:`to_document`, :func:`gauge_transform` and :func:`random_gauge` are
 handed the mtc module too: they write a category back as a document, and
-load it again in another gauge of its splitting spaces.
+load it again in another gauge of its splitting spaces.  :func:`nimrep`
+is handed the engine and bimodules modules, and counts module maps out
+of M ⊗ U with the package's own Hom solve.
 Frozen expected values live in ``test_oracles.py`` and in the
 fixture/golden files.
 """
@@ -713,6 +715,17 @@ def module_residuals(E, C, X):
         res["commute"] = (X.rho_l @ E.tensor(C, id_a, X.rho_r)
                           - X.rho_r @ E.tensor(C, X.rho_l, id_a)).norm()
     return res
+
+
+def nimrep(E, B, C, A, label):
+    """n[M, N] = dim Hom_A(M ⊗ U_label, N) over the simple left modules M, N
+    of A (seed 0), with M ⊗ U acted on by ρ_l ⊗ id_U.  For su(2)_k and the
+    spin-½ label it is the adjacency matrix of A's A-D-E Dynkin diagram."""
+    U = E.obj(label)
+    left = B.simple_left_modules(C, A, seed=0)
+    shifted = [B.Bimodule(C, A, E.tensor_obj(M.obj, U),
+                          E.tensor(C, M.rho_l, E.identity(C, U)), None) for M in left]
+    return np.array([[len(B.hom_bimodule(C, X, N)) for N in left] for X in shifted])
 
 
 @dataclass

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import itertools
 import re
 import weakref
 
@@ -190,6 +191,24 @@ def test_algebra_copies_start_with_an_empty_store(toric):
     assert copies[1] == A
 
 
+def test_equality_on_values_that_hold_arrays_is_a_bool(toric, ze):
+    """Values that hold arrays compare by identity, so ``==`` gives a bool
+    instead of numpy's "truth value ... is ambiguous" error; algebras and
+    bimodules compare field by field through them."""
+    e = B.z_matrix(toric, ze).entries
+    s = mtc.s_matrix(toric).entries
+    cases = [
+        (ze.m, ze.m + 0 * ze.m),
+        (ze, F.basis_change(toric, ze, E.identity(toric, ze.obj))),
+        (B.ZMatrix(e), B.ZMatrix(e.copy())),
+        (mtc.SMatrix(s), mtc.SMatrix(s.copy())),
+        (FA.FusionTable(np.eye(2), 0), FA.FusionTable(np.eye(2), 0)),
+    ]
+    for x, y in cases:
+        assert (x == y) is False and (x == x) is True
+    assert dataclasses.replace(ze) == ze
+
+
 def test_algebra_store_holds_no_reference_to_its_algebra(toric):
     """With the cyclic garbage collector off, dropping the last reference
     to A frees it after a full verification: nothing A's store keeps, nor
@@ -374,6 +393,33 @@ def test_left_module_counts_golden(toric, ze, su24, deven):
         load_golden("bimod_toric_ze.json")["left_module_count"]
     assert len(B.simple_left_modules(su24, deven)) == \
         load_golden("bimod_su2_4_deven.json")["left_module_count"]
+
+
+def _dynkin(edges, k):
+    adj = np.zeros((k, k), dtype=int)
+    for a, b in edges:
+        adj[a, b] = adj[b, a] = 1
+    return adj
+
+
+@pytest.mark.parametrize("alg, diagram", [
+    (None, _dynkin([(0, 1), (1, 2), (2, 3), (3, 4)], 5)),   # A5
+    ("su2_4_deven.alg.json", _dynkin([(0, 1), (0, 2), (0, 3)], 4)),   # D4
+])
+def test_left_module_nimrep_is_the_dynkin_diagram(su24, alg, diagram):
+    """Tensoring the simple left modules of su2_4 with U_1 gives A's Dynkin
+    diagram, A5 for A = 1 and D4 for D-even, up to the order of the modules;
+    its spectrum is {2cos(π(j+1)/6)}, each j taken z_jj times."""
+    A = F.trivial_algebra(su24) if alg is None else F.parse_algebra(su24, load_fixture(alg))
+    A = F.normalize_counit(su24, A)
+    n = oracles.nimrep(E, B, su24, A, 1)
+    k = len(diagram)
+    assert any(np.array_equal(n[np.ix_(p, p)], diagram)
+               for p in itertools.permutations(range(k)))
+    z = B.z_matrix(su24, A).entries
+    exponents = [2 * np.cos(np.pi * (j + 1) / 6) for j in range(su24.rank)
+                 for _ in range(z[j, j])]
+    assert np.max(np.abs(np.linalg.eigvalsh(n) - np.sort(exponents))) < 1e-12
 
 
 def test_hom_dims_invariant_under_conjugation(toric, ze):

@@ -144,7 +144,7 @@ def test_trivial_algebra_reproduces_category_fusion(name):
 def test_fibonacci_defect_matrix_closed_form(fib, fib_triv, fib_simples):
     phi = (1.0 + np.sqrt(5.0)) / 2.0
     d = FA.d_matrix(fib, fib_triv, fib_simples)
-    assert d.unit == 1
+    assert FA.fusion_table_blockdiag(fib, d).unit == 1
     expect = np.array([[phi, -1.0 / phi], [1.0, 1.0]])
     assert np.max(np.abs(d.matrix - expect)) < 1e-12
 
@@ -168,6 +168,48 @@ def test_fusion_table_golden_su24(deven_table, deven_report):
     assert np.array_equal(deven_report.fusion_direct, np.array(gold["table"]))
     assert np.array_equal(deven_report.fusion_blockdiag, np.array(gold["table"]))
     assert set(deven_table.check().values()) == {0}
+
+
+def test_blockdiag_route_finds_its_unit_without_hom_solves(monkeypatch, toric, ze, ze_simples,
+                                                          su24, deven, deven_simples):
+    """d_matrix and fusion_table_blockdiag ask no isomorphism question: with
+    the unit search and is_isomorphic raising, they still give the golden
+    table and unit."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the block-diagonal route made an isomorphism search")
+
+    monkeypatch.setattr(FA, "_unit_index", refuse)
+    monkeypatch.setattr(B, "is_isomorphic", refuse)
+    for C, A, simples, golden in [(toric, ze, ze_simples, "fusion_toric_ze.json"),
+                                  (su24, deven, deven_simples, "fusion_su2_4_deven.json")]:
+        gold = load_golden(golden)
+        bd = FA.fusion_table_blockdiag(C, FA.d_matrix(C, A, simples))
+        assert bd.unit == gold["unit"]
+        assert np.array_equal(bd.table, np.array(gold["table"]))
+
+
+@pytest.mark.parametrize("seed", [0, 12])
+def test_blockdiag_unit_is_the_regular_bimodule(seed):
+    """On the benchmark's 14 pairs, each algebra in a random basis, the row
+    of d nearest the identity is that of the simple the Hom solves find
+    isomorphic to A: within 1e-12 of it, and every other row at least 1
+    away."""
+    jobs = ([("su2_4", "su2_4_deven.alg.json")] + [(name, None) for name in CATALOG_NAMES]
+            + [("toric_code", "ze.alg.json")])
+    assert len(jobs) == 14
+    for t, (name, alg) in enumerate(jobs):
+        C = get_catalog(name).data
+        A = F.trivial_algebra(C) if alg is None else F.parse_algebra(C, load_fixture(alg))
+        A = F.random_basis_change(C, A, np.random.default_rng([seed, t]))
+        A = F.normalize_counit(C, A)
+        simples = B.simple_bimodules(C, A, seed=seed)
+        d = FA.d_matrix(C, A, simples)
+        unit = FA._unit_index(C, A, simples)
+        assert FA.fusion_table_blockdiag(C, d).unit == unit, name
+        far = np.max([np.max(np.abs(blk - np.eye(blk.shape[1])), axis=(1, 2))
+                      for blk in d.blocks.values()], axis=0)
+        assert far[unit] < 1e-12, name
+        assert np.min(np.delete(far, unit), initial=np.inf) >= 1.0, name
 
 
 def test_table_check_flags_broken_tables():
@@ -199,11 +241,16 @@ def test_blocks_follow_the_z_matrix(toric, ze, ze_d, su24, deven, deven_d):
         assert d.matrix.shape == (total, total)
 
 
-def test_unit_defect_acts_as_identity_on_blocks(ze_d, deven_d):
-    for d in (ze_d, deven_d):
+def test_unit_defect_acts_as_identity_on_blocks(toric, ze, ze_simples, ze_d,
+                                                su24, deven, deven_simples, deven_d):
+    """D_A = id on every Hom block, for the simple that the Hom solves find
+    isomorphic to A."""
+    for C, A, simples, d in [(toric, ze, ze_simples, ze_d),
+                             (su24, deven, deven_simples, deven_d)]:
+        unit = FA._unit_index(C, A, simples)
         for blk in d.blocks.values():
             n = blk.shape[1]
-            assert np.max(np.abs(blk[d.unit] - np.eye(n))) < 1e-10
+            assert np.max(np.abs(blk[unit] - np.eye(n))) < 1e-10
 
 
 def test_defect_action_is_linear(su24, deven, deven_simples, deven_d):
@@ -378,7 +425,8 @@ def test_d_matrix_with_products_keeps_every_bit(name, alg):
     assert all(blk.shape[0] == 0 for blk in alone.product_blocks.values())
     assert list(both.blocks) == list(alone.blocks) == list(both.product_blocks)
     assert both.matrix.tobytes() == alone.matrix.tobytes()
-    assert (both.sigma_min, both.unit) == (alone.sigma_min, alone.unit)
+    assert both.sigma_min == alone.sigma_min
+    assert FA.fusion_table_blockdiag(C, both).unit == FA.fusion_table_blockdiag(C, alone).unit
     for key, blk in alone.blocks.items():
         assert both.blocks[key].tobytes() == blk.tobytes()
         assert both.product_blocks[key].shape == (len(products),) + blk.shape[1:]

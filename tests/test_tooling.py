@@ -110,15 +110,15 @@ def test_every_public_definition_has_a_reader(monkeypatch):
 
 def test_underscore_keyword_arguments_only_on_fusion_table_direct():
     """The package's public functions and methods take no settable
-    underscore keyword-only arguments, except the two with which
+    underscore keyword-only arguments, except the one with which
     ``verify_theorem_o`` hands ``fusion_table_direct`` the relative products
-    and the unit index (see its docstring): what depends on the category
-    and the algebra alone is kept in the algebra's store instead."""
+    (see its docstring): what depends on the category and the algebra alone
+    is kept in the algebra's store instead, and each fusion route finds its
+    own unit."""
     found = set()
     for path in sorted((ROOT / "src" / "bimodfusion").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
                 found |= {(path.stem, node.name, a.arg) for a in node.args.kwonlyargs
                           if a.arg.startswith("_")}
-    assert found == {("fusion_algebra", "fusion_table_direct", "_products"),
-                     ("fusion_algebra", "fusion_table_direct", "_unit")}
+    assert found == {("fusion_algebra", "fusion_table_direct", "_products")}
