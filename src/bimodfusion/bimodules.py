@@ -41,6 +41,8 @@ class Bimodule:
     obj: tuple
     rho_l: E.Morphism
     rho_r: E.Morphism | None = None
+    # the generated field-wise hash would hash the algebra's dict and always raise
+    __hash__ = None
 
 
 @dataclass

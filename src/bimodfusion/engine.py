@@ -50,7 +50,6 @@ Each structural map is cached once per category, in the store
 ``C._cache[kind]``, a dict keyed by what the map depends on:
 
 * ``wdims``, ``dims``: sector dimensions per word, per object.
-* ``offsets``: word offsets per (S, k).
 * ``dimslayout``: sector layouts per pair of sector dims.
 * ``layout``: the same layouts per (src, tgt).
 * ``eye``: read-only identity blocks per object.
@@ -58,11 +57,9 @@ Each structural map is cached once per category, in the store
 * ``merge``: merge matrices per (word_dims(u), v, k).
 * ``sumdims``: the word dims of the words of S, per S.
 * ``sumorder``: forward sum merge column orders per (sumdims of S, of T, k).
-* ``summerge``, ``summergeinv``: sum merges and their inverses per
-  (sumdims of S, T, k), so objects with equal word dims share one fill.
-* ``summerges``: every sum merge per (S, T, k, inverse).
+* ``summerge``: sum merges and their inverses per (sumdims of S, T, k,
+  inverse), so objects with equal word dims share one fill.
 * ``braid``: braidings per (S, T, inverse).
-* ``dualcoef``: single-letter duality coefficients per letter.
 * ``cup``, ``cap``, ``cupt``, ``capt``: duality maps per word.
 * ``smatrix``: the S-matrix of :func:`mtc.s_matrix`, under the key ().
 """
@@ -141,12 +138,7 @@ def obj_dim(C: MtcData, S: SumObject, k: int) -> int:
 
 def obj_offsets(C: MtcData, S: SumObject, k: int) -> list:
     """Start offset of each summand word inside the sector-k basis of S."""
-    store = C._cache["offsets"]
-    out = store.get((S, k))
-    if out is None:
-        out = store[S, k] = list(itertools.accumulate((word_dims(C, w)[k] for w in S),
-                                                      initial=0))
-    return out
+    return list(itertools.accumulate((word_dims(C, w)[k] for w in S), initial=0))
 
 
 def obj_sectors(C: MtcData, S: SumObject) -> list:
@@ -438,36 +430,29 @@ def sum_merge(C: MtcData, S: SumObject, T: SumObject, k: int,
     the group's first column in S ⊗ T and o_i, o_j the offsets of the words
     in sectors k1 of S and k2 of T.  That order reads only sector
     dimensions (:func:`_sum_order`).  For one word by one word it is the
-    identity, so the forward matrix is their merge_matrix itself.  The
-    inverse is the inverse of the forward matrix.  Like :func:`merge_matrix`,
-    both depend on S only through the sector dimensions of its words, so
-    both are filled once per (word_dims of each word of S, T, k); a repeat
-    call is answered from the store keyed by (S, T, k, inverse).
+    identity, so the forward matrix is their merge_matrix itself, and the
+    store holds no copy of it.  The inverse is the inverse of the forward
+    matrix.  Like :func:`merge_matrix`, both depend on S only through the
+    sector dimensions of its words, so both are filled once per (word_dims
+    of each word of S, T, k, inverse) in one store.
     """
-    store = C._cache["summerges"]
-    M = store.get((S, T, k, inverse))
-    if M is not None:
-        return M
     if not inverse and len(S) == 1 and len(T) == 1:
-        M = merge_matrix(C, S[0], T[0], k)
-    else:
-        fills = C._cache["summergeinv" if inverse else "summerge"]
-        wS = _word_dims_key(C, S)
-        key = (wS, T, k)
-        M = fills.get(key)
-        if M is None:
-            if inverse:
-                M = np.linalg.inv(sum_merge(C, S, T, k))
-            else:
-                bounds, cols = _sum_order(C, wS, _word_dims_key(C, T), k)
-                M = np.zeros((bounds[-1], bounds[-1]), dtype=complex)
-                for p, (wi, wj) in enumerate(itertools.product(S, T)):
-                    lo, hi = bounds[p], bounds[p + 1]
-                    if lo < hi:
-                        M[lo:hi, cols[lo:hi]] = merge_matrix(C, wi, wj, k)
-            M.setflags(write=False)
-            fills[key] = M
-    store[S, T, k, inverse] = M
+        return merge_matrix(C, S[0], T[0], k)
+    store = C._cache["summerge"]
+    wS = _word_dims_key(C, S)
+    M = store.get((wS, T, k, inverse))
+    if M is None:
+        if inverse:
+            M = np.linalg.inv(sum_merge(C, S, T, k))
+        else:
+            bounds, cols = _sum_order(C, wS, _word_dims_key(C, T), k)
+            M = np.zeros((bounds[-1], bounds[-1]), dtype=complex)
+            for p, (wi, wj) in enumerate(itertools.product(S, T)):
+                lo, hi = bounds[p], bounds[p + 1]
+                if lo < hi:
+                    M[lo:hi, cols[lo:hi]] = merge_matrix(C, wi, wj, k)
+        M.setflags(write=False)
+        store[wS, T, k, inverse] = M
     return M
 
 
@@ -602,19 +587,15 @@ def braid(C: MtcData, S: SumObject, T: SumObject, inverse: bool = False) -> Morp
 
 def _letter_duality(C: MtcData, a: int):
     """Coefficients (b, d, bt, dt) of the four single-letter duality maps."""
-    store = C._cache["dualcoef"]
-    out = store.get(a)
-    if out is None:
-        abar = int(C.dual[a])
-        # the unit channels come first in both channel bases
-        Fa = complex(C.fmat(a, abar, a, a)[0, 0])
-        if Fa == 0:
-            raise NonSovereignGauge(
-                f"F[{C.labels[a]},{C.labels[abar]},{C.labels[a]}] unit channel vanishes"
-            )
-        phase = C.twist[a] * complex(C.rmat(a, abar, 0)[0, 0])
-        out = store[a] = (1.0 + 0j, 1.0 / Fa, phase, phase / Fa)
-    return out
+    abar = int(C.dual[a])
+    # the unit channels come first in both channel bases
+    Fa = complex(C.fmat(a, abar, a, a)[0, 0])
+    if Fa == 0:
+        raise NonSovereignGauge(
+            f"F[{C.labels[a]},{C.labels[abar]},{C.labels[a]}] unit channel vanishes"
+        )
+    phase = C.twist[a] * complex(C.rmat(a, abar, 0)[0, 0])
+    return (1.0 + 0j, 1.0 / Fa, phase, phase / Fa)
 
 
 def dim(C: MtcData, a: int) -> complex:

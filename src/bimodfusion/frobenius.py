@@ -39,6 +39,8 @@ class AlgebraSpec:
     eps: E.Morphism | None = None
     _cache: dict = field(default_factory=lambda: defaultdict(dict), init=False,
                          repr=False, compare=False)
+    # the generated field-wise hash would hash the dict ``mult`` and always raise
+    __hash__ = None
 
     @property
     def dim(self) -> complex:

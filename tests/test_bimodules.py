@@ -1,6 +1,7 @@
 """Bimodule induction, hom counting, and decomposition into simples."""
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
 import gc
 import itertools
@@ -207,6 +208,16 @@ def test_equality_on_values_that_hold_arrays_is_a_bool(toric, ze):
     for x, y in cases:
         assert (x == y) is False and (x == x) is True
     assert dataclasses.replace(ze) == ze
+
+
+def test_algebras_and_bimodules_are_unhashable(toric, ze):
+    """Algebras and bimodules compare field by field through a dict, so they
+    declare no hash: hash() names the class, and neither is Hashable."""
+    for value in (ze, B.regular_bimodule(toric, ze)):
+        cls = type(value).__name__
+        with pytest.raises(TypeError, match=f"unhashable type: '{cls}'"):
+            hash(value)
+        assert not isinstance(value, collections.abc.Hashable)
 
 
 def test_algebra_store_holds_no_reference_to_its_algebra(toric):

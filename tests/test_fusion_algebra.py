@@ -4,6 +4,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import re
 import sys
 
 import numpy as np
@@ -651,7 +652,6 @@ def _pair_words(key) -> list:
 _KEY_WORDS = {
     "wdims": lambda w: [w],
     "dims": list,
-    "offsets": lambda key: list(key[0]),
     "dimslayout": lambda key: [],
     "layout": _pair_words,
     "eye": list,
@@ -660,10 +660,7 @@ _KEY_WORDS = {
     "sumdims": list,
     "sumorder": lambda key: [],
     "summerge": lambda key: list(key[1]),
-    "summergeinv": lambda key: list(key[1]),
-    "summerges": _pair_words,
     "braid": _pair_words,
-    "dualcoef": lambda key: [],
     "cup": lambda w: [w],
     "cap": lambda w: [w],
     "cupt": lambda w: [w],
@@ -687,11 +684,15 @@ def test_cache_keys_hold_no_unit_letters(name, alg):
 
 def test_cache_kinds_are_stores():
     """Every engine cache kind is one dict store under its name, and the
-    grouped bases stored are those of word pairs with trees: none is empty."""
+    grouped bases stored are those of word pairs with trees: none is empty.
+    The engine module docstring lists exactly the kinds the run filled."""
     C = catalog("su2_4").data
     A = F.parse_algebra(C, load_fixture("su2_4_deven.alg.json"))
     FA.verify_theorem_o(C, F.normalize_counit(C, A), seed=12)
     assert set(C._cache) == set(_KEY_WORDS)
+    listed = [kind for head in re.findall(r"^\* (.+?):", E.__doc__, re.M)
+              for kind in re.findall(r"``(\w+)``", head)]
+    assert sorted(listed) == sorted(C._cache)
     assert all(type(store) is dict and store for store in C._cache.values())
     assert all(C._cache["sumgroups"].values())
 
